@@ -650,5 +650,5 @@ def main(argv=None) -> int:
     return 0
 
 
-def console_entry() -> None:
+if __name__ == "__main__":
     sys.exit(main())

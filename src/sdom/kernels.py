@@ -13,13 +13,27 @@ as a supremum over sampled cubes and point pairs, a shell-decay
 constant with an explicit decay exponent, and the logarithmic integral
 of a modulus of continuity.  Both cube-based estimators share one
 sampling plan format and one report format, and both replace integrals
-by midpoint-lattice sums at the grid's own resolution, so every
-reported number is a finite, reproducible quadrature value, a lower
-bound for the continuum quantity that sharpens as the grid refines.
+by midpoint-lattice sums at the grid's own resolution.  Every reported
+number is therefore a finite, reproducible quadrature value: the
+lattice sum, maximized over the sampled configurations.  It is not a
+certified bound on the continuum constant.
+
+Both estimators run on one shell engine.  Around a sampled cube Q the
+dilates 2^j Q are index ranges of the sorted quadrature axes, found by
+binary search, and they sort the lattice into shells: Q itself, then
+each dyadic annulus.  The samples are grouped by cube, and each
+distinct sample point p of a cube is evaluated once, K(p, .) over the
+shell-sorted slot tuples, so a pair's difference K(x, .) - K(z, .) is
+one subtraction.  Per-shell sums of |K(x, .) - K(z, .)|^{r'} (maxima at
+r = 1) fill a table with one cell per shell multi-index, from which
+``hormander_constant`` reads the annulus series and ``h2_constant`` the
+normalized shell values.  One parallel task handles one cube, and the
+results return in plan order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -492,10 +506,11 @@ def _lattice_axis(grid: GridSpec, axis: int, lo: float, hi: float) -> np.ndarray
     return o + h * (np.arange(i_lo, i_hi) + 0.5)
 
 
-def _quad_points(spec: KernelSpec, grid: GridSpec):
+def _quad_lattice(spec: KernelSpec, grid: GridSpec):
     """Quadrature lattice: the grid domain, extended to the kernel's
-    declared support box when there is one.  Returns (points (N, n),
-    covers_all) where covers_all is False for unbounded supports."""
+    declared support box when there is one.  Returns (axes, covers_all):
+    the sorted coordinates along each axis, and False for unbounded
+    supports."""
     sup = y_support_box(spec, grid)
     los = list(grid.origin)
     his = [grid.origin[a] + grid.side for a in range(grid.n)]
@@ -504,100 +519,184 @@ def _quad_points(spec: KernelSpec, grid: GridSpec):
         los = [min(los[a], float(lo[a])) for a in range(grid.n)]
         his = [max(his[a], float(hi[a])) for a in range(grid.n)]
     axes = [_lattice_axis(grid, a, los[a], his[a]) for a in range(grid.n)]
-    if grid.n == 1:
-        pts = axes[0][:, None]
-    else:
-        A, B = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.column_stack([A.ravel(), B.ravel()])
-    return pts, has_bounded_support(spec)
+    return axes, has_bounded_support(spec)
 
 
-def _box_mask(pts: np.ndarray, center: np.ndarray, half: float) -> np.ndarray:
-    """Half-open membership in center +- half per axis."""
-    return np.all((pts >= center - half) & (pts < center + half), axis=1)
+def _lattice_points(axes) -> np.ndarray:
+    """(N, n) points of the product of the axes, in row-major order."""
+    if len(axes) == 1:
+        return axes[0][:, None]
+    A, B = np.meshgrid(axes[0], axes[1], indexing="ij")
+    return np.column_stack([A.ravel(), B.ravel()])
 
 
-def _delta_single(spec, x, z, pts):
-    """(K(x,.) - K(z,.), valid) on a point set for m = 1."""
-    Y = pts[:, None, :]
-    vx, okx = eval_batch(spec, x, Y)
-    vz, okz = eval_batch(spec, z, Y)
-    ok = okx & okz
-    return np.where(ok, vx - vz, 0.0), ok
-
-
-def _delta_matrix(spec, x, z, pts):
-    """Full |ΔK| matrix over pts x pts for m = 2, chunked row blocks."""
+def _tuple_blocks(pts: np.ndarray, m: int):
+    """Yield (i0, i1, Y): the slot tuples of rows i0:i1 of the (N,)*m
+    tuple array over ``pts``, flattened row-major.  m = 1 is a single
+    row; m = 2 goes in fixed-size row blocks of the N x N matrix."""
     N = pts.shape[0]
+    if m == 1:
+        yield 0, 1, pts[:, None, :]
+        return
     if N * N > _MAX_PRODUCT_POINTS:
         raise ValueError("two-slot quadrature lattice too large; reduce grid depth")
-    dk = np.empty((N, N))
-    ok = np.empty((N, N), dtype=bool)
     rows = max(1, _CHUNK // max(N, 1))
     for i0 in range(0, N, rows):
         i1 = min(N, i0 + rows)
-        blk = i1 - i0
-        Y = np.empty((blk * N, 2, pts.shape[1]))
+        Y = np.empty(((i1 - i0) * N, 2, pts.shape[1]))
         Y[:, 0, :] = np.repeat(pts[i0:i1], N, axis=0)
-        Y[:, 1, :] = np.tile(pts, (blk, 1))
-        vx, okx = eval_batch(spec, x, Y)
-        vz, okz = eval_batch(spec, z, Y)
-        good = okx & okz
-        dk[i0:i1] = np.where(good, vx - vz, 0.0).reshape(blk, N)
-        ok[i0:i1] = good.reshape(blk, N)
-    return dk, ok
+        Y[:, 1, :] = np.tile(pts, (i1 - i0, 1))
+        yield i0, i1, Y
 
 
-def _series_one_config(spec, grid, r, cfg, pts):
-    """Annulus series for one (center, side, x, z) sample.
+def _shell_order(axes, center: np.ndarray, side: float):
+    """Sort the lattice into shells around the cube (center, side).
 
-    Returns (terms, skipped).  Scale k covers the dilate 2^k Q minus
-    2^{k-1} Q in every slot jointly; the loop stops once the inner
-    dilate swallows the whole quadrature box.
+    The boxes B_j = center +- 2^(j-1) side, j = 0 .. J, grow until B_J
+    holds the whole lattice.  Shell 0 is B_0 = Q and shell j >= 1 is B_j
+    minus B_{j-1}.  Each box is an index range of every sorted axis,
+    found by the same half-open comparison as testing coordinates.
+    Returns (perm, starts): lattice indices sorted by shell, ascending
+    within a shell, and the J + 2 offsets of the shells in that order.
     """
-    center, side, x, z = cfg
-    rp = r / (r - 1.0) if r > 1 else None
-    hvol = grid.cell_volume()
+    halves = np.ldexp(side, np.arange(-1, 80))
+    lo = [np.searchsorted(ax, c - halves) for ax, c in zip(axes, center)]
+    hi = [np.searchsorted(ax, c + halves) for ax, c in zip(axes, center)]
+    whole = np.logical_and.reduce([(a == 0) & (b == len(ax)) for a, b, ax in zip(lo, hi, axes)])
+    if not whole.any():
+        raise RuntimeError("shell enumeration failed to terminate")
+    J = int(np.argmax(whole))
+    label = np.full(tuple(len(ax) for ax in axes), J)
+    for j in range(J - 1, -1, -1):
+        label[tuple(slice(a[j], b[j]) for a, b in zip(lo, hi))] = j
+    label = label.ravel()
+    starts = np.zeros(J + 2, dtype=np.intp)
+    np.cumsum(np.bincount(label, minlength=J + 1), out=starts[1:])
+    return np.argsort(label, kind="stable"), starts
+
+
+def _cube_tables(spec: KernelSpec, axes, pts: np.ndarray, r: float, center, side, pairs) -> list:
+    """Shell tables of the sample pairs (x, z) that share one cube.
+
+    The table of a pair has one cell per shell multi-index (j_1 .. j_m):
+    the sum of |K(x,.) - K(z,.)|^{r'} over that product of shells, or
+    the largest |K(x,.) - K(z,.)| at r = 1.  Every distinct sample point
+    p is evaluated once, K(p, .) over the shell-sorted tuples; a pair's
+    difference is then one subtraction.  Returns (table, skipped) per
+    pair, in the order given, with skipped counting the singular tuples
+    outside Q^m.
+    """
+    m = spec.m
+    perm, starts = _shell_order(axes, center, side)
+    lattice = pts[perm]
+    N, J = lattice.shape[0], len(starts) - 1
+    points = {}
+    for x, z in pairs:
+        points.setdefault(x.tobytes(), x)
+        points.setdefault(z.tobytes(), z)
+    slot = {key: i for i, key in enumerate(points)}
+    xi = np.array([slot[x.tobytes()] for x, _ in pairs])
+    zi = np.array([slot[z.tobytes()] for _, z in pairs])
+    reduce = np.add.reduce if r > 1 else np.maximum.reduce
+    shells = [(j, starts[j], starts[j + 1]) for j in range(J) if starts[j + 1] > starts[j]]
+    acc = np.zeros((len(pairs), N if m == 2 else 1, J))
+    skipped = np.zeros(len(pairs), dtype=np.int64)
+    q = starts[1]  # Q^m is the leading q rows and columns
+    for i0, i1, Y in _tuple_blocks(lattice, m):
+        rows = [eval_batch(spec, p, Y) for p in points.values()]
+        vals = np.stack([v for v, _ in rows]).reshape(len(rows), i1 - i0, N)
+        valid = np.stack([ok for _, ok in rows]).reshape(vals.shape)
+        ok = valid[xi] & valid[zi]
+        a = np.abs(np.where(ok, vals[xi] - vals[zi], 0.0))
+        if r > 1:
+            a = a ** (r / (r - 1.0))
+        for j, s, e in shells:
+            acc[:, i0:i1, j] = reduce(a[..., s:e], axis=-1)
+        top = 1 if m == 1 else max(0, min(i1, q) - i0)
+        skipped += np.count_nonzero(~ok, axis=(1, 2)) - np.count_nonzero(~ok[:, :top, :q], axis=(1, 2))
+    if m == 2:
+        # fold the rows of each shell: cell (j1, j2) of the product shells
+        rows_acc, acc = acc, np.zeros((len(pairs), J, J))
+        for j, s, e in shells:
+            acc[:, j] = reduce(rows_acc[:, s:e], axis=1)
+    else:
+        acc = acc[:, 0]
+    return [(acc[i], int(skipped[i])) for i in range(len(pairs))]
+
+
+def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan):
+    """The front end both estimators share.
+
+    Expands the plan, drops degenerate x = z pairs, and runs the shell
+    engine once per distinct cube, one parallel task each.  Returns
+    (rows, skipped_pairs, samples, covers_all), where ``rows`` holds
+    (config, table, skipped) for every kept sample in plan order, so
+    that ties between samples resolve by plan position.
+    """
+    configs = enumerate_plan(plan, grid)
+    if not configs:
+        raise ValueError("sampling plan produced no samples")
+    kept = [cfg for cfg in configs if not np.array_equal(cfg[2], cfg[3])]
+    if not kept:
+        raise ValueError("all sampled pairs were degenerate (x = z)")
+    axes, bounded = _quad_lattice(spec, grid)
+    pts = _lattice_points(axes)
+    cubes = {}
+    for pos, (center, side, x, z) in enumerate(kept):
+        cubes.setdefault((tuple(center), side), []).append(pos)
+    groups = list(cubes.values())
+
+    def task(positions):
+        center, side = kept[positions[0]][:2]
+        return _cube_tables(spec, axes, pts, r, center, side, [kept[i][2:] for i in positions])
+
+    rows = [None] * len(kept)
+    for positions, tables in zip(groups, parallel_map(task, groups)):
+        for pos, (table, skipped) in zip(positions, tables):
+            rows[pos] = (kept[pos], table, skipped)
+    samples = {"cubes": len({(tuple(c), s) for c, s, _, _ in configs}), "pairs": len(configs)}
+    return rows, len(configs) - len(kept), samples, bounded
+
+
+def _annulus_series(table: np.ndarray, side: float, r: float, grid: GridSpec) -> list:
+    """The annulus series of one sample from its shell table: scale k
+    takes the cells whose deepest shell is k.  Trailing zeros are cut."""
+    m = table.ndim
+    if m == 1:
+        cells = table.tolist()
+    else:
+        reduce = np.sum if r > 1 else np.max
+        cells = [float(reduce(np.concatenate((table[k, : k + 1], table[:k, k])))) for k in range(len(table))]
+    hvol = grid.cell_volume() ** m
     terms = []
-    skipped = 0
-    if spec.m == 2:
-        dk, ok = _delta_matrix(spec, x, z, pts)
-        absdk = np.abs(dk)
-    k = 1
-    while True:
-        inner_half = 2.0 ** (k - 2) * side
-        inner = _box_mask(pts, center, inner_half)
-        if inner.all():
-            break
-        outer = _box_mask(pts, center, 2.0 ** (k - 1) * side)
+    for k in range(1, len(cells)):
         measure = (2.0 ** k * side) ** grid.n
-        if spec.m == 1:
-            region = outer & ~inner
-            if region.any():
-                dkr, okr = _delta_single(spec, x, z, pts[region])
-                skipped += int(np.count_nonzero(~okr))
-                if r > 1:
-                    integral = float(np.sum(np.abs(dkr) ** rp)) * hvol
-                    terms.append(measure ** (1.0 / r) * integral ** (1.0 / rp))
-                else:
-                    terms.append(measure * (float(np.max(np.abs(dkr))) if dkr.size else 0.0))
-            else:
-                terms.append(0.0)
+        if r > 1:
+            terms.append(measure ** (m / r) * (cells[k] * hvol) ** (1.0 / (r / (r - 1.0))))
         else:
-            region = (outer[:, None] & outer[None, :]) & ~(inner[:, None] & inner[None, :])
-            skipped += int(np.count_nonzero(region & ~ok))
-            sel = region & ok
-            if r > 1:
-                integral = float(np.sum(absdk[sel] ** rp)) * hvol ** 2
-                terms.append(measure ** (2.0 / r) * integral ** (1.0 / rp))
-            else:
-                terms.append(measure ** 2 * (float(np.max(absdk[sel])) if sel.any() else 0.0))
-        k += 1
-        if k > 80:
-            raise RuntimeError("annulus series failed to terminate")
+            terms.append(measure ** m * cells[k])
     while terms and terms[-1] == 0.0:
         terms.pop()
-    return terms, skipped
+    return terms
+
+
+def _shell_peak(table: np.ndarray, cfg, r: float, delta: float, grid: GridSpec):
+    """(largest normalized shell value, its deepest shell j0) of one
+    sample from its shell table; (0.0, 0) when no shell carries mass."""
+    _, side, x, z = cfg
+    m, n = table.ndim, grid.n
+    hvol = grid.cell_volume() ** m
+    scale = (side ** n) ** (m * delta / n)
+    decay = float(np.sqrt(np.sum((x - z) ** 2))) ** (m * (delta - n / r))
+    best, best_j0 = 0.0, 0
+    for idx, s in zip(itertools.product(range(len(table)), repeat=m), table.ravel().tolist()):
+        if not any(idx):
+            continue
+        lhs = (s * hvol) ** (1.0 / (r / (r - 1.0))) if r > 1 else s
+        val = lhs * scale * 2.0 ** (m * delta * max(idx)) / decay
+        if val > best:
+            best, best_j0 = val, max(idx)
+    return best, best_j0
 
 
 def hormander_constant(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan) -> EstimateReport:
@@ -606,118 +705,32 @@ def hormander_constant(spec: KernelSpec, grid: GridSpec, r: float, plan: SampleP
     For each sampled cube Q and pair x, z in the concentric half cube
     the series sums, over dilation scales k >= 1, the measure of 2^k Q
     to the power m/r times the r'-norm of K(x,.) - K(z,.) over the
-    k-th annulus of slot tuples; at r = 1 the norm becomes an essential
-    supremum and the measure power becomes m.  The report holds the
-    largest series over all samples.
+    k-th annulus of slot tuples, 2^k Q^m minus 2^{k-1} Q^m; at r = 1 the
+    norm becomes a maximum and the measure power becomes m.  The report
+    holds the largest series over all samples.
 
     Integrals are midpoint-lattice sums at the grid resolution over the
     domain extended to the kernel's declared support box, so the value
-    is a quadrature approximation from below of the continuum constant.
+    is that quadrature sum, maximized over the sampled configurations.
     """
     if not (r >= 1 and math.isfinite(r)):
         raise ValueError("integrability exponent r must satisfy r >= 1")
-    configs = enumerate_plan(plan, grid)
-    if not configs:
-        raise ValueError("sampling plan produced no samples")
-    pts, bounded = _quad_points(spec, grid)
-
-    kept = []
-    skipped_pairs = 0
-    for cfg in configs:
-        if np.array_equal(cfg[2], cfg[3]):
-            skipped_pairs += 1
-        else:
-            kept.append(cfg)
-    if not kept:
-        raise ValueError("all sampled pairs were degenerate (x = z)")
-
-    results = parallel_map(lambda cfg: _series_one_config(spec, grid, r, cfg, pts), kept)
-    best_i = 0
-    best_v = -1.0
-    skipped = skipped_pairs
-    for i, (terms, sk) in enumerate(results):
+    rows, skipped, samples, bounded = _sample_tables(spec, grid, r, plan)
+    best_terms, best_v = (), -1.0
+    for cfg, table, sk in rows:
         skipped += sk
+        terms = _annulus_series(table, cfg[1], r, grid)
         v = float(np.sum(np.array(terms))) if terms else 0.0
         if v > best_v:
-            best_i, best_v = i, v
-    terms = tuple(results[best_i][0])
-    n_cubes = len({(tuple(c), s) for c, s, _, _ in configs})
+            best_terms, best_v = tuple(terms), v
     return EstimateReport(
         value=max(best_v, 0.0),
-        terms=terms,
-        k_max=len(terms),
+        terms=best_terms,
+        k_max=len(best_terms),
         tail_flag=not bounded,
         skipped=skipped,
-        samples={"cubes": n_cubes, "pairs": len(configs)},
+        samples=samples,
     )
-
-
-def _shells_one_config(spec, grid, r, delta, cfg, pts):
-    """Largest normalized shell value for one sample; see h2_constant."""
-    center, side, x, z = cfg
-    n = grid.n
-    rp = r / (r - 1.0) if r > 1 else None
-    hvol = grid.cell_volume()
-    dist = float(np.sqrt(np.sum((x - z) ** 2)))
-    qmeasure = side ** n
-
-    # shell j = 0 is Q itself; j >= 1 is the dyadic annulus
-    shells = []
-    j = 0
-    while True:
-        if j == 0:
-            mask = _box_mask(pts, center, side / 2)
-        else:
-            inner_half = 2.0 ** (j - 2) * side
-            if _box_mask(pts, center, inner_half).all():
-                break
-            mask = _box_mask(pts, center, 2.0 ** (j - 1) * side) & ~_box_mask(pts, center, inner_half)
-        shells.append(mask)
-        j += 1
-        if j > 80:
-            raise RuntimeError("shell enumeration failed to terminate")
-
-    best = 0.0
-    best_j0 = 0
-    skipped = 0
-    if spec.m == 1:
-        for j in range(1, len(shells)):
-            if not shells[j].any():
-                continue
-            dkr, okr = _delta_single(spec, x, z, pts[shells[j]])
-            skipped += int(np.count_nonzero(~okr))
-            if r > 1:
-                lhs = (float(np.sum(np.abs(dkr) ** rp)) * hvol) ** (1.0 / rp)
-            else:
-                lhs = float(np.max(np.abs(dkr))) if dkr.size else 0.0
-            val = lhs * qmeasure ** (delta / n) * 2.0 ** (delta * j) / dist ** (delta - n / r)
-            if val > best:
-                best, best_j0 = val, j
-    else:
-        dk, ok = _delta_matrix(spec, x, z, pts)
-        absdk = np.abs(dk)
-        J = len(shells)
-        for j1 in range(J):
-            for j2 in range(J):
-                if j1 == 0 and j2 == 0:
-                    continue
-                sel = shells[j1][:, None] & shells[j2][None, :]
-                skipped += int(np.count_nonzero(sel & ~ok))
-                sel &= ok
-                if r > 1:
-                    lhs = (float(np.sum(absdk[sel] ** rp)) * hvol ** 2) ** (1.0 / rp)
-                else:
-                    lhs = float(np.max(absdk[sel])) if sel.any() else 0.0
-                j0 = max(j1, j2)
-                val = (
-                    lhs
-                    * qmeasure ** (2.0 * delta / n)
-                    * 2.0 ** (2.0 * delta * j0)
-                    / dist ** (2.0 * (delta - n / r))
-                )
-                if val > best:
-                    best, best_j0 = val, j0
-    return best, best_j0, skipped
 
 
 def h2_constant(spec: KernelSpec, grid: GridSpec, r: float, delta: float, plan: SamplePlan) -> EstimateReport:
@@ -729,43 +742,27 @@ def h2_constant(spec: KernelSpec, grid: GridSpec, r: float, delta: float, plan: 
     deepest shell involved; the reported value is the largest quotient,
     the smallest constant making the shell-decay bound hold on the
     sampled set.  ``delta`` must exceed n/r for the bound to be
-    meaningful, and at r = 1 the norm is an essential supremum.
+    meaningful, and at r = 1 the norm is a maximum.  Norms are
+    midpoint-lattice sums, as in ``hormander_constant``.
     """
     if not (r >= 1 and math.isfinite(r)):
         raise ValueError("integrability exponent r must satisfy r >= 1")
     if not (delta > grid.n / r):
         raise ValueError("decay order delta must exceed n/r")
-    configs = enumerate_plan(plan, grid)
-    if not configs:
-        raise ValueError("sampling plan produced no samples")
-    pts, bounded = _quad_points(spec, grid)
-
-    kept = []
-    skipped_pairs = 0
-    for cfg in configs:
-        if np.array_equal(cfg[2], cfg[3]):
-            skipped_pairs += 1
-        else:
-            kept.append(cfg)
-    if not kept:
-        raise ValueError("all sampled pairs were degenerate (x = z)")
-
-    results = parallel_map(lambda cfg: _shells_one_config(spec, grid, r, delta, cfg, pts), kept)
-    best = 0.0
-    best_j0 = 0
-    skipped = skipped_pairs
-    for v, j0, sk in results:
+    rows, skipped, samples, bounded = _sample_tables(spec, grid, r, plan)
+    best, best_j0 = 0.0, 0
+    for cfg, table, sk in rows:
         skipped += sk
+        v, j0 = _shell_peak(table, cfg, r, delta, grid)
         if v > best:
             best, best_j0 = v, j0
-    n_cubes = len({(tuple(c), s) for c, s, _, _ in configs})
     return EstimateReport(
         value=best,
         terms=(best,),
         k_max=best_j0,
         tail_flag=not bounded,
         skipped=skipped,
-        samples={"cubes": n_cubes, "pairs": len(configs)},
+        samples=samples,
     )
 
 
@@ -785,25 +782,21 @@ def omega_profile(spec: KernelSpec, grid: GridSpec, x, z, t_grid: Sequence[float
     t_arr = [float(t) for t in t_grid]
     if any(not (0.0 < t <= 1.0) for t in t_arr):
         raise ValueError("profile scales must lie in (0, 1]")
-    axes = [grid.axis_centers(a) for a in range(grid.n)]
-    if grid.n == 1:
-        pts = axes[0][:, None]
-    else:
-        A, B = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.column_stack([A.ravel(), B.ravel()])
+    pts = _lattice_points([grid.axis_centers(a) for a in range(grid.n)])
     N = pts.shape[0]
-    mn = spec.m * grid.n
-    if spec.m == 1:
-        dk, ok = _delta_single(spec, x, z, pts)
-        D = np.sqrt(np.sum((pts - x[None, :]) ** 2, axis=1))
-        osc = np.abs(dk) * D ** mn
-    else:
-        if N * N > _MAX_PRODUCT_POINTS:
-            raise ValueError("profile lattice too large; reduce grid depth")
-        dk, ok = _delta_matrix(spec, x, z, pts)
-        d1 = np.sqrt(np.sum((pts - x[None, :]) ** 2, axis=1))
-        D = d1[:, None] + d1[None, :]
-        osc = np.abs(dk) * D ** mn
+    dk = np.empty((N if spec.m == 2 else 1, N))
+    ok = np.empty(dk.shape, dtype=bool)
+    for i0, i1, Y in _tuple_blocks(pts, spec.m):
+        vx, okx = eval_batch(spec, x, Y)
+        vz, okz = eval_batch(spec, z, Y)
+        good = okx & okz
+        dk[i0:i1] = np.where(good, vx - vz, 0.0).reshape(i1 - i0, N)
+        ok[i0:i1] = good.reshape(i1 - i0, N)
+    D = np.sqrt(np.sum((pts - x[None, :]) ** 2, axis=1))
+    if spec.m == 2:
+        D = D[:, None] + D[None, :]
+    dk, ok = dk.reshape(D.shape), ok.reshape(D.shape)
+    osc = np.abs(dk) * D ** (spec.m * grid.n)
     out = []
     for t in t_arr:
         shell = (D >= dist / t) & (D <= 2.0 * dist / t) & ok

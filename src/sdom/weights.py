@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .grid import Cube, GridFunction, GridSpec
 from .maximal import DYADIC, CubeFamilyMode, _PrefixSums, family_boxes
@@ -197,5 +196,7 @@ def trend_correlation(characteristics, ratios) -> float:
     rats = np.asarray(list(ratios), dtype=float)
     if chars.size != rats.size or chars.size < 3:
         raise ValueError("need at least three paired observations")
+    from scipy.stats import spearmanr  # imported here: it dominates the package's import time
+
     rho = spearmanr(chars, rats).statistic
     return float(rho)

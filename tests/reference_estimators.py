@@ -1,0 +1,215 @@
+"""Direct-sum reference for the `kr` / `h2` estimators.
+
+These are the original mask-based loops: for every sample and every
+scale they rebuild whole-lattice box masks and evaluate K(x, .) and
+K(z, .) on each region anew.  They are slow but obviously faithful to
+the definitions in `sdom.kernels`, so the shell engine is tested
+against them.  Only public `sdom.kernels` names are used.
+"""
+
+import math
+
+import numpy as np
+
+from sdom.kernels import (
+    EstimateReport,
+    enumerate_plan,
+    eval_batch,
+    has_bounded_support,
+    y_support_box,
+)
+
+_CHUNK = 1 << 18
+
+
+def quad_points(spec, grid):
+    """Midpoint lattice over the domain extended to the support box."""
+    sup = y_support_box(spec, grid)
+    axes = []
+    for a in range(grid.n):
+        lo, hi = grid.origin[a], grid.origin[a] + grid.side
+        if sup is not None:
+            lo, hi = min(lo, float(sup[0][a])), max(hi, float(sup[1][a]))
+        o, h = grid.origin[a], grid.h
+        i_lo = math.ceil((lo - o) / h - 0.5)
+        i_hi = math.ceil((hi - o) / h - 0.5)
+        axes.append(o + h * (np.arange(i_lo, i_hi) + 0.5))
+    if grid.n == 1:
+        pts = axes[0][:, None]
+    else:
+        A, B = np.meshgrid(axes[0], axes[1], indexing="ij")
+        pts = np.column_stack([A.ravel(), B.ravel()])
+    return pts, has_bounded_support(spec)
+
+
+def box_mask(pts, center, half):
+    return np.all((pts >= center - half) & (pts < center + half), axis=1)
+
+
+def delta_single(spec, x, z, pts):
+    Y = pts[:, None, :]
+    vx, okx = eval_batch(spec, x, Y)
+    vz, okz = eval_batch(spec, z, Y)
+    ok = okx & okz
+    return np.where(ok, vx - vz, 0.0), ok
+
+
+def delta_matrix(spec, x, z, pts):
+    N = pts.shape[0]
+    dk = np.empty((N, N))
+    ok = np.empty((N, N), dtype=bool)
+    rows = max(1, _CHUNK // max(N, 1))
+    for i0 in range(0, N, rows):
+        i1 = min(N, i0 + rows)
+        blk = i1 - i0
+        Y = np.empty((blk * N, 2, pts.shape[1]))
+        Y[:, 0, :] = np.repeat(pts[i0:i1], N, axis=0)
+        Y[:, 1, :] = np.tile(pts, (blk, 1))
+        vx, okx = eval_batch(spec, x, Y)
+        vz, okz = eval_batch(spec, z, Y)
+        good = okx & okz
+        dk[i0:i1] = np.where(good, vx - vz, 0.0).reshape(blk, N)
+        ok[i0:i1] = good.reshape(blk, N)
+    return dk, ok
+
+
+def series_one_config(spec, grid, r, cfg, pts):
+    """Annulus series (terms, skipped) of one (center, side, x, z) sample."""
+    center, side, x, z = cfg
+    rp = r / (r - 1.0) if r > 1 else None
+    hvol = grid.cell_volume()
+    terms = []
+    skipped = 0
+    if spec.m == 2:
+        dk, ok = delta_matrix(spec, x, z, pts)
+        absdk = np.abs(dk)
+    k = 1
+    while True:
+        inner_half = 2.0 ** (k - 2) * side
+        inner = box_mask(pts, center, inner_half)
+        if inner.all():
+            break
+        outer = box_mask(pts, center, 2.0 ** (k - 1) * side)
+        measure = (2.0 ** k * side) ** grid.n
+        if spec.m == 1:
+            region = outer & ~inner
+            if region.any():
+                dkr, okr = delta_single(spec, x, z, pts[region])
+                skipped += int(np.count_nonzero(~okr))
+                if r > 1:
+                    integral = float(np.sum(np.abs(dkr) ** rp)) * hvol
+                    terms.append(measure ** (1.0 / r) * integral ** (1.0 / rp))
+                else:
+                    terms.append(measure * float(np.max(np.abs(dkr))))
+            else:
+                terms.append(0.0)
+        else:
+            region = (outer[:, None] & outer[None, :]) & ~(inner[:, None] & inner[None, :])
+            skipped += int(np.count_nonzero(region & ~ok))
+            sel = region & ok
+            if r > 1:
+                integral = float(np.sum(absdk[sel] ** rp)) * hvol ** 2
+                terms.append(measure ** (2.0 / r) * integral ** (1.0 / rp))
+            else:
+                terms.append(measure ** 2 * (float(np.max(absdk[sel])) if sel.any() else 0.0))
+        k += 1
+    while terms and terms[-1] == 0.0:
+        terms.pop()
+    return terms, skipped
+
+
+def shells_one_config(spec, grid, r, delta, cfg, pts):
+    """(largest normalized shell value, its j0, skipped) of one sample."""
+    center, side, x, z = cfg
+    n = grid.n
+    rp = r / (r - 1.0) if r > 1 else None
+    hvol = grid.cell_volume()
+    dist = float(np.sqrt(np.sum((x - z) ** 2)))
+    qmeasure = side ** n
+    shells = [box_mask(pts, center, side / 2)]
+    j = 1
+    while not box_mask(pts, center, 2.0 ** (j - 2) * side).all():
+        shells.append(box_mask(pts, center, 2.0 ** (j - 1) * side) & ~box_mask(pts, center, 2.0 ** (j - 2) * side))
+        j += 1
+    best = 0.0
+    best_j0 = 0
+    skipped = 0
+    if spec.m == 1:
+        for j in range(1, len(shells)):
+            if not shells[j].any():
+                continue
+            dkr, okr = delta_single(spec, x, z, pts[shells[j]])
+            skipped += int(np.count_nonzero(~okr))
+            if r > 1:
+                lhs = (float(np.sum(np.abs(dkr) ** rp)) * hvol) ** (1.0 / rp)
+            else:
+                lhs = float(np.max(np.abs(dkr)))
+            val = lhs * qmeasure ** (delta / n) * 2.0 ** (delta * j) / dist ** (delta - n / r)
+            if val > best:
+                best, best_j0 = val, j
+    else:
+        dk, ok = delta_matrix(spec, x, z, pts)
+        absdk = np.abs(dk)
+        J = len(shells)
+        for j1 in range(J):
+            for j2 in range(J):
+                if j1 == 0 and j2 == 0:
+                    continue
+                sel = shells[j1][:, None] & shells[j2][None, :]
+                skipped += int(np.count_nonzero(sel & ~ok))
+                sel &= ok
+                if r > 1:
+                    lhs = (float(np.sum(absdk[sel] ** rp)) * hvol ** 2) ** (1.0 / rp)
+                else:
+                    lhs = float(np.max(absdk[sel])) if sel.any() else 0.0
+                j0 = max(j1, j2)
+                val = lhs * qmeasure ** (2.0 * delta / n) * 2.0 ** (2.0 * delta * j0) / dist ** (2.0 * (delta - n / r))
+                if val > best:
+                    best, best_j0 = val, j0
+    return best, best_j0, skipped
+
+
+def _kept(plan, grid):
+    configs = enumerate_plan(plan, grid)
+    kept = [cfg for cfg in configs if not np.array_equal(cfg[2], cfg[3])]
+    samples = {"cubes": len({(tuple(c), s) for c, s, _, _ in configs}), "pairs": len(configs)}
+    return kept, len(configs) - len(kept), samples
+
+
+def reference_series(spec, grid, r, plan):
+    """Per kept sample, in plan order: (terms, skipped)."""
+    kept, _, _ = _kept(plan, grid)
+    pts, _ = quad_points(spec, grid)
+    return [series_one_config(spec, grid, r, cfg, pts) for cfg in kept]
+
+
+def reference_shells(spec, grid, r, delta, plan):
+    """Per kept sample, in plan order: (value, j0, skipped)."""
+    kept, _, _ = _kept(plan, grid)
+    pts, _ = quad_points(spec, grid)
+    return [shells_one_config(spec, grid, r, delta, cfg, pts) for cfg in kept]
+
+
+def reference_hormander(spec, grid, r, plan):
+    kept, skipped, samples = _kept(plan, grid)
+    results = reference_series(spec, grid, r, plan)
+    best_i, best_v = 0, -1.0
+    for i, (terms, sk) in enumerate(results):
+        skipped += sk
+        v = float(np.sum(np.array(terms))) if terms else 0.0
+        if v > best_v:
+            best_i, best_v = i, v
+    terms = tuple(results[best_i][0])
+    _, bounded = quad_points(spec, grid)
+    return EstimateReport(max(best_v, 0.0), terms, len(terms), not bounded, skipped, samples)
+
+
+def reference_h2(spec, grid, r, delta, plan):
+    kept, skipped, samples = _kept(plan, grid)
+    best, best_j0 = 0.0, 0
+    for v, j0, sk in reference_shells(spec, grid, r, delta, plan):
+        skipped += sk
+        if v > best:
+            best, best_j0 = v, j0
+    _, bounded = quad_points(spec, grid)
+    return EstimateReport(best, (best,), best_j0, not bounded, skipped, samples)

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -257,3 +260,12 @@ def test_written_paths_printed(tmp_path, capsys):
     stdout = capsys.readouterr().out.splitlines()
     assert str(out / "dini_report.json") in stdout
     assert str(out / "dini_cases.csv") in stdout
+
+
+def test_module_entry_points_run_the_cli():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for module in ("sdom.cli", "sdom"):
+        proc = subprocess.run([sys.executable, "-m", module], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode != 0, module
+        assert "usage: sdom" in proc.stderr, module
