@@ -40,10 +40,8 @@ from .grid import (
     children,
     cube_cell_count,
     cube_flat_indices,
-    cube_measure,
     cube_values,
     local_average,
-    masked_to,
     support_in,
     triple_cube,
 )
@@ -62,7 +60,6 @@ from .kernels import (
     hormander_constant,
     mpt_kernel,
     mpt_truncated_kernel,
-    omega_profile,
     x_independent_kernel,
     zero_kernel,
 )

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
+    BoxSums,
     DyadicCube,
     cell_box,
     children,
@@ -30,8 +31,8 @@ from .grid import (
     support_in,
     triple_cube,
 )
-from .maximal import DYADIC, CubeFamilyMode, _PrefixSums, local_grand_maximal
-from .operators import OperatorSpec, _check_inputs, apply
+from .maximal import DYADIC, CubeFamilyMode, local_grand_maximal
+from .operators import OperatorSpec, apply, apply_on_cells, check_inputs
 from .sparse import InvariantViolation, SparseEntry, SparseFamily, sparse_eval
 
 
@@ -77,7 +78,7 @@ def cz_select(grid, q0: DyadicCube, e_cells, lam: float | None = None) -> list:
         return []
     mask = np.zeros(grid.num_cells)
     mask[e_idx] = 1.0
-    table = _PrefixSums(grid, mask)
+    table = BoxSums(grid, mask)
     out = []
 
     def visit(cube):
@@ -136,7 +137,7 @@ def build_sparse_family(
     boundary.  The family's entries come out sorted by (level, index);
     the stats keep traversal (parent before child) order.
     """
-    fs = _check_inputs(op, fs)
+    fs = check_inputs(op, fs)
     grid = op.grid
     if not (r >= 1 and math.isfinite(r)):
         raise ValueError("averaging exponent r must satisfy r >= 1")
@@ -231,7 +232,7 @@ def lemma_pointwise_check(
 ) -> LemmaReport:
     """Measure max over cells x of Q0 of
     (|T(f chi_3Q0)(x)| - M_{T,Q0}(f)(x))_+ / |prod_i f_i(x)|."""
-    fs = _check_inputs(op, fs)
+    fs = check_inputs(op, fs)
     grid = op.grid
     if triple_cube(grid, q0).clipped:
         raise ValueError("the tripled node must fit inside the domain")
@@ -258,10 +259,8 @@ def lemma_pointwise_check(
 
 
 def _truncated_on_cells(op, fs, cube):
-    from .operators import _apply_core
-
     xs = cube_flat_indices(op.grid, cube)
-    return _apply_core(op, fs, xs, triple_cube(op.grid, cube))
+    return apply_on_cells(op, fs, xs, triple_cube(op.grid, cube))
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +284,7 @@ def domination_constant(op: OperatorSpec, fs, family: SparseFamily, r: float) ->
     An empty family yields zero with the flag set only if the operator
     output is itself nonzero.
     """
-    fs = _check_inputs(op, fs)
+    fs = check_inputs(op, fs)
     grid = op.grid
     tf = np.abs(apply(op, fs).values)
     sp = sparse_eval(family, fs, r).values

@@ -8,9 +8,14 @@ a timestamp or machine identity, so reruns of the same config are byte
 identical for any thread count.  Config validation reports every
 problem at once rather than stopping at the first.
 
-Exit codes: 0 on success, 1 on usage or config errors, 2 when an
-invariant is violated during the run (a failed sparseness check, an
-uncovered output cell, a divergent modulus integral).
+Exit codes: 0 on success.  1 on usage or config errors, a kernel that
+is singular at a lattice point the run samples (``sdom: config
+error: ...``), and outputs that cannot be written (``sdom: error:
+cannot write output: ...``).  2 when an invariant is violated during
+the run (a failed sparseness check, an uncovered output cell, a
+divergent modulus integral) or a value comes out non-finite (``sdom:
+numerical failure: ...``).  A failure prints one stderr line (one per
+problem for config errors) and leaves no output file behind.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import io
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -33,6 +39,7 @@ from .kernels import (
     KernelSpec,
     Modulus,
     SamplePlan,
+    SingularPointError,
     dini_norm,
     h2_constant,
     hormander_constant,
@@ -49,9 +56,6 @@ from .operators import OperatorSpec
 from .parallel import parallel_map, resolve_thread_request, set_thread_count
 from .sparse import InvariantViolation, carleson_sum, verify_witness_sparsity
 from .weights import WeightTuple, power_weight, weighted_norm_ratio
-
-COMMANDS = ("kr", "h2", "dini", "build", "dominate", "maximal", "weights", "separation")
-
 
 class ConfigError(Exception):
     """Carries the full list of config problems."""
@@ -84,42 +88,41 @@ class Checker:
             self.fail(key, "missing required field")
         return default
 
-    def number(self, key, pred=None, msg="invalid value", default=None, required=False):
+    def _value(self, key, types, what, pred, msg, default, required):
         v = self.raw(key, default=default, required=required)
         if v is None:
             return None
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.fail(key, "must be a number")
-            return None
-        v = float(v)
-        if pred is not None and not pred(v):
+        if isinstance(v, bool) or not isinstance(v, types):
+            self.fail(key, f"must be {what}")
+        elif pred is None or pred(v):
+            return v
+        else:
             self.fail(key, msg)
-            return None
-        return v
+        return None
+
+    def number(self, key, pred=None, msg="invalid value", default=None, required=False):
+        v = self._value(key, (int, float), "a number", pred, msg, default, required)
+        return None if v is None else float(v)
 
     def integer(self, key, pred=None, msg="invalid value", default=None, required=False):
-        v = self.raw(key, default=default, required=required)
-        if v is None:
-            return None
-        if isinstance(v, bool) or not isinstance(v, int):
-            self.fail(key, "must be an integer")
-            return None
-        if pred is not None and not pred(v):
-            self.fail(key, msg)
-            return None
-        return v
+        return self._value(key, int, "an integer", pred, msg, default, required)
 
     def string(self, key, choices=None, default=None, required=False):
-        v = self.raw(key, default=default, required=required)
-        if v is None:
+        pred = None if choices is None else (lambda v: v in choices)
+        return self._value(key, str, "a string", pred, f"must be one of {sorted(choices or ())}", default, required)
+
+    def spec(self, key, cls, what=None):
+        """A required field parsed by ``cls.from_json_dict``; a refusal
+        is reported as ``invalid <what> (<reason>)``, or bare without
+        ``what``."""
+        d = self.raw(key, required=True)
+        if d is None:
             return None
-        if not isinstance(v, str):
-            self.fail(key, "must be a string")
+        try:
+            return cls.from_json_dict(d)
+        except (ValueError, TypeError, KeyError) as exc:
+            self.fail(key, str(exc) if what is None else f"invalid {what} ({exc})")
             return None
-        if choices is not None and v not in choices:
-            self.fail(key, f"must be one of {sorted(choices)}")
-            return None
-        return v
 
     def sub(self, key, required=False):
         v = self.raw(key, required=required)
@@ -145,27 +148,9 @@ def _parse_grid(c: Checker):
         return None
 
 
-def _parse_kernel(c: Checker, key="kernel"):
-    d = c.raw(key, required=True)
-    if d is None:
-        return None
-    try:
-        return KernelSpec.from_json_dict(d)
-    except (ValueError, TypeError, KeyError) as exc:
-        c.fail(key, f"invalid kernel ({exc})")
-        return None
-
-
 def _parse_plan(c: Checker, grid):
-    d = c.raw("plan", required=True)
-    if d is None:
-        return None
-    try:
-        plan = SamplePlan.from_json_dict(d)
-    except (ValueError, TypeError, KeyError) as exc:
-        c.fail("plan", f"invalid sampling plan ({exc})")
-        return None
-    if plan.levels is not None and grid is not None:
+    plan = c.spec("plan", SamplePlan, "sampling plan")
+    if plan is not None and plan.levels is not None and grid is not None:
         bad = [lam for lam in plan.levels if not 0 <= lam <= grid.L]
         if bad:
             c.fail("plan.levels", f"levels {bad} outside [0, {grid.L}]")
@@ -174,15 +159,8 @@ def _parse_plan(c: Checker, grid):
 
 
 def _parse_root(c: Checker, grid):
-    d = c.raw("root", required=True)
-    if d is None:
-        return None
-    try:
-        cube = DyadicCube.from_json_dict(d)
-    except (ValueError, TypeError, KeyError) as exc:
-        c.fail("root", f"invalid cube ({exc})")
-        return None
-    if grid is not None and (len(cube.index) != grid.n or cube.level > grid.L):
+    cube = c.spec("root", DyadicCube, "cube")
+    if cube is not None and grid is not None and (len(cube.index) != grid.n or cube.level > grid.L):
         c.fail("root", "cube does not fit the grid")
         return None
     return cube
@@ -196,17 +174,6 @@ def _parse_mode(c: Checker, default="dyadic"):
         return CubeFamilyMode.parse(text)
     except ValueError as exc:
         c.fail("mode", str(exc))
-        return None
-
-
-def _parse_modulus(c: Checker, key="modulus"):
-    d = c.raw(key, required=True)
-    if d is None:
-        return None
-    try:
-        return Modulus.from_json_dict(d)
-    except (ValueError, TypeError, KeyError) as exc:
-        c.fail(key, f"invalid modulus ({exc})")
         return None
 
 
@@ -274,190 +241,124 @@ def _report(cfg, command, results) -> str:
     )
 
 
-# --- command runners: each returns {filename: text} ---------------------
+# --- commands ------------------------------------------------------------
+#
+# A command reads its fields through the Checker and returns a runner.
+# The runner is called only when the whole config is valid; it returns
+# (results, CSV header, CSV rows, {suffix: text}), which run_command
+# writes as <cmd>_report.json, <cmd>_cases.csv and <cmd>_<suffix>.
+# Runners reach the computations through this module's globals at call
+# time, so wrappers set on sdom.cli (bench/tracer.py) see every call.
 
 
-def _run_kr(cfg):
-    errors = []
-    c = Checker(cfg, errors)
+def _estimate(c: Checker, with_delta=False):
+    """kr (annulus sums) or, with ``delta``, h2 (shell decay)."""
     grid = _parse_grid(c)
-    kernel = _parse_kernel(c)
+    kernel = c.spec("kernel", KernelSpec, "kernel")
     r = c.number("r", pred=lambda v: v >= 1, msg="must be >= 1", required=True)
-    plan = _parse_plan(c, grid)
-    if errors:
-        raise ConfigError(errors)
-    rep = hormander_constant(kernel, grid, r, plan)
-    csv_text = _csv_text(
-        ["case", "value", "k_max", "tail_flag", "skipped"],
-        [[0, rep.value, rep.k_max, rep.tail_flag, rep.skipped]],
-    )
-    return {
-        "kr_report.json": _report(cfg, "kr", rep.to_json_dict()),
-        "kr_cases.csv": csv_text,
-    }
-
-
-def _run_h2(cfg):
-    errors = []
-    c = Checker(cfg, errors)
-    grid = _parse_grid(c)
-    kernel = _parse_kernel(c)
-    r = c.number("r", pred=lambda v: v >= 1, msg="must be >= 1", required=True)
-    delta = c.number("delta", pred=lambda v: v > 0, msg="must be positive", required=True)
+    delta = None
+    if with_delta:
+        delta = c.number("delta", pred=lambda v: v > 0, msg="must be positive", required=True)
     plan = _parse_plan(c, grid)
     if grid is not None and r is not None and delta is not None and not delta > grid.n / r:
         c.fail("delta", f"must exceed n/r = {grid.n / r}")
-    if errors:
-        raise ConfigError(errors)
-    rep = h2_constant(kernel, grid, r, delta, plan)
-    csv_text = _csv_text(
-        ["case", "value", "k_max", "tail_flag", "skipped"],
-        [[0, rep.value, rep.k_max, rep.tail_flag, rep.skipped]],
-    )
-    return {
-        "h2_report.json": _report(cfg, "h2", rep.to_json_dict()),
-        "h2_cases.csv": csv_text,
-    }
+
+    def run():
+        if with_delta:
+            rep = h2_constant(kernel, grid, r, delta, plan)
+        else:
+            rep = hormander_constant(kernel, grid, r, plan)
+        row = [0, rep.value, rep.k_max, rep.tail_flag, rep.skipped]
+        return rep.to_json_dict(), ["case", "value", "k_max", "tail_flag", "skipped"], [row], {}
+
+    return run
 
 
-def _run_dini(cfg):
-    errors = []
-    c = Checker(cfg, errors)
-    modulus = _parse_modulus(c)
+def _dini(c: Checker):
+    modulus = c.spec("modulus", Modulus, "modulus")
     tol = c.number("tol", pred=lambda v: 0 < v < 1, msg="must be in (0,1)", default=1e-7)
-    if errors:
-        raise ConfigError(errors)
-    try:
-        value = dini_norm(modulus, tol=tol)
-    except ValueError as exc:
-        raise InvariantViolation(f"modulus integral failed: {exc}") from exc
-    return {
-        "dini_report.json": _report(cfg, "dini", {"value": value}),
-        "dini_cases.csv": _csv_text(["case", "value"], [[0, value]]),
-    }
+
+    def run():
+        try:
+            value = dini_norm(modulus, tol=tol)
+        except ValueError as exc:
+            raise InvariantViolation(f"modulus integral failed: {exc}") from exc
+        return {"value": value}, ["case", "value"], [[0, value]], {}
+
+    return run
 
 
-def _parse_build_common(cfg):
-    errors = []
-    c = Checker(cfg, errors)
+def _build(c: Checker, dominate=False):
+    """The sparse family and its node stats; ``dominate`` adds the
+    domination constant and reports it in place of the node rows."""
     grid = _parse_grid(c)
-    kernel = _parse_kernel(c)
+    kernel = c.spec("kernel", KernelSpec, "kernel")
     root = _parse_root(c, grid)
     r = c.number("r", pred=lambda v: v >= 1, msg="must be >= 1", required=True)
     mode = _parse_mode(c)
-    m = kernel.m if kernel is not None else None
-    fs = _parse_inputs(c, grid, m, root)
-    if errors:
-        raise ConfigError(errors)
-    return OperatorSpec(kernel, grid), fs, root, r, mode
+    fs = _parse_inputs(c, grid, kernel.m if kernel is not None else None, root)
+
+    def run():
+        op = OperatorSpec(kernel, grid)
+        family, stats = build_sparse_family(op, fs, root, r, mode)
+        rep = verify_witness_sparsity(family)
+        if not rep.ok:
+            raise InvariantViolation(f"sparseness verification failed: {rep.to_json_dict()}")
+        size = len(family.entries)
+        results = {"family_size": size, "carleson": carleson_sum(family), "verify": rep.to_json_dict()}
+        extras = {
+            "family.json": family.to_json(),
+            "stats.json": _canonical({"nodes": [st.to_json_dict() for st in stats]}),
+        }
+        if dominate:
+            dom = domination_constant(op, fs, family, r)
+            if dom.support_flag:
+                raise InvariantViolation("sparse form misses operator output on the root")
+            results["domination"] = dom.to_json_dict()
+            header = ["case", "c_emp", "argmax_cell", "support_flag", "family_size", "carleson"]
+            row = [0, dom.c_emp, dom.argmax_cell, dom.support_flag, size, results["carleson"]]
+            return results, header, [row], extras
+        columns = ["A", "tau", "E_cells", "selected", "sum_Pj_ratio", "witness_cells"]
+        rows = []
+        for i, st in enumerate(stats):
+            node = st.to_json_dict()
+            rows.append([i, st.cube.level, ";".join(str(k) for k in st.cube.index), *(node[k] for k in columns)])
+        return results, ["case", "level", "index", *columns], rows, extras
+
+    return run
 
 
-def _build_payload(family, stats, rep):
-    rows = [
-        [
-            i,
-            st.cube.level,
-            ";".join(str(k) for k in st.cube.index),
-            st.scale,
-            st.tau,
-            st.e_count,
-            st.selected_count,
-            st.sum_pj_ratio,
-            st.witness_count,
-        ]
-        for i, st in enumerate(stats)
-    ]
-    csv_text = _csv_text(
-        ["case", "level", "index", "A", "tau", "E_cells", "selected", "sum_Pj_ratio", "witness_cells"],
-        rows,
-    )
-    stats_json = _canonical({"nodes": [st.to_json_dict() for st in stats]})
-    results = {
-        "family_size": len(family.entries),
-        "carleson": carleson_sum(family),
-        "verify": rep.to_json_dict(),
-    }
-    return results, csv_text, stats_json
-
-
-def _run_build(cfg):
-    op, fs, root, r, mode = _parse_build_common(cfg)
-    family, stats = build_sparse_family(op, fs, root, r, mode)
-    rep = verify_witness_sparsity(family)
-    if not rep.ok:
-        raise InvariantViolation(f"sparseness verification failed: {rep.to_json_dict()}")
-    results, csv_text, stats_json = _build_payload(family, stats, rep)
-    return {
-        "build_report.json": _report(cfg, "build", results),
-        "build_cases.csv": csv_text,
-        "build_family.json": family.to_json(),
-        "build_stats.json": stats_json,
-    }
-
-
-def _run_dominate(cfg):
-    op, fs, root, r, mode = _parse_build_common(cfg)
-    family, stats = build_sparse_family(op, fs, root, r, mode)
-    rep = verify_witness_sparsity(family)
-    if not rep.ok:
-        raise InvariantViolation(f"sparseness verification failed: {rep.to_json_dict()}")
-    dom = domination_constant(op, fs, family, r)
-    if dom.support_flag:
-        raise InvariantViolation("sparse form misses operator output on the root")
-    results, _, stats_json = _build_payload(family, stats, rep)
-    results["domination"] = dom.to_json_dict()
-    csv_text = _csv_text(
-        ["case", "c_emp", "argmax_cell", "support_flag", "family_size", "carleson"],
-        [[0, dom.c_emp, dom.argmax_cell, dom.support_flag, len(family.entries), results["carleson"]]],
-    )
-    return {
-        "dominate_report.json": _report(cfg, "dominate", results),
-        "dominate_cases.csv": csv_text,
-        "dominate_family.json": family.to_json(),
-        "dominate_stats.json": stats_json,
-    }
-
-
-def _run_maximal(cfg):
-    errors = []
-    c = Checker(cfg, errors)
+def _maximal(c: Checker):
     grid = _parse_grid(c)
     opname = c.string("op", choices=("multilinear", "mdelta", "grand", "local_grand"), required=True)
     mode = _parse_mode(c)
     m = c.integer("m", pred=lambda v: v in (1, 2), msg="must be 1 or 2", default=1)
-    kernel = root = None
-    delta = None
+    kernel = root = delta = None
     if opname in ("grand", "local_grand"):
-        kernel = _parse_kernel(c)
+        kernel = c.spec("kernel", KernelSpec, "kernel")
         m = kernel.m if kernel is not None else None
     if opname == "local_grand":
         root = _parse_root(c, grid)
     if opname == "mdelta":
         delta = c.number("delta", pred=lambda v: v > 0, msg="must be positive", required=True)
         m = 1
-    support = None
-    if opname == "local_grand" and root is not None:
-        support = root
-    fs = _parse_inputs(c, grid, m, support)
-    if errors:
-        raise ConfigError(errors)
-    if opname == "multilinear":
-        out = multilinear_maximal(fs, mode)
-    elif opname == "mdelta":
-        out = m_delta(fs[0], delta, mode)
-    elif opname == "grand":
-        out = grand_maximal(OperatorSpec(kernel, grid), fs, mode)
-    else:
-        out = local_grand_maximal(OperatorSpec(kernel, grid), fs, root, mode)
-    arg = int(np.argmax(out.values))
-    results = {"op": opname, "max_value": float(out.values[arg]), "argmax_cell": arg}
-    return {
-        "maximal_report.json": _report(cfg, "maximal", results),
-        "maximal_cases.csv": _csv_text(
-            ["case", "op", "max_value", "argmax_cell"], [[0, opname, results["max_value"], arg]]
-        ),
-        "maximal_field.json": out.to_json() + "\n",
-    }
+    fs = _parse_inputs(c, grid, m, root)
+
+    def run():
+        if opname == "multilinear":
+            out = multilinear_maximal(fs, mode)
+        elif opname == "mdelta":
+            out = m_delta(fs[0], delta, mode)
+        elif opname == "grand":
+            out = grand_maximal(OperatorSpec(kernel, grid), fs, mode)
+        else:
+            out = local_grand_maximal(OperatorSpec(kernel, grid), fs, root, mode)
+        arg = int(np.argmax(out.values))
+        results = {"op": opname, "max_value": float(out.values[arg]), "argmax_cell": arg}
+        rows = [[0, opname, results["max_value"], arg]]
+        return results, ["case", "op", "max_value", "argmax_cell"], rows, {"field.json": out.to_json() + "\n"}
+
+    return run
 
 
 def _parse_weight(c: Checker, i, grid):
@@ -484,11 +385,11 @@ def _parse_weight(c: Checker, i, grid):
         return None
 
 
-def _run_weights(cfg):
-    errors = []
-    c = Checker(cfg, errors)
+
+
+def _weights(c: Checker):
     grid = _parse_grid(c)
-    kernel = _parse_kernel(c)
+    kernel = c.spec("kernel", KernelSpec, "kernel")
     r = c.number("r", pred=lambda v: v >= 1, msg="must be >= 1", required=True)
     mode = _parse_mode(c)
     wlist = c.raw("weights", required=True)
@@ -502,33 +403,24 @@ def _run_weights(cfg):
     if not isinstance(exponents, list) or (m is not None and len(exponents) != m):
         c.fail("exponents", f"must be a list of {m} numbers")
         exponents = None
-    bd = c.raw("bank", required=True)
-    bank_spec = None
-    if bd is not None:
-        try:
-            bank_spec = BankSpec.from_json_dict(bd)
-        except (ValueError, TypeError, KeyError) as exc:
-            c.fail("bank", str(exc))
+    bank_spec = c.spec("bank", BankSpec)
     wt = None
-    if not errors and weights is not None and all(w is not None for w in weights):
+    if not c.errors and weights is not None and all(w is not None for w in weights):
         try:
             wt = WeightTuple(tuple(weights), tuple(exponents), r)
         except (ValueError, TypeError) as exc:
             c.fail("weights", str(exc))
-    if errors:
-        raise ConfigError(errors)
-    bank = make_bank(grid, m, bank_spec)
-    rep = weighted_norm_ratio(OperatorSpec(kernel, grid), wt, bank, mode)
-    rows = [[i, label, rep.ratios[i]] for i, (label, _) in enumerate(bank)]
-    return {
-        "weights_report.json": _report(cfg, "weights", rep.to_json_dict()),
-        "weights_cases.csv": _csv_text(["case", "label", "ratio"], rows),
-    }
+
+    def run():
+        bank = make_bank(grid, m, bank_spec)
+        rep = weighted_norm_ratio(OperatorSpec(kernel, grid), wt, bank, mode)
+        rows = [[i, label, rep.ratios[i]] for i, (label, _) in enumerate(bank)]
+        return rep.to_json_dict(), ["case", "label", "ratio"], rows, {}
+
+    return run
 
 
-def _run_separation(cfg):
-    errors = []
-    c = Checker(cfg, errors)
+def _separation(c: Checker):
     grid = _parse_grid(c)
     if grid is not None and grid.n != 1:
         c.fail("grid.n", "separation runs in one dimension")
@@ -547,8 +439,6 @@ def _run_separation(cfg):
         bad = [e for e in ells if e + 4 > grid.L]
         if bad:
             c.fail("ells", f"need L >= ell+4; too deep for this grid: {bad}")
-    if errors:
-        raise ConfigError(errors)
 
     def one_ell(ell):
         kernel = mpt_truncated_kernel(beta, r, ell)
@@ -557,23 +447,23 @@ def _run_separation(cfg):
         h2 = h2_constant(kernel, grid, r, delta, plan)
         return {"ell": ell, "kr": kr.value, "h2": h2.value, "kr_k_max": kr.k_max, "h2_j_max": h2.k_max}
 
-    results = {"cases": parallel_map(one_ell, ells)}
-    rows = [[i, d["ell"], d["kr"], d["h2"]] for i, d in enumerate(results["cases"])]
-    return {
-        "separation_report.json": _report(cfg, "separation", results),
-        "separation_cases.csv": _csv_text(["case", "ell", "kr_value", "h2_value"], rows),
-    }
+    def run():
+        cases = parallel_map(one_ell, ells)
+        rows = [[i, d["ell"], d["kr"], d["h2"]] for i, d in enumerate(cases)]
+        return {"cases": cases}, ["case", "ell", "kr_value", "h2_value"], rows, {}
+
+    return run
 
 
-_RUNNERS = {
-    "kr": _run_kr,
-    "h2": _run_h2,
-    "dini": _run_dini,
-    "build": _run_build,
-    "dominate": _run_dominate,
-    "maximal": _run_maximal,
-    "weights": _run_weights,
-    "separation": _run_separation,
+COMMANDS = {
+    "kr": _estimate,
+    "h2": lambda c: _estimate(c, with_delta=True),
+    "dini": _dini,
+    "build": _build,
+    "dominate": lambda c: _build(c, dominate=True),
+    "maximal": _maximal,
+    "weights": _weights,
+    "separation": _separation,
 }
 
 
@@ -583,7 +473,16 @@ def run_command(command: str, cfg: dict, out_dir: str) -> list:
     All artifacts are rendered in memory first, so a failing run leaves
     nothing behind; a failure while writing removes what was written.
     """
-    files = _RUNNERS[command](cfg)
+    c = Checker(cfg, [])
+    run = COMMANDS[command](c)
+    if c.errors:
+        raise ConfigError(c.errors)
+    results, header, rows, extras = run()
+    files = {
+        f"{command}_report.json": _report(cfg, command, results),
+        f"{command}_cases.csv": _csv_text(header, rows),
+    }
+    files.update((f"{command}_{suffix}", text) for suffix, text in extras.items())
     os.makedirs(out_dir, exist_ok=True)
     written = []
     try:
@@ -600,6 +499,18 @@ def run_command(command: str, cfg: dict, out_dir: str) -> list:
                 pass
         raise
     return written
+
+
+# Failures of a run, first match wins: (exception, exit code, stderr label).
+# A singular lattice hit is a config the kernel cannot be sampled on; the
+# only I/O of run_command is creating and writing the outputs.
+_FAILURES = (
+    (ConfigError, 1, "config error"),
+    (SingularPointError, 1, "config error"),
+    (InvariantViolation, 2, "invariant violation"),
+    (ArithmeticError, 2, "numerical failure"),
+    (OSError, 1, "error: cannot write output"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -636,15 +547,19 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"sdom: error: config is not valid JSON: {exc}", file=sys.stderr)
         return 1
-    try:
-        written = run_command(args.command, cfg, args.out)
-    except ConfigError as exc:
-        for e in exc.errors:
-            print(f"sdom: config error: {e}", file=sys.stderr)
-        return 1
-    except InvariantViolation as exc:
-        print(f"sdom: invariant violation: {exc}", file=sys.stderr)
-        return 2
+    # warnings raised during the run (numpy's overflow notices) are held
+    # back: a failed run reports itself in one line, a run that succeeds
+    # shows them afterwards as usual
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            written = run_command(args.command, cfg, args.out)
+        except tuple(kind for kind, _, _ in _FAILURES) as exc:
+            code, label = next((code, label) for kind, code, label in _FAILURES if isinstance(exc, kind))
+            for line in exc.errors if isinstance(exc, ConfigError) else [exc]:
+                print(f"sdom: {label}: {line}", file=sys.stderr)
+            return code
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     for path in written:
         print(path)
     return 0

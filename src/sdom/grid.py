@@ -202,10 +202,6 @@ def cube_cell_count(grid: GridSpec, cube: Cube) -> int:
     return count
 
 
-def cube_measure(grid: GridSpec, cube: Cube) -> float:
-    return cube_cell_count(grid, cube) * grid.cell_volume()
-
-
 def children(grid: GridSpec, cube: DyadicCube) -> list:
     """The 2^n dyadic children, refusing to descend below the grid."""
     if not isinstance(cube, DyadicCube):
@@ -295,20 +291,32 @@ def cube_values(f: GridFunction, cube: Cube) -> np.ndarray:
     return f.as_array()[cube_slices(f.grid, cube)].ravel()
 
 
-def masked_to(f: GridFunction, cube: Cube) -> GridFunction:
-    """A copy of ``f`` zeroed outside ``cube``."""
-    arr = np.zeros_like(f.as_array())
-    sl = cube_slices(f.grid, cube)
-    arr[sl] = f.as_array()[sl]
-    return GridFunction(f.grid, arr.ravel())
-
-
 def support_in(f: GridFunction, cube: Cube) -> bool:
     """True when every nonzero cell of ``f`` lies inside ``cube``."""
     arr = f.as_array()
     total = np.count_nonzero(arr)
     inside = np.count_nonzero(arr[cube_slices(f.grid, cube)])
     return total == inside
+
+
+class BoxSums:
+    """O(1) box sums of a cell array via an inclusive prefix table."""
+
+    def __init__(self, grid: GridSpec, cell_values: np.ndarray):
+        self.grid = grid
+        a = cell_values.reshape((grid.cells_per_side,) * grid.n)
+        if grid.n == 1:
+            self.table = np.concatenate([[0.0], np.cumsum(a)])
+        else:
+            t = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+            t[1:, 1:] = np.cumsum(np.cumsum(a, axis=0), axis=1)
+            self.table = t
+
+    def box_sum(self, lo, hi) -> float:
+        t = self.table
+        if self.grid.n == 1:
+            return float(t[hi[0]] - t[lo[0]])
+        return float(t[hi[0], hi[1]] - t[lo[0], hi[1]] - t[hi[0], lo[1]] + t[lo[0], lo[1]])
 
 
 def local_average(f: GridFunction, cube: Cube, r: float, normalizer: Cube | None = None) -> float:

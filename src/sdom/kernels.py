@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -764,44 +764,6 @@ def h2_constant(spec: KernelSpec, grid: GridSpec, r: float, delta: float, plan: 
         skipped=skipped,
         samples=samples,
     )
-
-
-def omega_profile(spec: KernelSpec, grid: GridSpec, x, z, t_grid: Sequence[float]) -> list:
-    """Oscillation profile of the kernel between two fixed points.
-
-    For each t the value is the largest |K(x, y) - K(z, y)| times
-    (sum of slot distances)^{mn} over grid-cell-center tuples y in the
-    shell t/2 <= |x-z| / sum_i |x-y_i| <= t, zero when the shell holds
-    no tuple.  Requires x != z and t in (0, 1].
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    dist = float(np.sqrt(np.sum((x - z) ** 2)))
-    if dist == 0.0:
-        raise ValueError("profile requires two distinct points")
-    t_arr = [float(t) for t in t_grid]
-    if any(not (0.0 < t <= 1.0) for t in t_arr):
-        raise ValueError("profile scales must lie in (0, 1]")
-    pts = _lattice_points([grid.axis_centers(a) for a in range(grid.n)])
-    N = pts.shape[0]
-    dk = np.empty((N if spec.m == 2 else 1, N))
-    ok = np.empty(dk.shape, dtype=bool)
-    for i0, i1, Y in _tuple_blocks(pts, spec.m):
-        vx, okx = eval_batch(spec, x, Y)
-        vz, okz = eval_batch(spec, z, Y)
-        good = okx & okz
-        dk[i0:i1] = np.where(good, vx - vz, 0.0).reshape(i1 - i0, N)
-        ok[i0:i1] = good.reshape(i1 - i0, N)
-    D = np.sqrt(np.sum((pts - x[None, :]) ** 2, axis=1))
-    if spec.m == 2:
-        D = D[:, None] + D[None, :]
-    dk, ok = dk.reshape(D.shape), ok.reshape(D.shape)
-    osc = np.abs(dk) * D ** (spec.m * grid.n)
-    out = []
-    for t in t_arr:
-        shell = (D >= dist / t) & (D <= 2.0 * dist / t) & ok
-        out.append(float(np.max(osc[shell])) if shell.any() else 0.0)
-    return out
 
 
 def dini_norm(modulus, tol: float = 1e-7, max_brackets: int = 400000) -> float:

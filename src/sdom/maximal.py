@@ -17,12 +17,14 @@ family comparisons are therefore exact, not approximate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import (
+    BoxSums,
     Cube,
     DyadicCube,
     GridCube,
@@ -32,7 +34,7 @@ from .grid import (
     cube_flat_indices,
     triple_cube,
 )
-from .operators import OperatorSpec, _apply_core, apply, _check_inputs
+from .operators import OperatorSpec, apply, apply_on_cells, check_inputs
 from .parallel import parallel_map
 
 
@@ -102,7 +104,7 @@ def family_boxes(grid: GridSpec, mode: CubeFamilyMode, within: Cube | None = Non
         max_side = min(whi[a] - wlo[a] for a in range(n))
         for s in range(1, max_side + 1):
             ranges = [range(wlo[a], whi[a] - s + 1) for a in range(n)]
-            for corner in _product(ranges):
+            for corner in itertools.product(*ranges):
                 yield corner, tuple(c + s for c in corner)
         return
     shifts = mode.shifts if mode.kind == "shifted" else (0,) * n
@@ -114,38 +116,8 @@ def family_boxes(grid: GridSpec, mode: CubeFamilyMode, within: Cube | None = Non
             i_min = -((off - wlo[a]) // w)  # ceil((wlo - off) / w)
             i_max = (whi[a] - w - off) // w
             axis_starts.append([off + i * w for i in range(i_min, i_max + 1)])
-        for corner in _product(axis_starts):
+        for corner in itertools.product(*axis_starts):
             yield corner, tuple(c + w for c in corner)
-
-
-def _product(ranges):
-    if len(ranges) == 1:
-        for v in ranges[0]:
-            yield (v,)
-    else:
-        for v in ranges[0]:
-            for w in ranges[1]:
-                yield (v, w)
-
-
-class _PrefixSums:
-    """O(1) box sums of a cell array via an inclusive prefix table."""
-
-    def __init__(self, grid: GridSpec, cell_values: np.ndarray):
-        self.grid = grid
-        a = cell_values.reshape((grid.cells_per_side,) * grid.n)
-        if grid.n == 1:
-            self.table = np.concatenate([[0.0], np.cumsum(a)])
-        else:
-            t = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
-            t[1:, 1:] = np.cumsum(np.cumsum(a, axis=0), axis=1)
-            self.table = t
-
-    def box_sum(self, lo, hi) -> float:
-        t = self.table
-        if self.grid.n == 1:
-            return float(t[hi[0]] - t[lo[0]])
-        return float(t[hi[0], hi[1]] - t[lo[0], hi[1]] - t[hi[0], lo[1]] + t[lo[0], lo[1]])
 
 
 def _scatter_max(grid: GridSpec, out: np.ndarray, lo, hi, value: float) -> None:
@@ -176,7 +148,7 @@ def multilinear_maximal(fs, mode: CubeFamilyMode = DYADIC, within: Cube | None =
     for f in fs:
         if f.grid != grid:
             raise ValueError("inputs must share one grid")
-    tables = [_PrefixSums(grid, np.abs(f.values)) for f in fs]
+    tables = [BoxSums(grid, np.abs(f.values)) for f in fs]
 
     def score(lo, hi):
         cnt = 1
@@ -199,7 +171,7 @@ def m_delta(g: GridFunction, delta: float, mode: CubeFamilyMode = DYADIC, within
     if not (delta > 0 and math.isfinite(delta)):
         raise ValueError("delta must be positive and finite")
     grid = g.grid
-    table = _PrefixSums(grid, np.abs(g.values) ** delta)
+    table = BoxSums(grid, np.abs(g.values) ** delta)
 
     def score(lo, hi):
         cnt = 1
@@ -220,23 +192,8 @@ def grand_maximal(op: OperatorSpec, fs, mode: CubeFamilyMode = DYADIC) -> GridFu
     discrete grand maximal truncation operator driving the stopping
     construction.
     """
-    fs = _check_inputs(op, fs)
-    grid = op.grid
-    t_full = apply(op, fs).values
-
-    def score_for(box):
-        lo, hi = box
-        cube = GridCube(lo, tuple(hi[a] - lo[a] for a in range(grid.n)))
-        xs = cube_flat_indices(grid, cube)
-        t_q = _apply_core(op, fs, xs, triple_cube(grid, cube))
-        return float(np.max(np.abs(t_full[xs] - t_q)))
-
-    boxes = list(family_boxes(grid, mode))
-    scores = parallel_map(score_for, boxes)
-    out = np.zeros(grid.num_cells)
-    for (lo, hi), sc in zip(boxes, scores):
-        _scatter_max(grid, out, lo, hi, sc)
-    return GridFunction(grid, out)
+    fs = check_inputs(op, fs)
+    return _truncation_gap(op, fs, apply(op, fs).values, mode, None)
 
 
 def local_grand_maximal(op: OperatorSpec, fs, q0: DyadicCube, mode: CubeFamilyMode = DYADIC) -> GridFunction:
@@ -247,24 +204,32 @@ def local_grand_maximal(op: OperatorSpec, fs, q0: DyadicCube, mode: CubeFamilyMo
     For a single-cell ``q0`` the only competitor is ``q0`` and the gap
     is identically zero.
     """
-    fs = _check_inputs(op, fs)
+    fs = check_inputs(op, fs)
+    x0 = cube_flat_indices(op.grid, q0)
+    t_q0 = np.zeros(op.grid.num_cells)
+    t_q0[x0] = apply_on_cells(op, fs, x0, triple_cube(op.grid, q0))
+    return _truncation_gap(op, fs, t_q0, mode, q0)
+
+
+def _truncation_gap(op: OperatorSpec, fs, reference: np.ndarray, mode: CubeFamilyMode, within: Cube | None):
+    """Pointwise sup, over family cubes Q inside ``within``, of the
+    largest gap |reference - T(f restricted to 3Q)| on the cells of Q."""
     grid = op.grid
-    x0 = cube_flat_indices(grid, q0)
-    t_q0 = np.zeros(grid.num_cells)
-    t_q0[x0] = _apply_core(op, fs, x0, triple_cube(grid, q0))
 
     def score_for(box):
         lo, hi = box
         cube = GridCube(lo, tuple(hi[a] - lo[a] for a in range(grid.n)))
         xs = cube_flat_indices(grid, cube)
-        t_q = _apply_core(op, fs, xs, triple_cube(grid, cube))
-        return float(np.max(np.abs(t_q0[xs] - t_q)))
+        t_q = apply_on_cells(op, fs, xs, triple_cube(grid, cube))
+        return float(np.max(np.abs(reference[xs] - t_q)))
 
-    boxes = list(family_boxes(grid, mode, within=q0))
+    boxes = list(family_boxes(grid, mode, within))
     scores = parallel_map(score_for, boxes)
     out = np.zeros(grid.num_cells)
     for (lo, hi), sc in zip(boxes, scores):
         _scatter_max(grid, out, lo, hi, sc)
+    if not np.all(np.isfinite(out)):
+        raise ArithmeticError("truncation gap is not finite")
     return GridFunction(grid, out)
 
 
@@ -313,7 +278,7 @@ def mt_pointwise_bound_check(
     """
     if not (r >= 1 and math.isfinite(r)):
         raise ValueError("r must satisfy r >= 1")
-    fs = _check_inputs(op, fs)
+    fs = check_inputs(op, fs)
     grid = op.grid
     gap = grand_maximal(op, fs, mode).values
     tf = apply(op, fs)

@@ -38,7 +38,8 @@ class OperatorSpec:
             raise ValueError("the boundary-logarithmic kernel needs a one-dimensional grid")
 
 
-def _check_inputs(op: OperatorSpec, fs) -> tuple:
+def check_inputs(op: OperatorSpec, fs) -> tuple:
+    """The operator's m inputs as a tuple; each must live on its grid."""
     fs = tuple(fs)
     if len(fs) != op.kernel.m:
         raise ValueError(f"expected {op.kernel.m} input functions, got {len(fs)}")
@@ -78,7 +79,7 @@ def _singular_error(grid, x_flat, y_flats):
     )
 
 
-def _apply_core(op: OperatorSpec, fs, xs: np.ndarray, ybox: Cube | None) -> np.ndarray:
+def apply_on_cells(op: OperatorSpec, fs, xs: np.ndarray, ybox: Cube | None) -> np.ndarray:
     """Operator values on the cells listed in ``xs`` (flat indices),
     with every slot restricted to ``ybox``.  Serial by design; callers
     parallelize over disjoint x blocks, which cannot change any value.
@@ -139,13 +140,13 @@ _XBLOCK = 256
 def _apply_all_cells(op: OperatorSpec, fs, ybox: Cube | None) -> np.ndarray:
     xs = np.arange(op.grid.num_cells)
     blocks = [xs[i : i + _XBLOCK] for i in range(0, xs.size, _XBLOCK)]
-    parts = parallel_map(lambda b: _apply_core(op, fs, b, ybox), blocks)
+    parts = parallel_map(lambda b: apply_on_cells(op, fs, b, ybox), blocks)
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def apply(op: OperatorSpec, fs) -> GridFunction:
     """Apply the operator to a tuple of m grid functions."""
-    fs = _check_inputs(op, fs)
+    fs = check_inputs(op, fs)
     vals = _apply_all_cells(op, fs, None)
     if not np.all(np.isfinite(vals)):
         raise ArithmeticError("operator output is not finite")
@@ -159,7 +160,7 @@ def apply_truncated(op: OperatorSpec, fs, cube: Cube) -> GridFunction:
     supported inside the tripled cube, because both sums then visit the
     same nonzero cells in the same order.
     """
-    fs = _check_inputs(op, fs)
+    fs = check_inputs(op, fs)
     box = triple_cube(op.grid, cube)
     vals = _apply_all_cells(op, fs, box)
     if not np.all(np.isfinite(vals)):
@@ -221,7 +222,7 @@ def weak_norm(op: OperatorSpec, q: float, bank) -> WeakNormReport:
         raise ValueError("the input bank is empty")
     ratios = []
     for label, fs in entries:
-        fs = _check_inputs(op, fs)
+        fs = check_inputs(op, fs)
         for f in fs:
             if not np.any(f.values != 0.0):
                 raise ValueError(f"bank input {label!r} has an identically zero component")

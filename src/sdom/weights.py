@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cube, GridFunction, GridSpec
-from .maximal import DYADIC, CubeFamilyMode, _PrefixSums, family_boxes
-from .operators import OperatorSpec, _check_inputs, apply
+from .grid import BoxSums, Cube, GridFunction, GridSpec
+from .maximal import DYADIC, CubeFamilyMode, family_boxes
+from .operators import OperatorSpec, apply, check_inputs
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,11 +88,11 @@ def vec_ap_characteristic(wt: WeightTuple, mode: CubeFamilyMode = DYADIC, within
     """
     grid = wt.grid
     p = wt.p
-    v_table = _PrefixSums(grid, wt.joint_weight())
+    v_table = BoxSums(grid, wt.joint_weight())
     dual_tables = []
     dual_pows = []
     for w, pi in zip(wt.weights, wt.exponents):
-        dual_tables.append(_PrefixSums(grid, w.values ** (-wt.r / (pi - wt.r))))
+        dual_tables.append(BoxSums(grid, w.values ** (-wt.r / (pi - wt.r))))
         dual_pows.append(p * (pi - wt.r) / (pi * wt.r))
     best = 0.0
     for lo, hi in family_boxes(grid, mode, within):
@@ -151,7 +151,7 @@ def weighted_norm_ratio(
     hvol = grid.cell_volume()
     ratios = []
     for label, fs in entries:
-        fs = _check_inputs(op, fs)
+        fs = check_inputs(op, fs)
         tf = apply(op, fs)
         num = float(np.sum(np.abs(tf.values) ** p * v) * hvol) ** (1.0 / p)
         den = 1.0

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -241,16 +242,100 @@ def test_bad_thread_requests(tmp_path, capsys):
 
 
 def test_invariant_violation_exit_code(tmp_path, monkeypatch, capsys):
-    def boom(cfg):
+    def boom():
         raise InvariantViolation("synthetic failure")
 
-    monkeypatch.setitem(cli._RUNNERS, "kr", boom)
+    monkeypatch.setitem(cli.COMMANDS, "kr", lambda c: boom)
     path = write_cfg(tmp_path, {})
     out = tmp_path / "out"
     code = cli.main(["kr", "--config", path, "--out", str(out)])
     assert code == 2
     assert "sdom: invariant violation: synthetic failure" in capsys.readouterr().err
     assert not out.exists()
+
+
+def assert_one_line_failure(capsys, code, expected_code, prefix, tmp_path, left):
+    """Exit code, a single stderr line starting with ``prefix``, and no
+    output left: ``tmp_path`` holds exactly the names in ``left``."""
+    err = capsys.readouterr().err
+    assert code == expected_code
+    assert err.count("\n") == 1 and err.startswith(prefix), err
+    assert sorted(os.listdir(tmp_path)) == sorted(left)
+
+
+def test_singular_lattice_hit_is_a_config_error(tmp_path, capsys):
+    # the boundary-log kernel blows up at |x - y| = 4, which side 8 and
+    # L = 3 put on the lattice: x cell 6 at 6.5, y cell 2 at 2.5
+    cfg = {
+        "grid": {"n": 1, "L": 3, "origin": [0.0], "side": 8.0},
+        "kernel": {"variant": "mpt", "m": 1, "beta": 1.0, "r": 2.0},
+        "root": {"level": 2, "index": [1]},
+        "r": 1.0,
+        "inputs": {"kind": "bank", "shape": "gauss", "seed": 0, "entry": 0},
+    }
+    code, _ = run(tmp_path, "dominate", cfg)
+    assert_one_line_failure(capsys, code, 1, "sdom: config error: kernel is singular", tmp_path, ["cfg.json"])
+
+
+def test_output_below_a_regular_file(tmp_path, capsys):
+    (tmp_path / "afile").write_text("x")
+    cfg_path = write_cfg(tmp_path, {"modulus": {"kind": "power"}})
+    code = cli.main(["dini", "--config", cfg_path, "--out", str(tmp_path / "afile" / "sub")])
+    prefix = "sdom: error: cannot write output: "
+    assert_one_line_failure(capsys, code, 1, prefix, tmp_path, ["afile", "cfg.json"])
+    assert (tmp_path / "afile").read_text() == "x"
+
+
+def test_non_finite_truncation_gap(tmp_path, capsys):
+    big = [0.0, 0.0, 1e200, 1e200, 0.0, 0.0, 0.0, 0.0]
+    cfg = {
+        "grid": {"n": 1, "L": 3, "origin": [0.0], "side": 8.0},
+        "kernel": {"variant": "bilinear_odd", "m": 2},
+        "root": {"level": 2, "index": [1]},
+        "r": 1.0,
+        "inputs": {"kind": "values", "values": [big, big]},
+    }
+    code, _ = run(tmp_path, "dominate", cfg)
+    prefix = "sdom: numerical failure: truncation gap is not finite"
+    assert_one_line_failure(capsys, code, 2, prefix, tmp_path, ["cfg.json"])
+
+
+def test_partial_write_is_removed(tmp_path, monkeypatch, capsys):
+    real_open = open
+    writes = []
+
+    def open_failing_second_write(path, mode="r", **kwargs):
+        if "w" in mode:
+            writes.append(path)
+            if len(writes) == 2:
+                raise OSError(28, "No space left on device")
+        return real_open(path, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "open", open_failing_second_write, raising=False)
+    code, out = run(tmp_path, "dini", {"modulus": {"kind": "power"}})
+    assert_one_line_failure(capsys, code, 1, "sdom: error: cannot write output: ", tmp_path, ["cfg.json", "out"])
+    assert [os.path.basename(p) for p in writes] == ["dini_report.json", "dini_cases.csv"]
+    assert os.listdir(out) == []
+
+
+def test_run_warnings_shown_only_on_success(tmp_path, monkeypatch, capsys, recwarn):
+    def command(fail):
+        def runner():
+            warnings.warn("overflow in a runner", RuntimeWarning)
+            if fail:
+                raise ArithmeticError("value is not finite")
+            return {}, ["case"], [], {}
+
+        return lambda c: runner
+
+    monkeypatch.setitem(cli.COMMANDS, "kr", command(fail=True))
+    code, _ = run(tmp_path, "kr", {})
+    assert_one_line_failure(capsys, code, 2, "sdom: numerical failure: value is not finite", tmp_path, ["cfg.json"])
+    assert len(recwarn) == 0
+    monkeypatch.setitem(cli.COMMANDS, "kr", command(fail=False))
+    code, _ = run(tmp_path, "kr", {})
+    assert code == 0
+    assert [str(w.message) for w in recwarn] == ["overflow in a runner"]
 
 
 def test_written_paths_printed(tmp_path, capsys):

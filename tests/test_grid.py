@@ -10,10 +10,8 @@ from sdom import (
     children,
     cube_cell_count,
     cube_flat_indices,
-    cube_measure,
     cube_values,
     local_average,
-    masked_to,
     support_in,
     triple_cube,
 )
@@ -205,7 +203,6 @@ def test_grid_cube_flat_indices_sorted(grid2d):
     idx = cube_flat_indices(grid2d, c)
     assert list(idx) == sorted(idx)
     assert len(idx) == 6
-    assert cube_measure(grid2d, c) == pytest.approx(6 * grid2d.cell_volume())
 
 
 def test_support_and_masking(grid8):
@@ -213,8 +210,4 @@ def test_support_and_masking(grid8):
     q = DyadicCube(level=1, index=(0,))
     assert support_in(f, q)
     assert not support_in(f, DyadicCube(level=1, index=(1,)))
-    m = masked_to(f, DyadicCube(level=2, index=(1,)))
-    assert list(m.values) == [0, 0, 1.0, 2.0, 0, 0, 0, 0]
-    m2 = masked_to(f, DyadicCube(level=2, index=(0,)))
-    assert not m2.values.any()
     assert list(cube_values(f, q)) == [0, 0, 1.0, 2.0]

@@ -19,7 +19,6 @@ from sdom import (
     hormander_constant,
     mpt_kernel,
     mpt_truncated_kernel,
-    omega_profile,
     x_independent_kernel,
     zero_kernel,
 )
@@ -240,33 +239,6 @@ def test_mpt_h2_stability():
         vals.append(h2_constant(k, g, 2.0, 1.0, plan).value)
     assert np.isfinite(vals).all()
     assert max(vals) / min(vals) < 2.0
-
-
-def test_omega_profile_trivial_cases():
-    g = GridSpec(n=1, L=7, origin=(0.0,), side=8.0)
-    x, z = np.array([3.96875]), np.array([4.09375])
-    prof = omega_profile(x_independent_kernel(2), g, x, z, [0.5, 0.25, 0.125])
-    assert prof == [0.0, 0.0, 0.0]
-    prof2 = omega_profile(bilinear_odd_kernel(), g, x, z, [1e-9])
-    assert prof2 == [0.0]
-    with pytest.raises(ValueError):
-        omega_profile(bilinear_odd_kernel(), g, x, x, [0.5])
-
-
-def test_omega_profile_chain_vs_k1():
-    # sum_k omega^{x,z}(2^-k) <= K_1 over the cube spanned by x, z.  The
-    # k = 0, 1 shells admit tuples with every slot near z, where the
-    # continuum sup diverges, so the chain starts at k = 2 exactly as the
-    # annular decomposition does (tuples outside the spanned cube).
-    g = GridSpec(n=1, L=9, origin=(0.0,), side=8.0)
-    k = bilinear_odd_kernel()
-    x, z = np.array([3.9921875]), np.array([4.1015625])
-    d = float(abs(x[0] - z[0]))
-    plan = SamplePlan(cubes=(((x + z) / 2.0, 4.0 * d),), pairs=((x, z),))
-    rep = hormander_constant(k, g, 1.0, plan)
-    prof = omega_profile(k, g, x, z, [2.0 ** -j for j in range(2, 12)])
-    assert sum(prof) <= rep.value
-    assert sum(prof) > 0
 
 
 def test_dini_synthetic_k1_comparison():
