@@ -24,12 +24,10 @@ from .bank import BankSpec, make_bank, single_input
 from .builder import (
     BuilderNodeStats,
     DominationReport,
-    LemmaReport,
     adaptive_threshold,
     build_sparse_family,
     cz_select,
     domination_constant,
-    lemma_pointwise_check,
 )
 from .grid import (
     DyadicCube,
@@ -37,6 +35,7 @@ from .grid import (
     GridFunction,
     GridSpec,
     cell_box,
+    cell_centers,
     children,
     cube_cell_count,
     cube_flat_indices,
@@ -55,7 +54,6 @@ from .kernels import (
     custom_kernel,
     dini_norm,
     dini_synthetic_kernel,
-    eval_kernel,
     h2_constant,
     hormander_constant,
     mpt_kernel,
@@ -76,15 +74,7 @@ from .maximal import (
     multilinear_maximal,
     shifted_modes,
 )
-from .operators import (
-    OperatorSpec,
-    WeakNormReport,
-    apply,
-    apply_truncated,
-    lp_norm,
-    weak_norm,
-    weak_quasi_norm,
-)
+from .operators import OperatorSpec, apply, apply_truncated
 from .parallel import get_thread_count, parallel_map, set_thread_count
 from .sparse import (
     InvariantViolation,

@@ -14,7 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cube, DyadicCube, GridFunction, GridSpec, cell_box
+from .grid import (
+    Cube,
+    DyadicCube,
+    GridCube,
+    GridFunction,
+    GridSpec,
+    cell_box,
+    cell_centers,
+    cube_flat_indices,
+)
 
 SHAPES = ("spike", "indicator", "gauss", "rademacher")
 
@@ -90,13 +99,9 @@ def _make_one(grid: GridSpec, shape: str, seed: int, entry: int, slot: int, box)
         center = np.array([geo_lo[a] + rng.uniform() * geo_w[a] for a in range(grid.n)])
         width = min(geo_w)
         sigma = width * (1.0 / 16.0 + rng.uniform() * (1.0 / 4.0 - 1.0 / 16.0))
-        axes = [grid.axis_centers(a)[lo[a] : hi[a]] for a in range(grid.n)]
-        if grid.n == 1:
-            d2 = (axes[0] - center[0]) ** 2
-        else:
-            d2 = (axes[0][:, None] - center[0]) ** 2 + (axes[1][None, :] - center[1]) ** 2
-        sl = tuple(slice(lo[a], hi[a]) for a in range(grid.n))
-        arr[sl] = np.exp(-d2 / (2.0 * sigma * sigma))
+        idx = cube_flat_indices(grid, GridCube(lo, widths))
+        d2 = np.sum((cell_centers(grid, idx) - center) ** 2, axis=1)
+        arr.reshape(-1)[idx] = np.exp(-d2 / (2.0 * sigma * sigma))
     elif shape == "rademacher":
         u = rng.uniform(size=tuple(widths))
         sl = tuple(slice(lo[a], hi[a]) for a in range(grid.n))

@@ -32,7 +32,7 @@ from .grid import (
     triple_cube,
 )
 from .maximal import DYADIC, CubeFamilyMode, local_grand_maximal
-from .operators import OperatorSpec, apply, apply_on_cells, check_inputs
+from .operators import OperatorSpec, apply, check_inputs
 from .sparse import InvariantViolation, SparseEntry, SparseFamily, sparse_eval
 
 
@@ -202,65 +202,6 @@ def build_sparse_family(
     entries.sort(key=lambda e: e.cube.sort_key())
     family = SparseFamily(grid=grid, root=root, gamma=0.5, entries=tuple(entries))
     return family, stats
-
-
-@dataclass(frozen=True, eq=False)
-class LemmaReport:
-    """Empirical constant of the localized pointwise bound.
-
-    On the node's cells the truncated operator must be controlled by the
-    pointwise input product plus the localized grand maximal gap; c_emp
-    is the largest ratio of the leftover (gap already subtracted) to the
-    input product, and the flag marks cells where the leftover survives
-    with nothing in the denominator.
-    """
-
-    c_emp: float
-    infinite_flag: bool
-    argmax_cell: int | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "c_emp": self.c_emp,
-            "infinite_flag": self.infinite_flag,
-            "argmax_cell": self.argmax_cell,
-        }
-
-
-def lemma_pointwise_check(
-    op: OperatorSpec, fs, q0: DyadicCube, mode: CubeFamilyMode = DYADIC
-) -> LemmaReport:
-    """Measure max over cells x of Q0 of
-    (|T(f chi_3Q0)(x)| - M_{T,Q0}(f)(x))_+ / |prod_i f_i(x)|."""
-    fs = check_inputs(op, fs)
-    grid = op.grid
-    if triple_cube(grid, q0).clipped:
-        raise ValueError("the tripled node must fit inside the domain")
-    idx = cube_flat_indices(grid, q0)
-    tq = np.abs(_truncated_on_cells(op, fs, q0))
-    if idx.size > 1:
-        gap = local_grand_maximal(op, fs, q0, mode).values[idx]
-    else:
-        gap = np.zeros(1)
-    num = np.maximum(tq - gap, 0.0)
-    den = np.abs(fs[0].values[idx].copy())
-    for f in fs[1:]:
-        den *= np.abs(f.values[idx])
-    scale = float(np.max(tq)) if idx.size else 0.0
-    flag = bool(np.any((den == 0.0) & (num > 1e-12 * scale)))
-    ratios = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-    best = int(np.argmax(ratios)) if ratios.size else None
-    c_emp = float(ratios[best]) if ratios.size else 0.0
-    return LemmaReport(
-        c_emp=c_emp,
-        infinite_flag=flag,
-        argmax_cell=int(idx[best]) if best is not None else None,
-    )
-
-
-def _truncated_on_cells(op, fs, cube):
-    xs = cube_flat_indices(op.grid, cube)
-    return apply_on_cells(op, fs, xs, triple_cube(op.grid, cube))
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,13 +34,14 @@ import numpy as np
 from . import __version__
 from .bank import BankSpec, make_bank, single_input
 from .builder import build_sparse_family, domination_constant
-from .grid import DyadicCube, GridFunction, GridSpec
+from .grid import DyadicCube, GridFunction, GridSpec, support_in, triple_cube
 from .kernels import (
     KernelSpec,
     Modulus,
     SamplePlan,
     SingularPointError,
     dini_norm,
+    grid_error,
     h2_constant,
     hormander_constant,
     mpt_truncated_kernel,
@@ -146,6 +147,14 @@ def _parse_grid(c: Checker):
     except (ValueError, TypeError) as exc:
         c.fail("grid", str(exc))
         return None
+
+
+def _parse_kernel(c: Checker, grid):
+    kernel = c.spec("kernel", KernelSpec, "kernel")
+    problem = grid_error(kernel, grid) if kernel is not None and grid is not None else None
+    if problem:
+        c.fail("kernel", problem)
+    return kernel
 
 
 def _parse_plan(c: Checker, grid):
@@ -254,7 +263,7 @@ def _report(cfg, command, results) -> str:
 def _estimate(c: Checker, with_delta=False):
     """kr (annulus sums) or, with ``delta``, h2 (shell decay)."""
     grid = _parse_grid(c)
-    kernel = c.spec("kernel", KernelSpec, "kernel")
+    kernel = _parse_kernel(c, grid)
     r = c.number("r", pred=lambda v: v >= 1, msg="must be >= 1", required=True)
     delta = None
     if with_delta:
@@ -292,11 +301,17 @@ def _build(c: Checker, dominate=False):
     """The sparse family and its node stats; ``dominate`` adds the
     domination constant and reports it in place of the node rows."""
     grid = _parse_grid(c)
-    kernel = c.spec("kernel", KernelSpec, "kernel")
+    kernel = _parse_kernel(c, grid)
     root = _parse_root(c, grid)
     r = c.number("r", pred=lambda v: v >= 1, msg="must be >= 1", required=True)
     mode = _parse_mode(c)
     fs = _parse_inputs(c, grid, kernel.m if kernel is not None else None, root)
+    if root is not None and grid is not None:
+        if triple_cube(grid, root).clipped:
+            c.fail("root", "the tripled root must fit inside the domain")
+        for i, f in enumerate(fs or ()):
+            if not support_in(f, root):
+                c.fail(f"inputs.values[{i}]", "not supported inside the root cube")
 
     def run():
         op = OperatorSpec(kernel, grid)
@@ -335,7 +350,7 @@ def _maximal(c: Checker):
     m = c.integer("m", pred=lambda v: v in (1, 2), msg="must be 1 or 2", default=1)
     kernel = root = delta = None
     if opname in ("grand", "local_grand"):
-        kernel = c.spec("kernel", KernelSpec, "kernel")
+        kernel = _parse_kernel(c, grid)
         m = kernel.m if kernel is not None else None
     if opname == "local_grand":
         root = _parse_root(c, grid)
@@ -368,9 +383,13 @@ def _parse_weight(c: Checker, i, grid):
         expo = d.number("exponent", required=True)
         center = d.raw("center")
         floor = d.number("floor", pred=lambda v: v > 0, msg="must be positive", default=1e-8)
-        if expo is None or grid is None:
+        if None in (expo, floor, grid):
             return None
-        return power_weight(grid, expo, center=center, floor=floor)
+        try:
+            return power_weight(grid, expo, center=center, floor=floor)
+        except (ValueError, TypeError) as exc:
+            c.fail(f"weights[{i}]", str(exc))
+            return None
     vals = d.raw("values", required=True)
     if vals is None or grid is None:
         return None
@@ -389,7 +408,7 @@ def _parse_weight(c: Checker, i, grid):
 
 def _weights(c: Checker):
     grid = _parse_grid(c)
-    kernel = c.spec("kernel", KernelSpec, "kernel")
+    kernel = _parse_kernel(c, grid)
     r = c.number("r", pred=lambda v: v >= 1, msg="must be >= 1", required=True)
     mode = _parse_mode(c)
     wlist = c.raw("weights", required=True)

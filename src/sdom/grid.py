@@ -13,20 +13,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 # Guardrail on grid sizes: full cell arrays must stay comfortably in
 # memory (2^14 cells in n=1, 2^16 in n=2).
 MAX_LEVEL = {1: 14, 2: 8}
-
-
-def _point(x) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(x, dtype=float))
-    if a.ndim != 1:
-        raise ValueError("a point must be a scalar or a 1-d coordinate tuple")
-    return a
 
 
 @dataclass(frozen=True)
@@ -68,40 +60,8 @@ class GridSpec:
     def cell_volume(self) -> float:
         return self.h ** self.n
 
-    def axis_centers(self, axis: int) -> np.ndarray:
-        """Coordinates of cell centers along one axis."""
-        s = self.cells_per_side
-        return self.origin[axis] + self.h * (np.arange(s) + 0.5)
-
-    def cell_center(self, multi: Sequence[int]) -> np.ndarray:
-        return np.array([self.origin[a] + self.h * (multi[a] + 0.5) for a in range(self.n)])
-
-    def multi_to_flat(self, multi: Sequence[int]) -> int:
-        s = self.cells_per_side
-        flat = 0
-        for a in range(self.n):
-            k = int(multi[a])
-            if not 0 <= k < s:
-                raise ValueError("cell index out of range")
-            flat = flat * s + k
-        return flat
-
-    def flat_to_multi(self, flat: int) -> tuple:
-        s = self.cells_per_side
-        if not 0 <= flat < self.num_cells:
-            raise ValueError("flat cell index out of range")
-        multi = []
-        for _ in range(self.n):
-            multi.append(flat % s)
-            flat //= s
-        return tuple(reversed(multi))
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "L": self.L, "origin": list(self.origin), "side": self.side}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GridSpec":
-        return cls(n=int(d["n"]), L=int(d["L"]), origin=tuple(d["origin"]), side=float(d["side"]))
 
 
 @dataclass(frozen=True)
@@ -119,11 +79,6 @@ class DyadicCube:
         top = 1 << self.level
         if not all(0 <= k < top for k in idx):
             raise ValueError("dyadic index out of range for its level")
-
-    def parent(self) -> "DyadicCube":
-        if self.level == 0:
-            raise ValueError("the root cube has no parent")
-        return DyadicCube(self.level - 1, tuple(k >> 1 for k in self.index))
 
     def contains(self, other: "DyadicCube") -> bool:
         """Dyadic containment by address arithmetic, dimensions must match."""
@@ -242,11 +197,19 @@ def cube_slices(grid: GridSpec, cube: Cube) -> tuple:
 def cube_flat_indices(grid: GridSpec, cube: Cube) -> np.ndarray:
     """Flat indices of a cube's cells in ascending (row-major) order."""
     lo, hi = cell_box(grid, cube)
-    axes = [np.arange(lo[a], hi[a]) for a in range(grid.n)]
-    if grid.n == 1:
-        return axes[0]
-    s = grid.cells_per_side
-    return (axes[0][:, None] * s + axes[1][None, :]).ravel()
+    flat = np.arange(lo[0], hi[0])
+    for a in range(1, grid.n):
+        flat = np.add.outer(flat * grid.cells_per_side, np.arange(lo[a], hi[a])).ravel()
+    return flat
+
+
+def cell_centers(grid: GridSpec, flat: np.ndarray | None = None) -> np.ndarray:
+    """(k, n) centres of the cells with flat indices ``flat``, or of
+    every cell in row-major order when ``flat`` is None."""
+    if flat is None:
+        flat = np.arange(grid.num_cells)
+    multi = np.stack(np.unravel_index(flat, (grid.cells_per_side,) * grid.n), axis=-1)
+    return np.array(grid.origin) + grid.h * (multi + 0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,12 +241,6 @@ class GridFunction:
         d = self.grid.to_json_dict()
         d["values"] = self.values.tolist()
         return json.dumps(d, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GridFunction":
-        d = json.loads(text)
-        grid = GridSpec.from_json_dict(d)
-        return cls(grid, np.asarray(d["values"], dtype=float))
 
 
 def cube_values(f: GridFunction, cube: Cube) -> np.ndarray:

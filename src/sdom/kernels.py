@@ -46,10 +46,17 @@ from .parallel import parallel_map
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _LN2 = math.log(2.0)
 
-# Product point sets are evaluated in fixed-size blocks: constant chunking
+# Slot tuples are evaluated in fixed-size blocks: constant chunking
 # keeps summation order independent of memory pressure and thread count.
 _CHUNK = 1 << 18
 _MAX_PRODUCT_POINTS = 1 << 24
+
+# Variants whose formula lives on the real line, by their name in errors.
+_ONE_DIMENSIONAL = {
+    "bilinear_odd": "the odd bilinear kernel",
+    "mpt": "the boundary-logarithmic kernel",
+    "mpt_truncated": "the boundary-logarithmic kernel",
+}
 
 
 class SingularPointError(ValueError):
@@ -244,6 +251,13 @@ def custom_kernel(fn: Callable, m: int, support: tuple | None = None) -> KernelS
     return KernelSpec("custom", m, fn=fn, support=support)
 
 
+def grid_error(spec: KernelSpec, grid: GridSpec) -> str | None:
+    """Why the kernel cannot act on the grid, or None when it can."""
+    if spec.variant in _ONE_DIMENSIONAL and grid.n != 1:
+        return f"{_ONE_DIMENSIONAL[spec.variant]} needs a one-dimensional grid"
+    return None
+
+
 def _check_m(m):
     if m not in (1, 2):
         raise ValueError("only 1 or 2 input slots are supported")
@@ -342,17 +356,6 @@ def _mpt_values(spec: KernelSpec, t: np.ndarray):
     ssafe = np.where(live, s, 1.0)
     vals = ssafe ** -rp_inv * np.log(np.e / ssafe) ** (-(1.0 + spec.beta) * rp_inv)
     return np.where(live, vals, 0.0), valid
-
-
-def eval_kernel(spec: KernelSpec, x, ys) -> float:
-    """Evaluate at one point, raising ``SingularPointError`` on the
-    singular set.  ``ys`` is a sequence of m points."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    Y = np.asarray([np.atleast_1d(np.asarray(y, dtype=float)) for y in ys], dtype=float)
-    vals, valid = eval_batch(spec, x, Y[None, :, :])
-    if not valid[0]:
-        raise SingularPointError(f"kernel is singular at x={x.tolist()}, y={Y.tolist()}")
-    return float(vals[0])
 
 
 def y_support_box(spec: KernelSpec, grid: GridSpec):
@@ -524,29 +527,29 @@ def _quad_lattice(spec: KernelSpec, grid: GridSpec):
 
 def _lattice_points(axes) -> np.ndarray:
     """(N, n) points of the product of the axes, in row-major order."""
-    if len(axes) == 1:
-        return axes[0][:, None]
-    A, B = np.meshgrid(axes[0], axes[1], indexing="ij")
-    return np.column_stack([A.ravel(), B.ravel()])
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _tuple_blocks(pts: np.ndarray, m: int):
-    """Yield (i0, i1, Y): the slot tuples of rows i0:i1 of the (N,)*m
-    tuple array over ``pts``, flattened row-major.  m = 1 is a single
-    row; m = 2 goes in fixed-size row blocks of the N x N matrix."""
-    N = pts.shape[0]
-    if m == 1:
-        yield 0, 1, pts[:, None, :]
-        return
-    if N * N > _MAX_PRODUCT_POINTS:
-        raise ValueError("two-slot quadrature lattice too large; reduce grid depth")
-    rows = max(1, _CHUNK // max(N, 1))
-    for i0 in range(0, N, rows):
-        i1 = min(N, i0 + rows)
-        Y = np.empty(((i1 - i0) * N, 2, pts.shape[1]))
-        Y[:, 0, :] = np.repeat(pts[i0:i1], N, axis=0)
-        Y[:, 1, :] = np.tile(pts, (i1 - i0, 1))
-        yield i0, i1, Y
+def tuple_blocks(*pts: np.ndarray):
+    """Yield (i0, i1, Y): rows i0:i1 of the slot-tuple matrix over one
+    (K_s, n) point array per slot (one or two slots), flattened
+    row-major into Y.
+
+    The columns run over the last slot's points and the rows over the
+    first slot's when there are two, so a single slot is a single row.
+    Rows go in fixed-size blocks of about ``_CHUNK`` tuples.
+    """
+    *heads, last = pts
+    K = last.shape[0]
+    R = math.prod(p.shape[0] for p in heads)
+    rows = max(1, _CHUNK // max(K, 1))
+    for i0 in range(0, R, rows):
+        i1 = min(R, i0 + rows)
+        Y = np.empty((i1 - i0, K, len(pts), last.shape[1]))
+        for s, p in enumerate(heads):
+            Y[:, :, s, :] = p[i0:i1, None, :]
+        Y[:, :, -1, :] = last
+        yield i0, i1, Y.reshape(-1, len(pts), last.shape[1])
 
 
 def _shell_order(axes, center: np.ndarray, side: float):
@@ -599,10 +602,10 @@ def _cube_tables(spec: KernelSpec, axes, pts: np.ndarray, r: float, center, side
     zi = np.array([slot[z.tobytes()] for _, z in pairs])
     reduce = np.add.reduce if r > 1 else np.maximum.reduce
     shells = [(j, starts[j], starts[j + 1]) for j in range(J) if starts[j + 1] > starts[j]]
-    acc = np.zeros((len(pairs), N if m == 2 else 1, J))
+    acc = np.zeros((len(pairs), N ** (m - 1), J))
     skipped = np.zeros(len(pairs), dtype=np.int64)
     q = starts[1]  # Q^m is the leading q rows and columns
-    for i0, i1, Y in _tuple_blocks(lattice, m):
+    for i0, i1, Y in tuple_blocks(*[lattice] * m):
         rows = [eval_batch(spec, p, Y) for p in points.values()]
         vals = np.stack([v for v, _ in rows]).reshape(len(rows), i1 - i0, N)
         valid = np.stack([ok for _, ok in rows]).reshape(vals.shape)
@@ -612,7 +615,7 @@ def _cube_tables(spec: KernelSpec, axes, pts: np.ndarray, r: float, center, side
             a = a ** (r / (r - 1.0))
         for j, s, e in shells:
             acc[:, i0:i1, j] = reduce(a[..., s:e], axis=-1)
-        top = 1 if m == 1 else max(0, min(i1, q) - i0)
+        top = max(0, min(i1, q ** (m - 1)) - i0)
         skipped += np.count_nonzero(~ok, axis=(1, 2)) - np.count_nonzero(~ok[:, :top, :q], axis=(1, 2))
     if m == 2:
         # fold the rows of each shell: cell (j1, j2) of the product shells
@@ -639,8 +642,13 @@ def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan)
     kept = [cfg for cfg in configs if not np.array_equal(cfg[2], cfg[3])]
     if not kept:
         raise ValueError("all sampled pairs were degenerate (x = z)")
+    problem = grid_error(spec, grid)
+    if problem:
+        raise ValueError(problem)
     axes, bounded = _quad_lattice(spec, grid)
     pts = _lattice_points(axes)
+    if pts.shape[0] ** spec.m > _MAX_PRODUCT_POINTS:
+        raise ValueError("two-slot quadrature lattice too large; reduce grid depth")
     cubes = {}
     for pos, (center, side, x, z) in enumerate(kept):
         cubes.setdefault((tuple(center), side), []).append(pos)

@@ -12,16 +12,14 @@ so equalities that hold in exact arithmetic hold bitwise here too.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cube, GridFunction, GridSpec, cube_flat_indices, triple_cube
-from .kernels import KernelSpec, SingularPointError, eval_batch
+from .grid import Cube, GridFunction, GridSpec, cell_centers, cube_flat_indices, triple_cube
+from .kernels import KernelSpec, SingularPointError, eval_batch, grid_error, tuple_blocks
 from .parallel import parallel_map
-
-_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,10 +30,9 @@ class OperatorSpec:
     grid: GridSpec
 
     def __post_init__(self):
-        if self.kernel.variant == "bilinear_odd" and self.grid.n != 1:
-            raise ValueError("the odd bilinear kernel needs a one-dimensional grid")
-        if self.kernel.variant in ("mpt", "mpt_truncated") and self.grid.n != 1:
-            raise ValueError("the boundary-logarithmic kernel needs a one-dimensional grid")
+        problem = grid_error(self.kernel, self.grid)
+        if problem:
+            raise ValueError(problem)
 
 
 def check_inputs(op: OperatorSpec, fs) -> tuple:
@@ -61,18 +58,9 @@ def _slot_cells(op: OperatorSpec, f: GridFunction, ybox: Cube | None):
     return idx, f.values[idx]
 
 
-def _centers(grid: GridSpec, flat: np.ndarray) -> np.ndarray:
-    s = grid.cells_per_side
-    if grid.n == 1:
-        mult = flat[:, None]
-    else:
-        mult = np.column_stack([flat // s, flat % s])
-    return np.array(grid.origin)[None, :] + grid.h * (mult + 0.5)
-
-
 def _singular_error(grid, x_flat, y_flats):
-    xc = _centers(grid, np.array([x_flat]))[0]
-    ycs = [_centers(grid, np.array([y]))[0].tolist() for y in y_flats]
+    xc = cell_centers(grid, np.array([x_flat]))[0]
+    ycs = cell_centers(grid, np.array(y_flats)).tolist()
     raise SingularPointError(
         f"kernel is singular or non-finite at an off-diagonal lattice point: "
         f"x cell {x_flat} at {xc.tolist()}, y cells {list(y_flats)} at {ycs}"
@@ -83,6 +71,10 @@ def apply_on_cells(op: OperatorSpec, fs, xs: np.ndarray, ybox: Cube | None) -> n
     """Operator values on the cells listed in ``xs`` (flat indices),
     with every slot restricted to ``ybox``.  Serial by design; callers
     parallelize over disjoint x blocks, which cannot change any value.
+
+    The slot tuples are built once, in the blocks of ``tuple_blocks``,
+    and each x evaluates all of them.  The values form an array with one
+    axis per slot; the tuples with x in slot s are index x of axis s.
     """
     grid = op.grid
     hm = grid.cell_volume() ** op.kernel.m
@@ -90,46 +82,23 @@ def apply_on_cells(op: OperatorSpec, fs, xs: np.ndarray, ybox: Cube | None) -> n
     out = np.zeros(xs.size)
     if any(idx.size == 0 for idx, _ in slots):
         return out
-    xc = _centers(grid, xs)
-
-    if op.kernel.m == 1:
-        yidx, yval = slots[0]
-        ypts = _centers(grid, yidx)
-        for i in range(xs.size):
-            vals, ok = eval_batch(op.kernel, xc[i], ypts[:, None, :])
-            diag = yidx == xs[i]
-            bad = ~ok & ~diag
-            if bad.any():
-                _singular_error(grid, int(xs[i]), [int(yidx[np.argmax(bad)])])
-            vals = np.where(diag, 0.0, vals)
-            out[i] = float(np.sum(vals * yval)) * hm
-        return out
-
-    y1idx, y1val = slots[0]
-    y2idx, y2val = slots[1]
-    p1 = _centers(grid, y1idx)
-    p2 = _centers(grid, y2idx)
-    K1, K2 = y1idx.size, y2idx.size
-    W = y1val[:, None] * y2val[None, :]
-    rows = max(1, _CHUNK // K2)
+    xc = cell_centers(grid, xs)
+    blocks = [Y for _, _, Y in tuple_blocks(*(cell_centers(grid, idx) for idx, _ in slots))]
+    sizes = tuple(idx.size for idx, _ in slots)
+    W = functools.reduce(np.multiply.outer, [val for _, val in slots])
+    at = [np.searchsorted(idx, xs) for idx, _ in slots]  # where each x would sit in each slot
     for i in range(xs.size):
-        vals = np.empty((K1, K2))
-        ok = np.empty((K1, K2), dtype=bool)
-        for a0 in range(0, K1, rows):
-            a1 = min(K1, a0 + rows)
-            blk = a1 - a0
-            Y = np.empty((blk * K2, 2, grid.n))
-            Y[:, 0, :] = np.repeat(p1[a0:a1], K2, axis=0)
-            Y[:, 1, :] = np.tile(p2, (blk, 1))
-            v, o = eval_batch(op.kernel, xc[i], Y)
-            vals[a0:a1] = v.reshape(blk, K2)
-            ok[a0:a1] = o.reshape(blk, K2)
-        diag = (y1idx == xs[i])[:, None] | (y2idx == xs[i])[None, :]
-        bad = ~ok & ~diag
-        if bad.any():
-            a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            _singular_error(grid, int(xs[i]), [int(y1idx[a]), int(y2idx[b])])
-        vals = np.where(diag, 0.0, vals)
+        evals = [eval_batch(op.kernel, xc[i], Y) for Y in blocks]
+        vals = np.concatenate([v for v, _ in evals]).reshape(sizes)
+        ok = np.concatenate([o for _, o in evals]).reshape(sizes)
+        for s, (idx, _) in enumerate(slots):
+            k = at[s][i]
+            if k < idx.size and idx[k] == xs[i]:
+                diag = (slice(None),) * s + (k,)
+                vals[diag], ok[diag] = 0.0, True
+        if not ok.all():
+            bad = np.unravel_index(int(np.argmin(ok)), sizes)
+            _singular_error(grid, int(xs[i]), [int(idx[k]) for (idx, _), k in zip(slots, bad)])
         out[i] = float(np.sum(vals * W)) * hm
     return out
 
@@ -166,76 +135,3 @@ def apply_truncated(op: OperatorSpec, fs, cube: Cube) -> GridFunction:
     if not np.all(np.isfinite(vals)):
         raise ArithmeticError("operator output is not finite")
     return GridFunction(op.grid, vals)
-
-
-def lp_norm(g: GridFunction, p: float) -> float:
-    if not (p > 0 and math.isfinite(p)):
-        raise ValueError("p must be positive and finite")
-    return float(np.sum(np.abs(g.values) ** p) * g.grid.cell_volume()) ** (1.0 / p)
-
-
-def weak_quasi_norm(g: GridFunction, p: float) -> float:
-    """sup over lambda of lambda |{|g| > lambda}|^{1/p}, computed
-    exactly: on a finite grid the supremum is a maximum over the sorted
-    distinct values of |g|."""
-    if not (p > 0 and math.isfinite(p)):
-        raise ValueError("p must be positive and finite")
-    v = np.sort(np.abs(g.values))[::-1]
-    if v.size == 0 or v[0] == 0.0:
-        return 0.0
-    meas = (np.arange(1, v.size + 1)) * g.grid.cell_volume()
-    return float(np.max(v * meas ** (1.0 / p)))
-
-
-@dataclass(frozen=True, eq=False)
-class WeakNormReport:
-    """Largest weak-type ratio over a bank of test inputs."""
-
-    q: float
-    count: int
-    ratios: tuple
-    max_ratio: float
-    argmax_label: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "count": self.count,
-            "ratios": list(self.ratios),
-            "max_ratio": self.max_ratio,
-            "argmax_label": self.argmax_label,
-        }
-
-
-def weak_norm(op: OperatorSpec, q: float, bank) -> WeakNormReport:
-    """Empirical weak-type constant of the operator at exponent q.
-
-    ``bank`` is a sequence of (label, input tuple) pairs.  Each ratio is
-    the weak quasi-norm of T(f) at exponent q/m over the product of the
-    input L^q norms; all-zero inputs are rejected since they normalize
-    nothing.
-    """
-    if not (q > 0 and math.isfinite(q)):
-        raise ValueError("q must be positive and finite")
-    entries = list(bank)
-    if not entries:
-        raise ValueError("the input bank is empty")
-    ratios = []
-    for label, fs in entries:
-        fs = check_inputs(op, fs)
-        for f in fs:
-            if not np.any(f.values != 0.0):
-                raise ValueError(f"bank input {label!r} has an identically zero component")
-        g = apply(op, fs)
-        denom = 1.0
-        for f in fs:
-            denom *= lp_norm(f, q)
-        ratios.append(weak_quasi_norm(g, q / op.kernel.m) / denom)
-    i = int(np.argmax(np.asarray(ratios)))
-    return WeakNormReport(
-        q=q,
-        count=len(entries),
-        ratios=tuple(ratios),
-        max_ratio=float(ratios[i]),
-        argmax_label=entries[i][0],
-    )

@@ -83,24 +83,6 @@ class SparseFamily:
         }
         return json.dumps(d, sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "SparseFamily":
-        d = json.loads(text)
-        entries = tuple(
-            SparseEntry(
-                cube=DyadicCube(int(e["level"]), tuple(int(k) for k in e["index"])),
-                witness=tuple(int(c) for c in e["witness_cells"]),
-                tau=float(e["tau"]),
-            )
-            for e in d["entries"]
-        )
-        return cls(
-            grid=GridSpec.from_json_dict(d["grid"]),
-            root=DyadicCube.from_json_dict(d["root"]),
-            gamma=float(d["gamma"]),
-            entries=entries,
-        )
-
 
 @dataclass(frozen=True)
 class SparsityReport:

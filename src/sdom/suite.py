@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bank import single_input
-from .grid import DyadicCube, GridFunction, GridSpec, cell_box
+from .grid import DyadicCube, GridFunction, GridSpec, cell_centers, cube_flat_indices
 from .kernels import (
     KernelSpec,
     Modulus,
@@ -47,18 +47,11 @@ class SuiteCase:
 
 def _bump(grid: GridSpec, root: DyadicCube, center, width: float) -> GridFunction:
     """A Gaussian bump truncated to the root cells."""
-    lo, hi = cell_box(grid, root)
-    s = grid.cells_per_side
-    arr = np.zeros((s,) * grid.n)
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    axes = [grid.axis_centers(a)[lo[a] : hi[a]] for a in range(grid.n)]
-    if grid.n == 1:
-        d2 = (axes[0] - center[0]) ** 2
-    else:
-        d2 = (axes[0][:, None] - center[0]) ** 2 + (axes[1][None, :] - center[1]) ** 2
-    sl = tuple(slice(lo[a], hi[a]) for a in range(grid.n))
-    arr[sl] = np.exp(-d2 / (2.0 * width * width))
-    return GridFunction(grid, arr.ravel())
+    idx = cube_flat_indices(grid, root)
+    d2 = np.sum((cell_centers(grid, idx) - np.atleast_1d(center)) ** 2, axis=1)
+    vals = np.zeros(grid.num_cells)
+    vals[idx] = np.exp(-d2 / (2.0 * width * width))
+    return GridFunction(grid, vals)
 
 
 def _grid1(L: int, side: float = 8.0) -> GridSpec:
@@ -165,9 +158,3 @@ def cases() -> list:
     ))
     return out
 
-
-def case_by_name(name: str) -> SuiteCase:
-    for c in cases():
-        if c.name == name:
-            return c
-    raise KeyError(f"no suite case named {name!r}")

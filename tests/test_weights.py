@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from sdom.bank import BankSpec, make_bank
-from sdom.grid import GridFunction, GridSpec
+from sdom.grid import GridFunction, GridSpec, cell_centers
 from sdom.kernels import mpt_kernel, zero_kernel
 from sdom.maximal import ALL_GRID_CUBES, DYADIC, shifted_modes
-from sdom.operators import OperatorSpec, apply, lp_norm
+from sdom.operators import OperatorSpec, apply
 from sdom.weights import (
     WeightTuple,
     power_weight,
@@ -17,6 +17,10 @@ from sdom.weights import (
 
 def ones_weight(g):
     return GridFunction(g, np.ones(g.num_cells))
+
+
+def lp_norm(g, p):
+    return float(np.sum(np.abs(g.values) ** p) * g.grid.cell_volume()) ** (1.0 / p)
 
 
 def test_weight_tuple_validation():
@@ -90,9 +94,10 @@ def test_power_weight_shapes():
     w = power_weight(g, 2.0)
     assert np.all(w.values > 0)
     mid = g.origin[0] + g.side / 2
-    d = np.abs(g.axis_centers(0) - mid)
+    centers = cell_centers(g)[:, 0]
+    d = np.abs(centers - mid)
     assert np.allclose(w.values, np.maximum(d**2, 1e-8), rtol=0, atol=0)
-    neg = power_weight(g, -0.5, center=(g.axis_centers(0)[3],))
+    neg = power_weight(g, -0.5, center=(centers[3],))
     assert np.all(np.isfinite(neg.values)) and np.all(neg.values > 0)
 
 
