@@ -44,6 +44,7 @@ from .kernels import (
     grid_error,
     h2_constant,
     hormander_constant,
+    lattice_error,
     mpt_truncated_kernel,
 )
 from .maximal import (
@@ -149,11 +150,17 @@ def _parse_grid(c: Checker):
         return None
 
 
-def _parse_kernel(c: Checker, grid):
+def _parse_kernel(c: Checker, grid, sampled=False):
+    """The kernel, refused when it cannot act on the grid or, for the
+    estimators (``sampled``), when its quadrature lattice is too large."""
     kernel = c.spec("kernel", KernelSpec, "kernel")
-    problem = grid_error(kernel, grid) if kernel is not None and grid is not None else None
+    if kernel is None or grid is None:
+        return kernel
+    problem = grid_error(kernel, grid)
     if problem:
         c.fail("kernel", problem)
+    elif sampled and (problem := lattice_error(kernel, grid)):
+        c.fail("grid.L", problem)
     return kernel
 
 
@@ -263,7 +270,7 @@ def _report(cfg, command, results) -> str:
 def _estimate(c: Checker, with_delta=False):
     """kr (annulus sums) or, with ``delta``, h2 (shell decay)."""
     grid = _parse_grid(c)
-    kernel = _parse_kernel(c, grid)
+    kernel = _parse_kernel(c, grid, sampled=True)
     r = c.number("r", pred=lambda v: v >= 1, msg="must be >= 1", required=True)
     delta = None
     if with_delta:
@@ -451,6 +458,10 @@ def _separation(c: Checker):
     max_pairs = c.integer("max_pairs", pred=lambda v: v >= 1, msg="must be >= 1", default=6)
     if grid is not None and r is not None and delta is not None and not delta > 1.0 / r:
         c.fail("delta", f"must exceed 1/r = {1.0 / r}")
+    if grid is not None and grid.n == 1 and None not in (beta, r):
+        problem = lattice_error(mpt_truncated_kernel(beta, r, 0), grid)  # the lattice does not depend on ell
+        if problem:
+            c.fail("grid.L", problem)
     if not isinstance(ells, list) or not ells or not all(isinstance(e, int) and e >= 0 for e in ells):
         c.fail("ells", "must be a nonempty list of nonnegative integers")
         ells = None

@@ -258,6 +258,19 @@ def grid_error(spec: KernelSpec, grid: GridSpec) -> str | None:
     return None
 
 
+def lattice_error(spec: KernelSpec, grid: GridSpec) -> str | None:
+    """Why the estimators cannot sample the kernel on the grid: its slot
+    tuples over the quadrature lattice would exceed the evaluation
+    budget.  None when they fit."""
+    tuples = math.prod(len(r) for r in _lattice_indices(spec, grid)) ** spec.m
+    if tuples > _MAX_PRODUCT_POINTS:
+        return (
+            f"quadrature lattice of {tuples} slot tuples exceeds the limit of "
+            f"{_MAX_PRODUCT_POINTS}; reduce grid depth"
+        )
+    return None
+
+
 def _check_m(m):
     if m not in (1, 2):
         raise ValueError("only 1 or 2 input slots are supported")
@@ -290,9 +303,21 @@ def eval_batch(spec: KernelSpec, x: np.ndarray, Y: np.ndarray):
     if Y.ndim != 3 or Y.shape[1] != spec.m or Y.shape[2] != x.size:
         raise ValueError("Y must have shape (batch, m, n) matching x")
     vals, valid = _eval_values(spec, x, Y)
-    diag = np.any(np.all(Y == x[None, None, :], axis=2), axis=1)
-    valid = valid & ~diag
+    valid &= ~_on_diagonal(x, Y)
     return np.where(valid, vals, 0.0), valid
+
+
+def _on_diagonal(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Tuples with some slot equal to x, by per-slot column compares:
+    with at most two slots and two axes, reductions over those short
+    axes would cost far more than the compares themselves."""
+    hit = None
+    for s in range(Y.shape[1]):
+        at_x = Y[:, s, 0] == x[0]
+        for a in range(1, x.size):
+            at_x &= Y[:, s, a] == x[a]
+        hit = at_x if hit is None else hit | at_x
+    return hit
 
 
 def _eval_values(spec: KernelSpec, x: np.ndarray, Y: np.ndarray):
@@ -305,11 +330,11 @@ def _eval_values(spec: KernelSpec, x: np.ndarray, Y: np.ndarray):
     if spec.variant == "bilinear_odd":
         if x.size != 1:
             raise ValueError("the odd bilinear kernel lives in one ambient dimension")
-        u = x[0] - Y[:, :, 0]
-        den = np.sum(u * u, axis=1)
+        u0, u1 = x[0] - Y[:, 0, 0], x[0] - Y[:, 1, 0]
+        den = u0 * u0 + u1 * u1
         valid = den > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.sum(u, axis=1) / den ** 1.5
+            vals = (u0 + u1) / den ** 1.5
         return np.where(valid, vals, 0.0), valid
     if spec.variant in ("mpt", "mpt_truncated"):
         if x.size != 1:
@@ -317,8 +342,13 @@ def _eval_values(spec: KernelSpec, x: np.ndarray, Y: np.ndarray):
         t = x[0] - Y[:, 0, 0]
         return _mpt_values(spec, t)
     if spec.variant == "dini_synthetic":
-        diff = x[None, None, :] - Y
-        D = np.sum(np.sqrt(np.sum(diff * diff, axis=2)), axis=1)
+        D = None  # sum over slots of |x - y_s|, folded term by term
+        for s in range(spec.m):
+            sq = None
+            for a in range(x.size):
+                d = x[a] - Y[:, s, a]
+                sq = d * d if sq is None else sq + d * d
+            D = np.sqrt(sq) if D is None else D + np.sqrt(sq)
         valid = D > 0.0
         Dsafe = np.where(valid, D, 1.0)
         frac = np.log2(Dsafe)
@@ -500,28 +530,29 @@ def enumerate_plan(plan: SamplePlan, grid: GridSpec) -> list:
     return configs
 
 
-def _lattice_axis(grid: GridSpec, axis: int, lo: float, hi: float) -> np.ndarray:
-    """Midpoint-lattice coordinates origin + h (i + 1/2) inside [lo, hi),
-    extending beyond the domain when the box does."""
-    o, h = grid.origin[axis], grid.h
-    i_lo = math.ceil((lo - o) / h - 0.5)
-    i_hi = math.ceil((hi - o) / h - 0.5)
-    return o + h * (np.arange(i_lo, i_hi) + 0.5)
+def _lattice_indices(spec: KernelSpec, grid: GridSpec) -> list:
+    """Quadrature lattice as cell-index ranges, one per axis: the grid
+    domain, extended to the kernel's declared support box when there is
+    one.  Lattice coordinates are origin + h (i + 1/2), and an axis keeps
+    the i whose coordinate lies in [lo, hi) of the extended box."""
+    sup = y_support_box(spec, grid)
+    out = []
+    for a in range(grid.n):
+        o, h = grid.origin[a], grid.h
+        lo, hi = o, o + grid.side
+        if sup is not None:
+            lo, hi = min(lo, float(sup[0][a])), max(hi, float(sup[1][a]))
+        out.append(range(math.ceil((lo - o) / h - 0.5), math.ceil((hi - o) / h - 0.5)))
+    return out
 
 
 def _quad_lattice(spec: KernelSpec, grid: GridSpec):
-    """Quadrature lattice: the grid domain, extended to the kernel's
-    declared support box when there is one.  Returns (axes, covers_all):
-    the sorted coordinates along each axis, and False for unbounded
-    supports."""
-    sup = y_support_box(spec, grid)
-    los = list(grid.origin)
-    his = [grid.origin[a] + grid.side for a in range(grid.n)]
-    if sup is not None:
-        lo, hi = sup
-        los = [min(los[a], float(lo[a])) for a in range(grid.n)]
-        his = [max(his[a], float(hi[a])) for a in range(grid.n)]
-    axes = [_lattice_axis(grid, a, los[a], his[a]) for a in range(grid.n)]
+    """Returns (axes, covers_all): the sorted lattice coordinates along
+    each axis, and False for unbounded supports."""
+    axes = [
+        grid.origin[a] + grid.h * (np.arange(r.start, r.stop) + 0.5)
+        for a, r in enumerate(_lattice_indices(spec, grid))
+    ]
     return axes, has_bounded_support(spec)
 
 
@@ -642,13 +673,11 @@ def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan)
     kept = [cfg for cfg in configs if not np.array_equal(cfg[2], cfg[3])]
     if not kept:
         raise ValueError("all sampled pairs were degenerate (x = z)")
-    problem = grid_error(spec, grid)
+    problem = grid_error(spec, grid) or lattice_error(spec, grid)
     if problem:
         raise ValueError(problem)
     axes, bounded = _quad_lattice(spec, grid)
     pts = _lattice_points(axes)
-    if pts.shape[0] ** spec.m > _MAX_PRODUCT_POINTS:
-        raise ValueError("two-slot quadrature lattice too large; reduce grid depth")
     cubes = {}
     for pos, (center, side, x, z) in enumerate(kept):
         cubes.setdefault((tuple(center), side), []).append(pos)

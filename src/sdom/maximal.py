@@ -13,10 +13,18 @@ Averaging scores come from prefix sums, so each cube costs O(1) after
 an O(N) sweep and, crucially, a given cube's score is one fixed
 arithmetic expression no matter which family asked for it; pointwise
 family comparisons are therefore exact, not approximate.
+
+The grand maximal truncation gaps run in one pass over x.  Each cell x
+takes one kernel row K(x, .) over the slot tuples of the reference
+truncation, and every family cube containing x reads its truncation at
+3Q off a sub-box of that row.  Kernel evaluations drop from one row per
+cube and cell to one row per cell, while every sum stays the exact
+array, in the exact order, that a separate truncation to 3Q would sum.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,14 +35,13 @@ from .grid import (
     BoxSums,
     Cube,
     DyadicCube,
-    GridCube,
     GridFunction,
     GridSpec,
     cell_box,
     cube_flat_indices,
     triple_cube,
 )
-from .operators import OperatorSpec, apply, apply_on_cells, check_inputs
+from .operators import OperatorSpec, apply, check_inputs, kernel_rows, x_blocks
 from .parallel import parallel_map
 
 
@@ -190,44 +197,110 @@ def grand_maximal(op: OperatorSpec, fs, mode: CubeFamilyMode = DYADIC) -> GridFu
     Q of |T(f)(xi) - T(f restricted to 3Q)(xi)|; the output at a cell is
     the sup of scores over family cubes containing it.  This is the
     discrete grand maximal truncation operator driving the stopping
-    construction.
+    construction.  Both truncations at a cell come from one kernel row
+    over the whole domain (see ``_truncation_gap``), so T(f) is not
+    applied separately.
     """
     fs = check_inputs(op, fs)
-    return _truncation_gap(op, fs, apply(op, fs).values, mode, None)
+    return _truncation_gap(op, fs, mode, None)
 
 
 def local_grand_maximal(op: OperatorSpec, fs, q0: DyadicCube, mode: CubeFamilyMode = DYADIC) -> GridFunction:
     """Localized variant: cubes range inside ``q0`` only and the
-    reference truncation is at ``q0`` itself.
+    reference truncation is at ``q0`` itself, T(f restricted to 3 q0).
 
     The output is a full grid function that vanishes outside ``q0``.
     For a single-cell ``q0`` the only competitor is ``q0`` and the gap
-    is identically zero.
+    is identically zero.  The kernel rows span the slot tuples in
+    3 q0 only.
     """
     fs = check_inputs(op, fs)
-    x0 = cube_flat_indices(op.grid, q0)
-    t_q0 = np.zeros(op.grid.num_cells)
-    t_q0[x0] = apply_on_cells(op, fs, x0, triple_cube(op.grid, q0))
-    return _truncation_gap(op, fs, t_q0, mode, q0)
+    return _truncation_gap(op, fs, mode, q0)
 
 
-def _truncation_gap(op: OperatorSpec, fs, reference: np.ndarray, mode: CubeFamilyMode, within: Cube | None):
+def _sub_boxes(grid: GridSpec, ranks, lo: np.ndarray, hi: np.ndarray) -> list:
+    """Indexes of the sub-arrays of a kernel row on the slot cells inside
+    each box [lo[k], hi[k]), for (k, n) corner arrays.
+
+    ``ranks[s][c]`` counts the slot-s cells with flat index below c, so
+    each row of a box along the last axis is one run of positions.  In
+    one dimension a box is a single run and its index is slices (a
+    view); in two the runs of all rows of all boxes are found at once
+    and joined per box into index arrays.
+    """
+    if grid.n == 1:
+        return [tuple(slice(r[a], r[b]) for r in ranks) for a, b in zip(lo[:, 0].tolist(), hi[:, 0].tolist())]
+    nrows = hi[:, 0] - lo[:, 0]
+    first = np.cumsum(nrows) - nrows  # where each box's rows begin among all rows
+    rows = np.arange(nrows.sum()) - np.repeat(first - lo[:, 0], nrows)
+    heads = rows * grid.cells_per_side
+    per_slot = []
+    for r in ranks:
+        start = r[heads + np.repeat(lo[:, 1], nrows)]
+        lens = r[heads + np.repeat(hi[:, 1], nrows)] - start
+        pos = np.arange(lens.sum()) + np.repeat(start - np.cumsum(lens) + lens, lens)
+        per_slot.append(np.split(pos, np.cumsum(np.add.reduceat(lens, first))[:-1]))
+    return [p if len(p) == 1 else np.ix_(*p) for p in zip(*per_slot)]
+
+
+def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | None):
     """Pointwise sup, over family cubes Q inside ``within``, of the
-    largest gap |reference - T(f restricted to 3Q)| on the cells of Q."""
+    largest gap |T(f 1_R)(x) - T(f 1_3Q)(x)| over the cells x of Q,
+    where R is 3 ``within``, or the whole domain when ``within`` is None.
+
+    One pass over x.  Each x takes one kernel row over the nonzero slot
+    tuples in R (``kernel_rows``); its sum against the input products
+    is the reference T(f 1_R)(x).  Every family cube Q containing x has
+    3Q inside R, so T(f 1_3Q)(x) is the same sum over the sub-box of
+    the row on the nonzero slot cells of 3Q: the very array, in the very
+    order, that applying T on 3Q alone would sum.  Scores are therefore
+    bitwise those of a direct truncation per cube.  The parallel tasks
+    are blocks of x (``x_blocks``), and each box keeps the max over its
+    cells, which no schedule can change.
+    """
     grid = op.grid
-
-    def score_for(box):
-        lo, hi = box
-        cube = GridCube(lo, tuple(hi[a] - lo[a] for a in range(grid.n)))
-        xs = cube_flat_indices(grid, cube)
-        t_q = apply_on_cells(op, fs, xs, triple_cube(grid, cube))
-        return float(np.max(np.abs(reference[xs] - t_q)))
-
+    N = grid.cells_per_side
+    hm = grid.cell_volume() ** op.kernel.m
+    if within is None:
+        xs, rbox = np.arange(grid.num_cells), None
+    else:
+        xs, rbox = cube_flat_indices(grid, within), triple_cube(grid, within)
     boxes = list(family_boxes(grid, mode, within))
-    scores = parallel_map(score_for, boxes)
+    lo = np.array([b[0] for b in boxes], dtype=np.intp).reshape(len(boxes), grid.n)
+    hi = np.array([b[1] for b in boxes], dtype=np.intp).reshape(len(boxes), grid.n)
+    lo3, hi3 = np.maximum(2 * lo - hi, 0), np.minimum(2 * hi - lo, N)  # 3Q, clipped like triple_cube
+
+    def block(xb):
+        idx, W, rows = kernel_rows(op, fs, xb, rbox)
+        ranks = []
+        for i in idx:
+            r = np.zeros(grid.num_cells + 1, dtype=np.intp)
+            r[i + 1] = 1
+            ranks.append(np.cumsum(r))
+        cells = np.stack(np.unravel_index(xb, (N,) * grid.n), axis=-1).tolist()
+        ref = np.zeros(xb.size)
+        gaps = np.zeros(len(boxes))
+        for j, V in enumerate(rows):
+            ref[j] = t_r = float(np.sum(V * W)) * hm
+            inside = np.ones(len(boxes), dtype=bool)
+            for a, c in enumerate(cells[j]):
+                inside &= (lo[:, a] <= c) & (c < hi[:, a])
+            qs = np.flatnonzero(inside)
+            diffs = np.empty(qs.size)
+            for k, sub in enumerate(_sub_boxes(grid, ranks, lo3[qs], hi3[qs])):
+                Vq = V[sub]
+                t_q = t_r if Vq.size == V.size else float(np.sum(Vq * W[sub])) * hm
+                diffs[k] = abs(t_r - t_q)
+            gaps[qs] = np.maximum(gaps[qs], diffs)  # NaN stays NaN
+        return ref, gaps
+
+    parts = parallel_map(block, x_blocks(op, fs, xs, rbox))
+    if within is None and not all(np.all(np.isfinite(ref)) for ref, _ in parts):
+        raise ArithmeticError("operator output is not finite")  # T(f) itself, as ``apply`` reports it
+    scores = functools.reduce(np.maximum, [gaps for _, gaps in parts])
     out = np.zeros(grid.num_cells)
-    for (lo, hi), sc in zip(boxes, scores):
-        _scatter_max(grid, out, lo, hi, sc)
+    for (blo, bhi), sc in zip(boxes, scores):
+        _scatter_max(grid, out, blo, bhi, sc)
     if not np.all(np.isfinite(out)):
         raise ArithmeticError("truncation gap is not finite")
     return GridFunction(grid, out)

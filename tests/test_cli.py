@@ -300,6 +300,39 @@ def test_non_finite_truncation_gap(tmp_path, capsys):
     assert_one_line_failure(capsys, code, 2, prefix, tmp_path, ["cfg.json"])
 
 
+def test_non_finite_operator_output_in_grand_maximal(tmp_path, capsys):
+    # T(f) itself overflows; the grand gap reports that before any gap
+    big = [0.0, 0.0, 1e200, 1e200, 0.0, 0.0, 0.0, 0.0]
+    cfg = {
+        "grid": {"n": 1, "L": 3, "origin": [0.0], "side": 8.0},
+        "op": "grand",
+        "kernel": {"variant": "bilinear_odd", "m": 2},
+        "inputs": {"kind": "values", "values": [big, big]},
+    }
+    code, _ = run(tmp_path, "maximal", cfg)
+    prefix = "sdom: numerical failure: operator output is not finite"
+    assert_one_line_failure(capsys, code, 2, prefix, tmp_path, ["cfg.json"])
+
+
+@pytest.mark.parametrize("command", ["h2", "separation"])
+def test_estimator_lattice_too_large_is_a_config_error(tmp_path, capsys, command):
+    # two slots at L = 13 is 2^26 tuples (the golden case kr_errors_lattice
+    # covers kr); one slot of the boundary-log lattice on a tiny side
+    # reaches far beyond the domain
+    plan = {"levels": [2], "pair_depth": 1, "max_pairs": 2}
+    grid = {"n": 1, "L": 13, "origin": [0.0], "side": 8.0}
+    cfgs = {
+        "h2": {"grid": grid, "kernel": {"variant": "bilinear_odd", "m": 2}, "r": 2.0, "delta": 1.0, "plan": plan},
+        "separation": {
+            "grid": {"n": 1, "L": 14, "origin": [0.0], "side": 0.001},
+            "beta": 1.0, "r": 2.0, "delta": 1.0, "ells": [2],
+        },
+    }
+    code, _ = run(tmp_path, command, cfgs[command])
+    prefix = "sdom: config error: grid.L: quadrature lattice of "
+    assert_one_line_failure(capsys, code, 1, prefix, tmp_path, ["cfg.json"])
+
+
 def test_partial_write_is_removed(tmp_path, monkeypatch, capsys):
     real_open = open
     writes = []
