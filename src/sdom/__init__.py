@@ -62,6 +62,7 @@ from .kernels import (
     hormander_constant,
     mpt_kernel,
     mpt_truncated_kernel,
+    regularity,
     x_independent_kernel,
     zero_kernel,
 )

@@ -46,6 +46,7 @@ from .kernels import (
     hormander_constant,
     lattice_error,
     mpt_truncated_kernel,
+    regularity,
 )
 from .maximal import (
     CubeFamilyMode,
@@ -473,8 +474,7 @@ def _separation(c: Checker):
     def one_ell(ell):
         kernel = mpt_truncated_kernel(beta, r, ell)
         plan = SamplePlan(levels=(ell + 2, ell + 3, ell + 4), pair_depth=pair_depth, max_pairs=max_pairs)
-        kr = hormander_constant(kernel, grid, r, plan)
-        h2 = h2_constant(kernel, grid, r, delta, plan)
+        kr, h2 = regularity(kernel, grid, r, delta, plan)
         return {"ell": ell, "kr": kr.value, "h2": h2.value, "kr_k_max": kr.k_max, "h2_j_max": h2.k_max}
 
     def run():

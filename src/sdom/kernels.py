@@ -28,7 +28,12 @@ one subtraction.  Per-shell sums of |K(x, .) - K(z, .)|^{r'} (maxima at
 r = 1) fill a table with one cell per shell multi-index, from which
 ``hormander_constant`` reads the annulus series and ``h2_constant`` the
 normalized shell values.  One parallel task handles one cube, and the
-results return in plan order.
+results return in plan order.  ``regularity`` reads both constants off
+one pass of tables; the tables live only for that call.
+
+The boundary-logarithmic kernels find their live set (the open band
+3 < t < 5, cut to the comb's teeth) on the whole batch and evaluate
+the power and logarithm on the live offsets only.
 """
 
 from __future__ import annotations
@@ -382,9 +387,11 @@ def _mpt_values(spec: KernelSpec, t: np.ndarray):
     valid = ~(live & (s == 0.0))
     live &= valid
     rp_inv = 1.0 - 1.0 / spec.r_param  # 1/r'
-    ssafe = np.where(live, s, 1.0)
-    vals = ssafe ** -rp_inv * np.log(np.e / ssafe) ** (-(1.0 + spec.beta) * rp_inv)
-    return np.where(live, vals, 0.0), valid
+    # power and log on the live set only: a few percent of a comb's lattice
+    s = s[live]
+    vals = np.zeros(t.shape)
+    vals[live] = s ** -rp_inv * np.log(np.e / s) ** (-(1.0 + spec.beta) * rp_inv)
+    return vals, valid
 
 
 def y_support_box(spec: KernelSpec, grid: GridSpec):
@@ -735,6 +742,13 @@ def _shell_peak(table: np.ndarray, cfg, r: float, delta: float, grid: GridSpec):
     return best, best_j0
 
 
+def _check_exponents(grid: GridSpec, r: float, delta: float | None = None) -> None:
+    if not (r >= 1 and math.isfinite(r)):
+        raise ValueError("integrability exponent r must satisfy r >= 1")
+    if delta is not None and not (delta > grid.n / r):
+        raise ValueError("decay order delta must exceed n/r")
+
+
 def hormander_constant(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan) -> EstimateReport:
     """Annulus-sum smoothness constant at exponent r.
 
@@ -749,9 +763,13 @@ def hormander_constant(spec: KernelSpec, grid: GridSpec, r: float, plan: SampleP
     domain extended to the kernel's declared support box, so the value
     is that quadrature sum, maximized over the sampled configurations.
     """
-    if not (r >= 1 and math.isfinite(r)):
-        raise ValueError("integrability exponent r must satisfy r >= 1")
-    rows, skipped, samples, bounded = _sample_tables(spec, grid, r, plan)
+    _check_exponents(grid, r)
+    return _kr_report(_sample_tables(spec, grid, r, plan), r, grid)
+
+
+def _kr_report(sampled, r: float, grid: GridSpec) -> EstimateReport:
+    """The annulus-sum report read off ``_sample_tables``' result."""
+    rows, skipped, samples, bounded = sampled
     best_terms, best_v = (), -1.0
     for cfg, table, sk in rows:
         skipped += sk
@@ -781,11 +799,13 @@ def h2_constant(spec: KernelSpec, grid: GridSpec, r: float, delta: float, plan: 
     meaningful, and at r = 1 the norm is a maximum.  Norms are
     midpoint-lattice sums, as in ``hormander_constant``.
     """
-    if not (r >= 1 and math.isfinite(r)):
-        raise ValueError("integrability exponent r must satisfy r >= 1")
-    if not (delta > grid.n / r):
-        raise ValueError("decay order delta must exceed n/r")
-    rows, skipped, samples, bounded = _sample_tables(spec, grid, r, plan)
+    _check_exponents(grid, r, delta)
+    return _h2_report(_sample_tables(spec, grid, r, plan), r, delta, grid)
+
+
+def _h2_report(sampled, r: float, delta: float, grid: GridSpec) -> EstimateReport:
+    """The shell-decay report read off ``_sample_tables``' result."""
+    rows, skipped, samples, bounded = sampled
     best, best_j0 = 0.0, 0
     for cfg, table, sk in rows:
         skipped += sk
@@ -800,6 +820,20 @@ def h2_constant(spec: KernelSpec, grid: GridSpec, r: float, delta: float, plan: 
         skipped=skipped,
         samples=samples,
     )
+
+
+def regularity(spec: KernelSpec, grid: GridSpec, r: float, delta: float, plan: SamplePlan):
+    """(``hormander_constant``, ``h2_constant``) of one kernel, grid,
+    exponent and plan, from a single pass of shell tables.
+
+    Both reports are read off the same tables, so each equals the one
+    its own function returns, bit for bit.  The tables live only for
+    this call.  Exponents are checked before any table is built, so
+    r < 1 and delta <= n/r raise the pair's ValueErrors.
+    """
+    _check_exponents(grid, r, delta)
+    sampled = _sample_tables(spec, grid, r, plan)
+    return _kr_report(sampled, r, grid), _h2_report(sampled, r, delta, grid)
 
 
 def dini_norm(modulus, tol: float = 1e-7, max_brackets: int = 400000) -> float:

@@ -3,15 +3,18 @@
 Every parallel loop in the package goes through ``parallel_map`` so that
 results are always assembled in task order.  Combined with fixed chunk
 shapes in the numerical kernels this keeps outputs bitwise identical
-for any thread count.
+for any thread count.  A call made from inside one of its own tasks
+runs serially, so pools never nest.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from typing import Callable, Iterable, Sequence
 
 _THREADS = 1
+_worker = threading.local()  # ``active`` is set on pool threads only
 
 
 def set_thread_count(n: int) -> None:
@@ -51,16 +54,21 @@ def resolve_thread_request(value: str | int | None) -> int:
 def parallel_map(fn: Callable, items: Sequence | Iterable) -> list:
     """Apply ``fn`` to each item, preserving input order in the result.
 
-    Runs serially when the configured thread count is 1, otherwise on a
-    thread pool.  ``fn`` must not mutate shared state; each call stands
-    alone, so the schedule cannot influence the values returned.
+    Runs serially when the configured thread count is 1 or when called
+    from a task of another ``parallel_map``, otherwise on a thread pool.
+    ``fn`` must not mutate shared state; each call stands alone, so the
+    schedule cannot influence the values returned.
     """
     items = list(items)
-    if _THREADS == 1 or len(items) <= 1:
+    if _THREADS == 1 or len(items) <= 1 or getattr(_worker, "active", False):
         return [fn(it) for it in items]
     # imported here: one-thread runs never need it, and it adds about
     # 0.6 MiB to the resident set
     from concurrent.futures import ThreadPoolExecutor
 
+    def task(item):
+        _worker.active = True
+        return fn(item)
+
     with ThreadPoolExecutor(max_workers=_THREADS) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(task, items))

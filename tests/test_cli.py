@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from sdom import cli
+from sdom import cli, kernels
 from sdom.parallel import set_thread_count
 from sdom.sparse import InvariantViolation
 
@@ -170,6 +170,29 @@ def test_separation_outputs(tmp_path):
     assert h2[0] < h2[1] < h2[2]
     doc = json.loads((out / "separation_report.json").read_text())
     assert [case["ell"] for case in doc["results"]["cases"]] == [2, 3, 4]
+
+
+def test_separation_builds_each_shell_table_once(tmp_path, monkeypatch):
+    # one _cube_tables call per distinct cube per ell serves both kr and
+    # h2, and nothing carries over from one command to the next
+    calls = []
+    inner = kernels._cube_tables
+
+    def counted(spec, axes, pts, r, center, side, pairs):
+        calls.append((spec.ell, tuple(center), side))
+        return inner(spec, axes, pts, r, center, side, pairs)
+
+    monkeypatch.setattr(kernels, "_cube_tables", counted)
+    cfg = {"grid": {"n": 1, "L": 6, "origin": [0.0], "side": 8.0}, "beta": 1.0, "r": 2.0, "delta": 1.0, "ells": [0, 1]}
+    cubes = sum(1 << lam for ell in (0, 1) for lam in (ell + 2, ell + 3, ell + 4))  # levels ell+2 .. ell+4
+    reports = []
+    for threads in ("1", "2"):
+        calls.clear()
+        code, out = run(tmp_path, "separation", cfg, ["--threads", threads])
+        assert code == 0
+        assert len(calls) == len(set(calls)) == cubes
+        reports.append((out / "separation_report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_maximal_multilinear(tmp_path):

@@ -4,8 +4,12 @@ Random explicit plans over dyadic cubes, with sample points that often
 land on the quadrature lattice (so singular tuples are skipped), x = z
 pairs, and cubes repeated at non-adjacent plan positions.  Each kept
 sample must give the reference's series, shell peak and skip count at
-its own plan position, and the reports must agree.
+its own plan position, and the reports must agree.  ``regularity``
+must return the two reports of ``hormander_constant`` and
+``h2_constant`` bit for bit.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from sdom.grid import GridSpec
 from sdom.kernels import (
     Modulus,
     SamplePlan,
+    custom_kernel,
     _annulus_series,
     _sample_tables,
     _shell_peak,
@@ -31,6 +36,7 @@ from sdom.kernels import (
     hormander_constant,
     mpt_kernel,
     mpt_truncated_kernel,
+    regularity,
     x_independent_kernel,
 )
 
@@ -128,3 +134,69 @@ def test_repeated_cube_keeps_plan_positions():
         assert skipped == ref_sk
         assert np.allclose(_annulus_series(table, cfg[1], 2.0, grid), ref_terms, rtol=REL_TOL, atol=0.0)
     assert len({tuple(_annulus_series(t, c[1], 2.0, grid)) for c, t, _ in rows}) == 3
+
+
+FIELDS = ("value", "terms", "k_max", "tail_flag", "skipped", "samples")
+
+
+def _identical(got, want):
+    # repr tells -0.0 from 0.0 and prints every float round-trip exactly
+    for field in FIELDS:
+        assert repr(getattr(got, field)) == repr(getattr(want, field)), field
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+def test_regularity_is_the_pair_bit_for_bit(case):
+    kernel, grid, r, delta, plan = case
+    if all(np.array_equal(x, z) for x, z in plan.pairs):
+        with pytest.raises(ValueError) as want:
+            hormander_constant(kernel, grid, r, plan)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            regularity(kernel, grid, r, delta, plan)
+        return
+    kr, h2 = regularity(kernel, grid, r, delta, plan)
+    _identical(kr, hormander_constant(kernel, grid, r, plan))
+    _identical(h2, h2_constant(kernel, grid, r, delta, plan))
+
+
+def test_regularity_refuses_what_the_pair_refuses():
+    grid = GridSpec(n=1, L=4, origin=(0.0,), side=8.0)
+    kernel = bilinear_odd_kernel()
+    plan = SamplePlan(levels=(1,), max_pairs=2)
+    with pytest.raises(ValueError) as kr_error:
+        hormander_constant(kernel, grid, 0.5, plan)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(kr_error.value))}$"):
+        regularity(kernel, grid, 0.5, 3.0, plan)
+    for delta in (0.5, 0.25):  # n/r = 0.5 at r = 2
+        hormander_constant(kernel, grid, 2.0, plan)
+        with pytest.raises(ValueError) as h2_error:
+            h2_constant(kernel, grid, 2.0, delta, plan)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(h2_error.value))}$"):
+            regularity(kernel, grid, 2.0, delta, plan)
+
+
+def _neighbour_singular(x, Y):
+    # non-finite wherever the two slots are neighbouring cells (h = 0.5),
+    # so singular tuples sit outside Q^m with one slot inside Q
+    if abs(abs(Y[0, 0] - Y[1, 0]) - 0.5) < 1e-12:
+        return np.inf
+    return 1.0 / (1.0 + abs(x[0] - Y[0, 0]) + 2.0 * abs(x[0] - Y[1, 0]))
+
+
+def test_skips_off_the_full_diagonal_match_the_reference():
+    # every other two-slot kernel here is singular only where a slot
+    # meets x, which a miscount of the rows inside Q^m does not change
+    # unless x is a lattice point; this one is singular across shells
+    grid = GridSpec(n=1, L=4, origin=(0.0,), side=8.0)
+    kernel = custom_kernel(_neighbour_singular, 2)
+    plan = SamplePlan(
+        cubes=((np.array([3.0]), 2.0), (np.array([5.0]), 4.0), (np.array([1.0]), 2.0)),
+        pairs=((np.array([2.6]), np.array([3.3])), (np.array([4.2]), np.array([5.9])), (np.array([0.6]), np.array([1.25]))),
+    )
+    kr, h2 = regularity(kernel, grid, 2.0, 1.0, plan)
+    want_kr = reference_hormander(kernel, grid, 2.0, plan)
+    want_h2 = reference_h2(kernel, grid, 2.0, 1.0, plan)
+    assert kr.skipped == want_kr.skipped == h2.skipped == want_h2.skipped > 0
+    _same_report(kr, want_kr)
+    _same_report(h2, want_h2)

@@ -2,7 +2,10 @@
 
 Tuples are drawn on the cell-centre lattice of a random grid, for m
 and n in {1, 2}; a share of them puts x itself in one slot or in both,
-so diagonal hits in either slot occur.  Values and validity must match
+so diagonal hits in either slot occur.  The boundary-logarithmic
+kernels, which evaluate their formula on the live set only, are drawn
+at offsets on and next to the comb's tooth endpoints, at 3, 4 and 5,
+on a dyadic lattice and off it.  Values and validity must match
 ``tests/reference_kernels.py`` bit for bit.
 """
 
@@ -12,7 +15,15 @@ from hypothesis import strategies as st
 
 import reference_kernels as ref
 from sdom.grid import GridSpec, cell_centers
-from sdom.kernels import Modulus, bilinear_odd_kernel, dini_synthetic_kernel, eval_batch, x_independent_kernel
+from sdom.kernels import (
+    Modulus,
+    bilinear_odd_kernel,
+    dini_synthetic_kernel,
+    eval_batch,
+    mpt_kernel,
+    mpt_truncated_kernel,
+    x_independent_kernel,
+)
 
 MODULI = (Modulus("power", c=1.0, eps=0.5), Modulus("log", c=2.0, eps=0.3))
 
@@ -45,3 +56,31 @@ def test_eval_batch_is_the_reduction_reference(case, seed, batch):
     assert got_vals.tobytes() == want_vals.tobytes()
     assert np.array_equal(got_ok, want_ok)
     assert not got_ok[hits.any(axis=1)].any()
+
+
+@st.composite
+def mpt_cases(draw):
+    ell = draw(st.integers(0, 6))
+    r = draw(st.sampled_from([1.0, 2.0, 3.0]))
+    beta = draw(st.sampled_from([0.5, 1.0, 1.7]))
+    kernel = draw(st.sampled_from([mpt_kernel(beta, r), mpt_truncated_kernel(beta, r, ell)]))
+    scale = float(1 << ell)
+    k = np.arange(-2, 2 * (1 << ell) + 2, dtype=float)
+    ends = np.concatenate([3.0 + k / scale, 3.0 + (3.0 * k + 1.0) / (3.0 * scale), [3.0, 4.0, 5.0]])
+    ends = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
+    h = 8.0 / (1 << draw(st.integers(1, 12)))  # a dyadic lattice step
+    lattice = h * np.arange(int(2.5 / h), int(5.5 / h) + 1)
+    off = np.array(draw(st.lists(st.floats(2.5, 5.5), max_size=40)))
+    return kernel, np.concatenate([ends, lattice, off])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=mpt_cases())
+def test_mpt_live_set_matches_the_full_array_formula(case):
+    kernel, t = case
+    x = np.zeros(1)
+    Y = -t[:, None, None]  # x - y is t exactly
+    got_vals, got_ok = eval_batch(kernel, x, Y)
+    want_vals, want_ok = ref.eval_batch(kernel, x, Y)
+    assert got_vals.tobytes() == want_vals.tobytes()
+    assert np.array_equal(got_ok, want_ok)
