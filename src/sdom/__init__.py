@@ -55,7 +55,6 @@ from .kernels import (
     SamplePlan,
     SingularPointError,
     bilinear_odd_kernel,
-    custom_kernel,
     dini_norm,
     dini_synthetic_kernel,
     h2_constant,
@@ -79,7 +78,7 @@ from .maximal import (
     multilinear_maximal,
     shifted_modes,
 )
-from .operators import OperatorSpec, apply, apply_truncated
+from .operators import OperatorSpec, apply
 from .parallel import get_thread_count, parallel_map, set_thread_count
 from .sparse import (
     InvariantViolation,

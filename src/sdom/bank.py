@@ -50,14 +50,6 @@ class BankSpec:
         if self.count_per_shape < 1:
             raise ValueError("count_per_shape must be at least 1")
 
-    def to_json_dict(self) -> dict:
-        d = {"shapes": list(self.shapes), "count_per_shape": self.count_per_shape, "seed": self.seed}
-        if isinstance(self.support, DyadicCube):
-            d["support"] = self.support.to_json_dict()
-        elif self.support is not None:
-            raise ValueError("only dyadic support cubes serialize")
-        return d
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "BankSpec":
         support = DyadicCube.from_json_dict(d["support"]) if d.get("support") else None

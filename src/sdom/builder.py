@@ -53,9 +53,9 @@ def adaptive_threshold(s_values: np.ndarray, n: int) -> float:
     return float(np.sort(s)[::-1][budget])
 
 
-def cz_select(grid, q0: DyadicCube, e_cells, lam: float | None = None) -> list:
+def cz_select(grid, q0: DyadicCube, e_cells) -> list:
     """Maximal dyadic strict subcubes of ``q0`` whose share of ``e_cells``
-    exceeds ``lam`` (default 2^-(n+1)).
+    exceeds 2^-(n+1).
 
     Preconditions: the exceptional cells lie in ``q0`` and number at
     most a 2^-(n+2) fraction of it, which keeps ``q0`` itself below the
@@ -64,10 +64,6 @@ def cz_select(grid, q0: DyadicCube, e_cells, lam: float | None = None) -> list:
     (selection stops descent) and sorted by (level, index).
     """
     n = grid.n
-    if lam is None:
-        lam = 0.5 ** (n + 1)
-    if not (0.0 < lam < 1.0):
-        raise ValueError("selection density must lie in (0, 1)")
     e_idx = np.asarray(sorted(set(int(c) for c in e_cells)), dtype=int)
     q0_cells = set(cube_flat_indices(grid, q0).tolist())
     if e_idx.size and not set(e_idx.tolist()) <= q0_cells:
@@ -86,7 +82,7 @@ def cz_select(grid, q0: DyadicCube, e_cells, lam: float | None = None) -> list:
         cnt = table.box_sum(lo, hi)
         if cnt == 0.0:
             return
-        if cnt > lam * cube_cell_count(grid, cube):
+        if cnt > 0.5 ** (n + 1) * cube_cell_count(grid, cube):
             out.append(cube)
             return
         if cube.level < grid.L:

@@ -276,7 +276,7 @@ class BoxSums:
         return float(t[hi[0], hi[1]] - t[lo[0], hi[1]] - t[hi[0], lo[1]] + t[lo[0], lo[1]])
 
 
-def local_average(f: GridFunction, cube: Cube, r: float, normalizer: Cube | None = None) -> float:
+def local_average(f: GridFunction, cube: Cube, r: float) -> float:
     """r-average of |f| over a cube, ``(avg of |f|^r)^(1/r)``.
 
     Parameters
@@ -284,10 +284,6 @@ def local_average(f: GridFunction, cube: Cube, r: float, normalizer: Cube | None
     f : GridFunction
     cube : cube to integrate over (``r``-power mass is summed here).
     r : averaging exponent, must satisfy r >= 1.
-    normalizer : optional cube whose measure replaces ``cube``'s in the
-        normalization.  This is for averages over a dilated cube
-        normalized by the original one; both cubes must live on ``f``'s
-        grid and the quotient of measures reduces to a cell-count ratio.
 
     The cell sum runs in ascending cell order through ``numpy.sum`` so
     repeated calls reduce in one fixed order.
@@ -295,5 +291,4 @@ def local_average(f: GridFunction, cube: Cube, r: float, normalizer: Cube | None
     if r < 1:
         raise ValueError("averaging exponent r must be >= 1")
     vals = np.abs(cube_values(f, cube))
-    denom = cube_cell_count(f.grid, normalizer if normalizer is not None else cube)
-    return float(np.sum(vals ** r) / denom) ** (1.0 / r)
+    return float(np.sum(vals ** r) / cube_cell_count(f.grid, cube)) ** (1.0 / r)

@@ -5,7 +5,7 @@ ambient space.  The module ships a fixed set of variants (a zero
 kernel, an x-independent smooth kernel, an odd homogeneous bilinear
 kernel, a boundary-logarithmic convolution kernel with its comb-like
 truncations, and a synthetic family built from a prescribed modulus of
-continuity), plus a hook for custom callables.
+continuity).
 
 On top of evaluation it provides the three regularity measurements the
 rest of the package consumes: an annulus-sum smoothness constant taken
@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -72,31 +71,23 @@ class Modulus:
     """A modulus of continuity on [0, 1].
 
     ``power`` is c * t**eps; ``log`` is c * log(e/t)**-(1+eps), the
-    borderline-integrable family.  ``custom`` wraps a vectorized
-    callable.  All three vanish at t = 0.
+    borderline-integrable family.  Both vanish at t = 0.
     """
 
     kind: str
     c: float = 1.0
     eps: float = 1.0
-    fn: Callable | None = None
 
     def __post_init__(self):
-        if self.kind not in ("power", "log", "custom"):
+        if self.kind not in ("power", "log"):
             raise ValueError(f"unknown modulus kind {self.kind!r}")
-        if self.kind == "custom":
-            if self.fn is None:
-                raise ValueError("custom modulus needs a callable")
-        else:
-            if not (self.c > 0 and math.isfinite(self.c)):
-                raise ValueError("modulus scale c must be positive and finite")
-            if not (self.eps > 0 and math.isfinite(self.eps)):
-                raise ValueError("modulus exponent eps must be positive and finite")
+        if not (self.c > 0 and math.isfinite(self.c)):
+            raise ValueError("modulus scale c must be positive and finite")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise ValueError("modulus exponent eps must be positive and finite")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "custom":
-            return np.asarray(self.fn(t), dtype=float)
         if self.kind == "power":
             with np.errstate(divide="ignore"):
                 out = self.c * t ** self.eps
@@ -110,17 +101,10 @@ class Modulus:
         """omega(e^-s) for s >= 0, stable for s far beyond the range
         where e^-s itself underflows."""
         s = np.asarray(s, dtype=float)
-        if self.kind == "custom":
-            return np.asarray(self.fn(np.exp(-s)), dtype=float)
         if self.kind == "power":
             with np.errstate(under="ignore"):
                 return self.c * np.exp(-self.eps * s)
         return self.c * (1.0 + s) ** -(1.0 + self.eps)
-
-    def to_json_dict(self) -> dict:
-        if self.kind == "custom":
-            raise ValueError("custom moduli are not serializable")
-        return {"kind": self.kind, "c": self.c, "eps": self.eps}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Modulus":
@@ -143,22 +127,6 @@ class KernelSpec:
     ell: int | None = None
     modulus: Modulus | None = None
     amplitude: float = 1.0
-    fn: Callable | None = None
-    support: tuple | None = None
-
-    def to_json_dict(self) -> dict:
-        if self.variant == "custom":
-            raise ValueError("custom kernels are not serializable")
-        d = {"variant": self.variant, "m": self.m}
-        if self.variant in ("mpt", "mpt_truncated"):
-            d["beta"] = self.beta
-            d["r"] = self.r_param
-        if self.variant == "mpt_truncated":
-            d["ell"] = self.ell
-        if self.variant == "dini_synthetic":
-            d["modulus"] = self.modulus.to_json_dict()
-            d["amplitude"] = self.amplitude
-        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "KernelSpec":
@@ -240,19 +208,6 @@ def dini_synthetic_kernel(modulus: Modulus, m: int, amplitude: float = 1.0) -> K
     if not (amplitude > 0 and math.isfinite(amplitude)):
         raise ValueError("amplitude must be positive and finite")
     return KernelSpec("dini_synthetic", m, modulus=modulus, amplitude=float(amplitude))
-
-
-def custom_kernel(fn: Callable, m: int, support: tuple | None = None) -> KernelSpec:
-    """Wrap a callable ``fn(x, Y) -> values`` evaluated pointwise.
-
-    ``x`` is a length-n array and ``Y`` an (m, n) array.  Non-finite
-    return values are treated as singular points.  ``support`` may give
-    a per-slot y-box (lo, hi) outside which the kernel vanishes.
-    """
-    _check_m(m)
-    if not callable(fn):
-        raise TypeError("custom kernel needs a callable")
-    return KernelSpec("custom", m, fn=fn, support=support)
 
 
 def grid_error(spec: KernelSpec, grid: GridSpec) -> str | None:
@@ -361,12 +316,6 @@ def _eval_values(spec: KernelSpec, x: np.ndarray, Y: np.ndarray):
         mn = spec.m * x.size
         vals = spec.amplitude * spec.modulus(tent) / Dsafe ** mn
         return np.where(valid, vals, 0.0), valid
-    if spec.variant == "custom":
-        vals = np.empty(batch)
-        for i in range(batch):
-            vals[i] = spec.fn(x, Y[i])
-        valid = np.isfinite(vals)
-        return np.where(valid, vals, 0.0), valid
     raise ValueError(f"unknown kernel variant {spec.variant!r}")
 
 
@@ -403,16 +352,11 @@ def y_support_box(spec: KernelSpec, grid: GridSpec):
     if spec.variant == "zero":
         lo = np.array(grid.origin)
         return (lo, lo)  # empty-for-all-purposes box, any point works
-    if spec.variant == "custom" and spec.support is not None:
-        lo, hi = spec.support
-        return (np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float)))
     return None
 
 
 def has_bounded_support(spec: KernelSpec) -> bool:
-    return spec.variant in ("zero", "mpt", "mpt_truncated") or (
-        spec.variant == "custom" and spec.support is not None
-    )
+    return spec.variant in ("zero", "mpt", "mpt_truncated")
 
 
 @dataclass(frozen=True)
@@ -444,14 +388,6 @@ class SamplePlan:
         else:
             if self.pairs is None or len(self.pairs) != len(self.cubes) or len(self.cubes) == 0:
                 raise ValueError("explicit mode needs equal-length nonempty cubes and pairs")
-
-    def to_json_dict(self) -> dict:
-        if self.levels is not None:
-            return {"levels": list(self.levels), "pair_depth": self.pair_depth, "max_pairs": self.max_pairs}
-        return {
-            "cubes": [[list(np.atleast_1d(c)), s] for c, s in self.cubes],
-            "pairs": [[list(np.atleast_1d(x)), list(np.atleast_1d(z))] for x, z in self.pairs],
-        }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SamplePlan":
@@ -836,40 +772,30 @@ def regularity(spec: KernelSpec, grid: GridSpec, r: float, delta: float, plan: S
     return _kr_report(sampled, r, grid), _h2_report(sampled, r, delta, grid)
 
 
-def dini_norm(modulus, tol: float = 1e-7, max_brackets: int = 400000) -> float:
+# Dyadic brackets ``dini_norm`` sums before it judges the integral divergent.
+_MAX_BRACKETS = 400000
+
+
+def dini_norm(modulus: Modulus, tol: float = 1e-7) -> float:
     """Logarithmic integral of a modulus over (0, 1).
 
     Integrates omega(t)/t with 16-point Gauss-Legendre quadrature on
     each dyadic bracket [2^-(k+1), 2^-k] in log coordinates, stopping
     once the single-bracket bound omega(2^-K) log 2 falls below ``tol``
     times the running sum.  A modulus that decays too slowly for the
-    rule to fire within ``max_brackets`` brackets raises ValueError
+    rule to fire within ``_MAX_BRACKETS`` brackets raises ValueError
     (the integral is judged divergent).  The modulus must vanish at 0
     and be nonnegative and nondecreasing; violations raise ValueError.
 
-    Parametric ``Modulus`` instances are evaluated in log coordinates,
+    The modulus is evaluated in log coordinates (``Modulus.at_neg_log``),
     so the bracket depth is not limited by floating-point underflow of
-    t itself.  A bare callable is sampled at t = e^-s and must let the
-    stop rule fire before t leaves the positive float range; otherwise
-    the tail cannot be certified and ValueError is raised.
+    t itself.
     """
-    om = modulus if callable(modulus) else None
-    if om is None:
-        raise TypeError("modulus must be callable")
-    v0 = float(np.asarray(om(0.0)))
-    if v0 != 0.0:
+    if not isinstance(modulus, Modulus):
+        raise TypeError("modulus must be a Modulus")
+    if float(modulus(0.0)) != 0.0:
         raise ValueError("modulus must vanish at t = 0")
-    stable = isinstance(modulus, Modulus) and modulus.kind != "custom"
-
-    def at_sigma(sig):
-        # (values, evaluable) at t = e^-sig
-        if stable:
-            return modulus.at_neg_log(sig), np.ones(sig.shape, dtype=bool)
-        with np.errstate(under="ignore"):
-            t = np.exp(-sig)
-        return np.asarray(om(t), dtype=float), t > 0.0
-
-    first = float(np.asarray(om(1.0)))
+    first = float(modulus(1.0))
     if not np.isfinite(first) or first < 0:
         raise ValueError("modulus must be finite and nonnegative on (0, 1]")
     # built per call, not at import: it loads numpy.polynomial and LAPACK,
@@ -878,15 +804,11 @@ def dini_norm(modulus, tol: float = 1e-7, max_brackets: int = 400000) -> float:
     chunk = 2048
     total = 0.0
     k = 0
-    while k < max_brackets:
-        ks = np.arange(k, min(k + chunk, max_brackets))
-        sig = (ks[:, None] + 0.5) * _LN2 - (_LN2 / 2.0) * nodes[None, :]
-        vals, ok = at_sigma(sig)
-        ends, ok_e = at_sigma((ks + 1.0) * _LN2)
-        starts, ok_s = at_sigma(ks.astype(float) * _LN2)
-        good = ok.all(axis=1) & ok_e & ok_s
-        limit = len(ks) if bool(good.all()) else int(np.argmin(good))
-        vals, ends, starts = vals[:limit], ends[:limit], starts[:limit]
+    while k < _MAX_BRACKETS:
+        ks = np.arange(k, min(k + chunk, _MAX_BRACKETS))
+        vals = modulus.at_neg_log((ks[:, None] + 0.5) * _LN2 - (_LN2 / 2.0) * nodes[None, :])
+        ends = modulus.at_neg_log((ks + 1.0) * _LN2)
+        starts = modulus.at_neg_log(ks.astype(float) * _LN2)
         if np.any(vals < 0) or not np.all(np.isfinite(vals)):
             raise ValueError("modulus must be finite and nonnegative on (0, 1]")
         # monotonicity spot check at bracket endpoints
@@ -898,10 +820,6 @@ def dini_norm(modulus, tol: float = 1e-7, max_brackets: int = 400000) -> float:
         if np.any(stop):
             i = int(np.argmax(stop))
             return float(running[i])
-        if limit < len(ks):
-            raise ValueError(
-                "modulus tail cannot be evaluated below the floating-point range"
-            )
         total = float(running[-1])
         k += len(ks)
     raise ValueError("modulus is not integrable against dt/t (tail did not converge)")

@@ -68,11 +68,6 @@ class CubeFamilyMode:
         elif shifts:
             raise ValueError("shifts only apply to the shifted family")
 
-    def label(self) -> str:
-        if self.kind == "shifted":
-            return "shifted:" + ",".join(str(v) for v in self.shifts)
-        return self.kind
-
     @classmethod
     def parse(cls, text: str) -> "CubeFamilyMode":
         text = text.strip().lower()
@@ -133,19 +128,19 @@ def _scatter_max(grid: GridSpec, out: np.ndarray, lo, hi, value: float) -> None:
     np.maximum(view[sl], value, out=view[sl])
 
 
-def _family_sup(grid: GridSpec, mode: CubeFamilyMode, score, within: Cube | None = None) -> np.ndarray:
+def _family_sup(grid: GridSpec, mode: CubeFamilyMode, score) -> np.ndarray:
     """Pointwise sup over the family of a per-cube score.
 
     Returns a full-length cell array, zero on cells no family member
     covers.  Scores must be nonnegative.
     """
     out = np.zeros(grid.num_cells)
-    for lo, hi in family_boxes(grid, mode, within):
+    for lo, hi in family_boxes(grid, mode):
         _scatter_max(grid, out, lo, hi, score(lo, hi))
     return out
 
 
-def multilinear_maximal(fs, mode: CubeFamilyMode = DYADIC, within: Cube | None = None) -> GridFunction:
+def multilinear_maximal(fs, mode: CubeFamilyMode = DYADIC) -> GridFunction:
     """Pointwise sup over cubes containing x of the product of the
     plain averages of |f_i| over the cube."""
     fs = tuple(fs)
@@ -166,10 +161,10 @@ def multilinear_maximal(fs, mode: CubeFamilyMode = DYADIC, within: Cube | None =
             v *= t.box_sum(lo, hi) / cnt
         return v
 
-    return GridFunction(grid, _family_sup(grid, mode, score, within))
+    return GridFunction(grid, _family_sup(grid, mode, score))
 
 
-def m_delta(g: GridFunction, delta: float, mode: CubeFamilyMode = DYADIC, within: Cube | None = None) -> GridFunction:
+def m_delta(g: GridFunction, delta: float, mode: CubeFamilyMode = DYADIC) -> GridFunction:
     """Pointwise sup of delta-averages: (avg over Q of |g|^delta)^{1/delta}.
 
     The root is applied after the sup, which commutes with it since
@@ -186,7 +181,7 @@ def m_delta(g: GridFunction, delta: float, mode: CubeFamilyMode = DYADIC, within
             cnt *= hi[a] - lo[a]
         return table.box_sum(lo, hi) / cnt
 
-    out = _family_sup(grid, mode, score, within)
+    out = _family_sup(grid, mode, score)
     return GridFunction(grid, out ** (1.0 / delta))
 
 
@@ -329,14 +324,6 @@ class MTBoundReport:
     infinite_flag: bool
     kr_value: float
     argmax_cell: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "c_emp": self.c_emp,
-            "infinite_flag": self.infinite_flag,
-            "kr_value": self.kr_value,
-            "argmax_cell": self.argmax_cell,
-        }
 
 
 def mt_pointwise_bound_check(

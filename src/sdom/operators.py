@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cube, GridFunction, GridSpec, cell_centers, cube_flat_indices, triple_cube
+from .grid import Cube, GridFunction, GridSpec, cell_centers, cube_flat_indices
 from .kernels import KernelSpec, SingularPointError, eval_batch, grid_error, tuple_blocks
 from .parallel import parallel_map
 
@@ -150,31 +150,11 @@ def x_blocks(op: OperatorSpec, fs, xs: np.ndarray, ybox: Cube | None) -> list:
     return [xs[i : i + _XBLOCK] for i in range(0, xs.size, _XBLOCK)]
 
 
-def _apply_all_cells(op: OperatorSpec, fs, ybox: Cube | None) -> np.ndarray:
-    blocks = x_blocks(op, fs, np.arange(op.grid.num_cells), ybox)
-    parts = parallel_map(lambda b: apply_on_cells(op, fs, b, ybox), blocks)
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
 def apply(op: OperatorSpec, fs) -> GridFunction:
     """Apply the operator to a tuple of m grid functions."""
     fs = check_inputs(op, fs)
-    vals = _apply_all_cells(op, fs, None)
-    if not np.all(np.isfinite(vals)):
-        raise ArithmeticError("operator output is not finite")
-    return GridFunction(op.grid, vals)
-
-
-def apply_truncated(op: OperatorSpec, fs, cube: Cube) -> GridFunction:
-    """Apply the operator to f_i restricted to the tripled cube.
-
-    Matches ``apply`` exactly (bitwise) whenever the inputs are already
-    supported inside the tripled cube, because both sums then visit the
-    same nonzero cells in the same order.
-    """
-    fs = check_inputs(op, fs)
-    box = triple_cube(op.grid, cube)
-    vals = _apply_all_cells(op, fs, box)
+    blocks = x_blocks(op, fs, np.arange(op.grid.num_cells), None)
+    vals = np.concatenate(parallel_map(lambda b: apply_on_cells(op, fs, b, None), blocks))
     if not np.all(np.isfinite(vals)):
         raise ArithmeticError("operator output is not finite")
     return GridFunction(op.grid, vals)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BoxSums, Cube, GridFunction, GridSpec, cell_centers
+from .grid import BoxSums, GridFunction, GridSpec, cell_centers
 from .maximal import DYADIC, CubeFamilyMode, family_boxes
 from .operators import OperatorSpec, apply, check_inputs
 
@@ -79,7 +79,7 @@ class WeightTuple:
         return max(1.0, worst)
 
 
-def vec_ap_characteristic(wt: WeightTuple, mode: CubeFamilyMode = DYADIC, within: Cube | None = None) -> float:
+def vec_ap_characteristic(wt: WeightTuple, mode: CubeFamilyMode = DYADIC) -> float:
     """The joint characteristic over a cube family.
 
     Averages come from prefix sums, so the sup over any family is a max
@@ -95,7 +95,7 @@ def vec_ap_characteristic(wt: WeightTuple, mode: CubeFamilyMode = DYADIC, within
         dual_tables.append(BoxSums(grid, w.values ** (-wt.r / (pi - wt.r))))
         dual_pows.append(p * (pi - wt.r) / (pi * wt.r))
     best = 0.0
-    for lo, hi in family_boxes(grid, mode, within):
+    for lo, hi in family_boxes(grid, mode):
         cnt = 1
         for a in range(grid.n):
             cnt *= hi[a] - lo[a]

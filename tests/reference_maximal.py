@@ -5,7 +5,9 @@ replaced: for every family cube Q it applies T again on the cells of
 Q with every slot restricted to 3Q, and compares with the reference
 truncation, T(f) for the grand and T(f restricted to 3 q0) for the
 local variant.  It is slow but follows the definition line by line, so
-the fast path is tested against it.  Only public `sdom` names are used.
+the fast path is tested against it.  ``apply_truncated`` is the
+truncation T(f restricted to 3Q) on every cell, which the tests
+compare the gaps and ``apply`` with.  Only public `sdom` names are used.
 """
 
 import numpy as np
@@ -13,6 +15,13 @@ import numpy as np
 from sdom.grid import GridCube, GridFunction, cube_flat_indices, triple_cube
 from sdom.maximal import family_boxes
 from sdom.operators import apply, apply_on_cells
+
+
+def apply_truncated(op, fs, cube):
+    """T applied to the inputs restricted to the tripled cube, on every
+    cell of the grid."""
+    grid = op.grid
+    return GridFunction(grid, apply_on_cells(op, fs, np.arange(grid.num_cells), triple_cube(grid, cube)))
 
 
 def _gap(op, fs, reference, mode, within):

@@ -85,16 +85,11 @@ def test_support_confinement_2d():
             assert f.values[nz[0]] == 1.0 / g.cell_volume()
 
 
-def test_bank_spec_json_roundtrip():
-    q = DyadicCube(2, (1,))
-    spec = BankSpec(shapes=("spike", "gauss"), count_per_shape=5, seed=42, support=q)
-    back = BankSpec.from_json_dict(spec.to_json_dict())
-    assert back.shapes == spec.shapes
-    assert back.count_per_shape == spec.count_per_shape
-    assert back.seed == spec.seed
-    assert back.support == q
-    plain = BankSpec()
-    assert BankSpec.from_json_dict(plain.to_json_dict()).support is None
+def test_bank_spec_from_json_dict():
+    d = {"shapes": ["spike", "gauss"], "count_per_shape": 5, "seed": 42, "support": {"level": 2, "index": [1]}}
+    want = BankSpec(shapes=("spike", "gauss"), count_per_shape=5, seed=42, support=DyadicCube(2, (1,)))
+    assert BankSpec.from_json_dict(d) == want
+    assert BankSpec.from_json_dict({}) == BankSpec()  # no support: the whole domain
 
 
 def test_labels_and_counts():

@@ -16,11 +16,18 @@ from sdom.grid import (
     local_average,
     triple_cube,
 )
-from sdom.kernels import bilinear_odd_kernel, custom_kernel, mpt_kernel, zero_kernel
+from sdom.kernels import bilinear_odd_kernel, mpt_kernel, zero_kernel
 from sdom.maximal import local_grand_maximal
-from sdom.operators import OperatorSpec, apply_truncated
+from sdom.operators import OperatorSpec
 from sdom.parallel import set_thread_count
 from sdom.sparse import verify_witness_sparsity
+
+from fake_kernels import fake_kernel
+from reference_maximal import apply_truncated
+
+
+def _one(x, Y):
+    return np.ones(Y.shape[0])
 
 
 def test_adaptive_threshold_hand_values():
@@ -83,10 +90,6 @@ def test_cz_select_preconditions():
         cz_select(g, child, [7])  # outside the node
     with pytest.raises(ValueError):
         cz_select(g, root, [0, 7])  # budget is 1 cell at 8 cells
-    with pytest.raises(ValueError):
-        cz_select(g, root, [0], lam=1.0)
-    with pytest.raises(ValueError):
-        cz_select(g, root, [0], lam=0.0)
 
 
 def test_build_zero_input_gives_empty_family():
@@ -207,9 +210,9 @@ def test_lemma_far_spike_is_absorbed_by_the_gap():
     assert np.all(np.maximum(tq - gap, 0.0) <= 1e-12 * np.max(tq))
 
 
-def test_lemma_single_cell_direct_value():
+def test_lemma_single_cell_direct_value(monkeypatch):
     g = GridSpec(n=1, L=3, origin=(0.0,), side=1.0)
-    k = custom_kernel(lambda x, Y: 1.0, 1)
+    k = fake_kernel(monkeypatch, 1, _one)
     op = OperatorSpec(k, g)
     v = np.zeros(g.num_cells)
     v[3], v[4], v[5] = 1.0, 0.5, 2.0
@@ -221,9 +224,9 @@ def test_lemma_single_cell_direct_value():
     assert np.array_equal(local_grand_maximal(op, (f,), q0).values, np.zeros(g.num_cells))
 
 
-def test_domination_hand_example():
+def test_domination_hand_example(monkeypatch):
     g = GridSpec(n=1, L=6, origin=(0.0,), side=1.0)
-    k = custom_kernel(lambda x, Y: 1.0, 1)
+    k = fake_kernel(monkeypatch, 1, _one)
     op = OperatorSpec(k, g)
     root = DyadicCube(2, (1,))
     idx = cube_flat_indices(g, root)
@@ -253,11 +256,11 @@ def test_domination_zero_operator():
     assert not rep.support_flag
 
 
-def test_domination_support_flag():
+def test_domination_support_flag(monkeypatch):
     from sdom.sparse import SparseEntry, SparseFamily
 
     g = GridSpec(n=1, L=4, origin=(0.0,), side=1.0)
-    k = custom_kernel(lambda x, Y: 1.0, 1)
+    k = fake_kernel(monkeypatch, 1, _one)
     op = OperatorSpec(k, g)
     root = DyadicCube(2, (1,))
     idx = cube_flat_indices(g, root)

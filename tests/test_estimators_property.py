@@ -26,7 +26,6 @@ from sdom.grid import GridSpec
 from sdom.kernels import (
     Modulus,
     SamplePlan,
-    custom_kernel,
     _annulus_series,
     _sample_tables,
     _shell_peak,
@@ -39,6 +38,8 @@ from sdom.kernels import (
     regularity,
     x_independent_kernel,
 )
+
+from fake_kernels import fake_kernel
 
 REL_TOL = 1e-12
 DINI = Modulus("power", c=1.0, eps=0.7)
@@ -179,17 +180,17 @@ def test_regularity_refuses_what_the_pair_refuses():
 def _neighbour_singular(x, Y):
     # non-finite wherever the two slots are neighbouring cells (h = 0.5),
     # so singular tuples sit outside Q^m with one slot inside Q
-    if abs(abs(Y[0, 0] - Y[1, 0]) - 0.5) < 1e-12:
-        return np.inf
-    return 1.0 / (1.0 + abs(x[0] - Y[0, 0]) + 2.0 * abs(x[0] - Y[1, 0]))
+    y0, y1 = Y[:, 0, 0], Y[:, 1, 0]
+    vals = 1.0 / (1.0 + np.abs(x[0] - y0) + 2.0 * np.abs(x[0] - y1))
+    return np.where(np.abs(np.abs(y0 - y1) - 0.5) < 1e-12, np.inf, vals)
 
 
-def test_skips_off_the_full_diagonal_match_the_reference():
+def test_skips_off_the_full_diagonal_match_the_reference(monkeypatch):
     # every other two-slot kernel here is singular only where a slot
     # meets x, which a miscount of the rows inside Q^m does not change
     # unless x is a lattice point; this one is singular across shells
     grid = GridSpec(n=1, L=4, origin=(0.0,), side=8.0)
-    kernel = custom_kernel(_neighbour_singular, 2)
+    kernel = fake_kernel(monkeypatch, 2, _neighbour_singular)
     plan = SamplePlan(
         cubes=((np.array([3.0]), 2.0), (np.array([5.0]), 4.0), (np.array([1.0]), 2.0)),
         pairs=((np.array([2.6]), np.array([3.3])), (np.array([4.2]), np.array([5.9])), (np.array([0.6]), np.array([1.25]))),

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdom import (
     DyadicCube,
@@ -18,6 +20,7 @@ from sdom import (
     support_in,
     triple_cube,
 )
+from sdom.grid import BoxSums
 
 from conftest import gf, unit_root
 
@@ -149,17 +152,6 @@ def test_local_average_examples(grid8):
     assert local_average(half, q, 2.0) == pytest.approx(0.5 ** 0.5, rel=0, abs=1e-15)
 
 
-def test_local_average_normalizer(grid8):
-    # averaging |f| over 3Q but dividing by |Q| instead
-    q = DyadicCube(level=2, index=(1,))
-    t = triple_cube(grid8, q)
-    f = gf(grid8, np.ones(8))
-    plain = local_average(f, t, 1.0)
-    renorm = local_average(f, t, 1.0, normalizer=q)
-    assert plain == 1.0
-    assert renorm == pytest.approx(cube_cell_count(grid8, t) / cube_cell_count(grid8, q))
-
-
 def test_local_average_rejects_small_r(grid8):
     f = gf(grid8, np.ones(8))
     with pytest.raises(ValueError):
@@ -217,3 +209,27 @@ def test_support_and_masking(grid8):
     assert support_in(f, q)
     assert not support_in(f, DyadicCube(level=1, index=(1,)))
     assert list(cube_values(f, q)) == [0, 0, 1.0, 2.0]
+
+
+# Prefix differences lose accuracy relative to the box's own sum when
+# the box is small beside the prefix it is cut from, so float boxes are
+# held to a tolerance relative to the total mass of the grid.
+BOX_REL_TOL = 1e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 2]), integer=st.booleans())
+def test_box_sums_match_direct_sums(data, n, integer):
+    grid = GridSpec(n=n, L=data.draw(st.integers(1, 5 - n), label="L"), origin=(0.0,) * n, side=1.0)
+    N = grid.cells_per_side
+    cell = st.integers(-10**6, 10**6) if integer else st.floats(-1e6, 1e6, allow_nan=False)
+    values = np.array(data.draw(st.lists(cell, min_size=grid.num_cells, max_size=grid.num_cells)), dtype=float)
+    table = BoxSums(grid, values)
+    for _ in range(4):
+        lo, hi = zip(*(sorted(data.draw(st.tuples(st.integers(0, N), st.integers(0, N)))) for _ in range(n)))
+        want = float(np.sum(values.reshape((N,) * n)[tuple(slice(a, b) for a, b in zip(lo, hi))]))
+        got = table.box_sum(lo, hi)
+        if integer:  # every partial sum is an integer below 2^53, so exact
+            assert got == want
+        else:
+            assert abs(got - want) <= BOX_REL_TOL * float(np.sum(np.abs(values)))

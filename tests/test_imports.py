@@ -1,9 +1,19 @@
-"""Modules of the package use only each other's public names."""
+"""Modules of the package use only each other's public names, and every
+public function and method is reached by a command or the acceptance
+gate."""
 
 import ast
+import collections
+import importlib
 import pathlib
+import sys
+import tempfile
+
+from test_cli_golden import CASES, _run_case
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "sdom"
+ACCEPTANCE = SRC.parents[1] / "tests" / "test_acceptance.py"
+TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
 
 
 def _private(name):
@@ -12,54 +22,78 @@ def _private(name):
 
 def test_no_private_names_across_modules():
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for mod, tree in TREES.items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("sdom")):
-                found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if _private(a.name)]
+                found += [f"{mod}:{node.lineno} {a.name}" for a in node.names if _private(a.name)]
     assert found == []
 
 
-# Public names that neither another module nor the acceptance gate uses,
+# Public names that neither a command nor the acceptance gate reaches,
 # kept on purpose, with the reason each stays.
 KEPT = {
-    "custom_kernel": "the tests build their constant-kernel fakes with it",
-    "apply_truncated": "the reference truncation the tests compare the maximal gaps with",
     "get_thread_count": "bench/tracer.py imports it",
 }
-ACCEPTANCE = SRC.parents[1] / "tests" / "test_acceptance.py"
 
 
-def _public_defs(tree):
-    """(qualified name, name, node) of the module-level public functions
-    and the public methods of public classes (dunder methods excluded)."""
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield node.name, node.name, node
-        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            for sub in node.body:
-                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                    yield f"{node.name}.{sub.name}", sub.name, sub
-
-
-def _uses(tree, skip=None):
-    """Names and attribute names used in ``tree``, outside ``skip``."""
-    inside = {id(n) for n in ast.walk(skip)} if skip is not None else set()
-    return {
+def _names(node) -> collections.Counter:
+    """How often each name and attribute name is used in ``node``."""
+    return collections.Counter(
         n.id if isinstance(n, ast.Name) else n.attr
-        for n in ast.walk(tree)
-        if isinstance(n, (ast.Name, ast.Attribute)) and id(n) not in inside
-    }
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _code(attr):
+    """The code object behind a class attribute: a method, a classmethod
+    or staticmethod, or a property's getter."""
+    fn = getattr(attr, "__func__", None) or getattr(attr, "fget", None) or attr
+    return fn.__code__
+
+
+def _codes_run() -> set:
+    """The code objects of every Python function that runs during the
+    golden CLI corpus, recorded with a profile hook (the corpus runs at
+    one thread, so every call happens on this thread)."""
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    for case in CASES:
+        with tempfile.TemporaryDirectory() as work_dir:
+            sys.setprofile(hook)
+            try:
+                _run_case(case, work_dir)
+            finally:
+                sys.setprofile(None)
+    return seen
 
 
 def test_every_public_function_is_reached():
-    # methods are matched by name: any use of a same-named attribute counts
-    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
-    del trees["__init__.py"]
-    acceptance = _uses(ast.parse(ACCEPTANCE.read_text()))
+    """A module-level function is reached when another module, its own
+    module outside its body, or the acceptance gate names it.  A method
+    of a public class is reached when it runs during the golden corpus
+    or the acceptance gate names it."""
+    acceptance = _names(ast.parse(ACCEPTANCE.read_text()))
+    trees = {mod: tree for mod, tree in TREES.items() if mod != "__init__.py"}
+    # one walk per module: the names of each top-level statement
+    per_stmt = {mod: [_names(stmt) for stmt in tree.body] for mod, tree in trees.items()}
+    total = sum((c for counts in per_stmt.values() for c in counts), collections.Counter())
+    ran = _codes_run()
     unreached = {}
     for mod, tree in trees.items():
-        others = set().union(*(_uses(t) for m, t in trees.items() if m != mod))
-        for qual, name, node in _public_defs(tree):
-            if name not in others | acceptance | _uses(tree, skip=node):
-                unreached[name] = f"{mod}:{qual}"
+        for stmt, counts in zip(tree.body, per_stmt[mod]):
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                if total[stmt.name] == counts[stmt.name] and stmt.name not in acceptance:
+                    unreached[stmt.name] = mod
+            if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+                attrs = vars(getattr(importlib.import_module(f"sdom.{mod[:-3]}"), stmt.name))
+                for sub in stmt.body:
+                    if not isinstance(sub, ast.FunctionDef) or sub.name.startswith("_"):
+                        continue
+                    if _code(attrs[sub.name]) not in ran and sub.name not in acceptance:
+                        unreached[f"{stmt.name}.{sub.name}"] = mod
     assert sorted(unreached) == sorted(KEPT), unreached

@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 
 from sdom.grid import DyadicCube, GridFunction, GridSpec, cell_centers, cube_flat_indices, triple_cube
-from sdom.kernels import (
-    SingularPointError,
-    bilinear_odd_kernel,
-    custom_kernel,
-    eval_batch,
-    mpt_kernel,
-    zero_kernel,
-)
-from sdom.operators import OperatorSpec, apply, apply_truncated
+from sdom.kernels import SingularPointError, bilinear_odd_kernel, eval_batch, mpt_kernel, zero_kernel
+from sdom.operators import OperatorSpec, apply
+
+from fake_kernels import fake_kernel
+from reference_maximal import apply_truncated
 
 
 def test_operator_spec_validation():
@@ -106,9 +102,9 @@ def test_multilinearity():
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-13)
 
 
-def test_singular_off_diagonal_raises():
+def test_singular_off_diagonal_raises(monkeypatch):
     g = GridSpec(n=1, L=3, origin=(0.0,), side=1.0)
-    bad = custom_kernel(lambda x, Y: np.inf, 1)
+    bad = fake_kernel(monkeypatch, 1, lambda x, Y: np.full(Y.shape[0], np.inf))
     op = OperatorSpec(bad, g)
     f = GridFunction(g, np.ones(g.num_cells))
     with pytest.raises(SingularPointError, match="off-diagonal"):

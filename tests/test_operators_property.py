@@ -1,4 +1,4 @@
-"""``apply`` and ``apply_truncated`` on random inputs, m and n in {1, 2}.
+"""``apply`` and its truncation to a cube on random inputs, m and n in {1, 2}.
 
 Two properties: truncating to a cube Q changes nothing, bit for bit,
 when every input is supported in 3Q; and ``apply`` equals the direct
@@ -22,7 +22,9 @@ from sdom.kernels import (
     mpt_kernel,
     x_independent_kernel,
 )
-from sdom.operators import OperatorSpec, apply, apply_truncated
+from sdom.operators import OperatorSpec, apply
+
+from reference_maximal import apply_truncated
 
 DINI = Modulus("log", c=1.0, eps=0.5)
 
