@@ -40,7 +40,6 @@ from .grid import (
     GridSpec,
     cell_box,
     cell_centers,
-    children,
     cube_cell_count,
     cube_flat_indices,
     cube_values,

@@ -111,16 +111,11 @@ def make_bank(grid: GridSpec, m: int, spec: BankSpec) -> list:
     """
     if m not in (1, 2):
         raise ValueError("only 1 or 2 input slots are supported")
-    box = cell_box(grid, spec.support) if spec.support is not None else (
-        (0,) * grid.n,
-        (grid.cells_per_side,) * grid.n,
-    )
-    entries = []
-    for shape in spec.shapes:
-        for entry in range(spec.count_per_shape):
-            fs = tuple(_make_one(grid, shape, spec.seed, entry, slot, box) for slot in range(m))
-            entries.append((f"{shape}-{entry}", fs))
-    return entries
+    return [
+        (f"{shape}-{entry}", single_input(grid, m, shape, spec.seed, entry, spec.support))
+        for shape in spec.shapes
+        for entry in range(spec.count_per_shape)
+    ]
 
 
 def single_input(grid: GridSpec, m: int, shape: str, seed: int, entry: int, support: Cube | None = None):

@@ -23,15 +23,12 @@ import numpy as np
 from .grid import (
     BoxSums,
     DyadicCube,
-    cell_box,
-    children,
-    cube_cell_count,
     cube_flat_indices,
     local_average,
     support_in,
     triple_cube,
 )
-from .maximal import DYADIC, CubeFamilyMode, local_grand_maximal
+from .maximal import DYADIC, CubeFamilyMode, family_boxes, local_grand_maximal
 from .operators import OperatorSpec, apply, check_inputs
 from .sparse import InvariantViolation, SparseEntry, SparseFamily, sparse_eval
 
@@ -59,9 +56,12 @@ def cz_select(grid, q0: DyadicCube, e_cells) -> list:
 
     Preconditions: the exceptional cells lie in ``q0`` and number at
     most a 2^-(n+2) fraction of it, which keeps ``q0`` itself below the
-    selection density.  Every exceptional cell ends up covered, because
-    a bare cell has density one.  Returned cubes are pairwise disjoint
-    (selection stops descent) and sorted by (level, index).
+    selection density.  One pass over the dyadic blocks of ``q0``'s
+    strict subcubes, coarsest first: a cube is selected when its
+    exceptional count exceeds 2^-(n+1) of its cells and its corner cell
+    is not inside a cube already selected.  Every exceptional cell ends
+    up covered, because a bare cell has density one.  Returned cubes are
+    pairwise disjoint and sorted by (level, index).
     """
     n = grid.n
     e_idx = np.asarray(sorted(set(int(c) for c in e_cells)), dtype=int)
@@ -75,23 +75,16 @@ def cz_select(grid, q0: DyadicCube, e_cells) -> list:
     mask = np.zeros(grid.num_cells)
     mask[e_idx] = 1.0
     table = BoxSums(grid, mask)
+    taken = np.zeros((grid.cells_per_side,) * n, dtype=bool)
     out = []
-
-    def visit(cube):
-        lo, hi = cell_box(grid, cube)
-        cnt = table.box_sum(lo, hi)
-        if cnt == 0.0:
-            return
-        if cnt > 0.5 ** (n + 1) * cube_cell_count(grid, cube):
-            out.append(cube)
-            return
-        if cube.level < grid.L:
-            for ch in children(grid, cube):
-                visit(ch)
-
-    for ch in children(grid, q0):
-        visit(ch)
-    out.sort(key=lambda c: c.sort_key())
+    blocks = family_boxes(grid, DYADIC, within=q0)
+    next(blocks)  # q0 itself
+    for level, (lo, hi) in enumerate(blocks, start=q0.level + 1):
+        w = 1 << (grid.L - level)
+        dense = table.box_sum(lo, hi) > 0.5 ** (n + 1) * w**n
+        for corner in lo[dense & ~taken[tuple(lo.T)]].tolist():
+            taken[tuple(slice(c, c + w) for c in corner)] = True
+            out.append(DyadicCube(level, tuple(c // w for c in corner)))
     return out
 
 

@@ -157,20 +157,6 @@ def cube_cell_count(grid: GridSpec, cube: Cube) -> int:
     return count
 
 
-def children(grid: GridSpec, cube: DyadicCube) -> list:
-    """The 2^n dyadic children, refusing to descend below the grid."""
-    if not isinstance(cube, DyadicCube):
-        raise TypeError("only dyadic cubes have children")
-    if len(cube.index) != grid.n:
-        raise ValueError("cube dimension does not match the grid")
-    if cube.level >= grid.L:
-        raise ValueError("cube is a leaf at this grid resolution")
-    kids = []
-    for offs in np.ndindex(*(2,) * grid.n):
-        kids.append(DyadicCube(cube.level + 1, tuple(2 * k + o for k, o in zip(cube.index, offs))))
-    return kids
-
-
 def triple_cube(grid: GridSpec, cube: Cube) -> GridCube:
     """Concentric 3x dilation in cell units, clipped to the domain."""
     s = grid.cells_per_side
@@ -257,7 +243,14 @@ def support_in(f: GridFunction, cube: Cube) -> bool:
 
 
 class BoxSums:
-    """O(1) box sums of a cell array via an inclusive prefix table."""
+    """Box sums of a cell array via an inclusive prefix table.
+
+    ``box_sum(lo, hi)`` takes (k, n) integer corner arrays, one box
+    [lo[i], hi[i]) per row, and returns the k sums.  Each sum is one
+    fixed inclusion-exclusion expression in four table entries (two in
+    one dimension), evaluated elementwise, so a box's sum has the same
+    bits whichever block of boxes it is asked for in.
+    """
 
     def __init__(self, grid: GridSpec, cell_values: np.ndarray):
         self.grid = grid
@@ -269,11 +262,11 @@ class BoxSums:
             t[1:, 1:] = np.cumsum(np.cumsum(a, axis=0), axis=1)
             self.table = t
 
-    def box_sum(self, lo, hi) -> float:
+    def box_sum(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         t = self.table
         if self.grid.n == 1:
-            return float(t[hi[0]] - t[lo[0]])
-        return float(t[hi[0], hi[1]] - t[lo[0], hi[1]] - t[hi[0], lo[1]] + t[lo[0], lo[1]])
+            return t[hi[:, 0]] - t[lo[:, 0]]
+        return t[hi[:, 0], hi[:, 1]] - t[lo[:, 0], hi[:, 1]] - t[hi[:, 0], lo[:, 1]] + t[lo[:, 0], lo[:, 1]]
 
 
 def local_average(f: GridFunction, cube: Cube, r: float) -> float:

@@ -579,13 +579,20 @@ def _cube_tables(spec: KernelSpec, axes, pts: np.ndarray, r: float, center, side
     skipped = np.zeros(len(pairs), dtype=np.int64)
     q = starts[1]  # Q^m is the leading q rows and columns
     for i0, i1, Y in tuple_blocks(*[lattice] * m):
-        rows = [eval_batch(spec, p, Y) for p in points.values()]
-        vals = np.stack([v for v, _ in rows]).reshape(len(rows), i1 - i0, N)
-        valid = np.stack([ok for _, ok in rows]).reshape(vals.shape)
+        vals = np.empty((len(points), i1 - i0, N))
+        valid = np.empty(vals.shape, dtype=bool)
+        for k, p in enumerate(points.values()):
+            v, good = eval_batch(spec, p, Y)
+            vals[k] = v.reshape(i1 - i0, N)
+            valid[k] = good.reshape(i1 - i0, N)
         ok = valid[xi] & valid[zi]
-        a = np.abs(np.where(ok, vals[xi] - vals[zi], 0.0))
+        a = np.empty((len(pairs), i1 - i0, N))
+        for k in range(len(pairs)):
+            np.subtract(vals[xi[k]], vals[zi[k]], out=a[k])
+        a[~ok] = 0.0
+        np.abs(a, out=a)
         if r > 1:
-            a = a ** (r / (r - 1.0))
+            a **= r / (r - 1.0)  # in place, with the scalar fast paths (square, sqrt) of ``a ** e``
         for j, s, e in shells:
             acc[:, i0:i1, j] = reduce(a[..., s:e], axis=-1)
         top = max(0, min(i1, q ** (m - 1)) - i0)

@@ -9,10 +9,13 @@ end cubes of the same width are what bound a cube falling into the
 truncated boundary slot, so best-of-shifted still covers every grid
 cube within a factor 6 of side length per axis.
 
-Averaging scores come from prefix sums, so each cube costs O(1) after
-an O(N) sweep and, crucially, a given cube's score is one fixed
-arithmetic expression no matter which family asked for it; pointwise
-family comparisons are therefore exact, not approximate.
+A family comes as blocks of cubes of one side: one block per dyadic
+level, or per side length for the all-cubes family, each a pair of
+(k, n) integer corner arrays.  Averaging scores are prefix-sum box sums
+read for a whole block at once with array arithmetic.  A given cube's
+score is one fixed arithmetic expression no matter which family or
+block asked for it, so pointwise family comparisons are exact, not
+approximate.
 
 The grand maximal truncation gaps run in one pass over x.  Each cell x
 takes one kernel row K(x, .) over the slot tuples of the reference
@@ -25,7 +28,6 @@ array, in the exact order, that a separate truncation to 3Q would sum.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,53 +93,71 @@ def shifted_modes(n: int) -> list:
     return out
 
 
-def _within_box(grid: GridSpec, within: Cube | None):
-    if within is None:
-        return (0,) * grid.n, (grid.cells_per_side,) * grid.n
-    return cell_box(grid, within)
-
-
 def family_boxes(grid: GridSpec, mode: CubeFamilyMode, within: Cube | None = None):
-    """Yield the family's cubes as cell boxes (lo, hi), restricted to
-    cubes contained in ``within`` when given."""
-    wlo, whi = _within_box(grid, within)
+    """Yield the family's cubes, restricted to cubes contained in
+    ``within`` when given, as blocks (lo, hi) of (k, n) integer corner
+    arrays; row i of a block is the cell box [lo[i], hi[i]).
+
+    The dyadic and shifted families give one block per dyadic level,
+    coarsest first, and ``all`` one block per side length, smallest
+    first.  Every cube of a block has the same side, corners run in
+    row-major order within a block, and empty blocks are skipped.
+    """
     n = grid.n
-    if mode.kind == "all":
-        max_side = min(whi[a] - wlo[a] for a in range(n))
-        for s in range(1, max_side + 1):
-            ranges = [range(wlo[a], whi[a] - s + 1) for a in range(n)]
-            for corner in itertools.product(*ranges):
-                yield corner, tuple(c + s for c in corner)
-        return
-    shifts = mode.shifts if mode.kind == "shifted" else (0,) * n
-    for lev in range(grid.L + 1):
-        w = 1 << (grid.L - lev)
+    wlo, whi = cell_box(grid, within) if within is not None else ((0,) * n, (grid.cells_per_side,) * n)
+    if mode.kind == "all":  # every corner, one cell apart
+        widths, shifts = range(1, min(h - l for l, h in zip(wlo, whi)) + 1), (0,) * n
+    else:
+        widths = [1 << (grid.L - lev) for lev in range(grid.L + 1)]
+        shifts = mode.shifts if mode.kind == "shifted" else (0,) * n
+    for w in widths:
+        step = 1 if mode.kind == "all" else w
         axis_starts = []
         for a in range(n):
             off = (shifts[a] * w) // 3
-            i_min = -((off - wlo[a]) // w)  # ceil((wlo - off) / w)
-            i_max = (whi[a] - w - off) // w
-            axis_starts.append([off + i * w for i in range(i_min, i_max + 1)])
-        for corner in itertools.product(*axis_starts):
-            yield corner, tuple(c + w for c in corner)
+            i_min = -((off - wlo[a]) // step)  # ceil((wlo - off) / step)
+            i_max = (whi[a] - w - off) // step
+            axis_starts.append(off + step * np.arange(i_min, i_max + 1))
+        lo = np.stack(np.meshgrid(*axis_starts, indexing="ij"), axis=-1).reshape(-1, n)
+        if lo.size:
+            yield lo, lo + w
 
 
-def _scatter_max(grid: GridSpec, out: np.ndarray, lo, hi, value: float) -> None:
-    view = out.reshape((grid.cells_per_side,) * grid.n)
-    sl = tuple(slice(lo[a], hi[a]) for a in range(grid.n))
-    np.maximum(view[sl], value, out=view[sl])
+def _scatter_block(out: np.ndarray, lo: np.ndarray, hi: np.ndarray, scores: np.ndarray) -> None:
+    """Raise ``out``, an n-dimensional cell array, to each box's score on
+    the box's cells, for one block of boxes of equal shape.
 
-
-def _family_sup(grid: GridSpec, mode: CubeFamilyMode, score) -> np.ndarray:
-    """Pointwise sup over the family of a per-cube score.
-
-    Returns a full-length cell array, zero on cells no family member
-    covers.  Scores must be nonnegative.
+    Each score sits on its box's corner cell and is spread over the box
+    by a running max of the box's width along each axis, widened by
+    doubling.  Max is exact and order free, so this is bitwise a box by
+    box scatter; a NaN score spreads as NaN.  Scores must be
+    nonnegative, as the empty cells read zero.
     """
-    out = np.zeros(grid.num_cells)
+    acc = np.zeros(out.shape)
+    acc[tuple(lo.T)] = scores
+    for a, w in enumerate((hi[0] - lo[0]).tolist()):
+        v = np.moveaxis(acc, a, 0)  # a view: writes land in acc
+        span = 1
+        while span < w:  # v[i] is the max over corners c with i - span < c <= i
+            step = min(span, w - span)
+            v[step:] = np.maximum(v[step:], v[:-step])
+            span += step
+    np.maximum(out, acc, out=out)
+
+
+def _average_sup(grid: GridSpec, mode: CubeFamilyMode, cell_arrays) -> np.ndarray:
+    """Pointwise sup over the family of the product of the plain averages
+    over the cube of the given nonnegative cell arrays; zero on cells no
+    family member covers."""
+    tables = [BoxSums(grid, v) for v in cell_arrays]
+    out = np.zeros((grid.cells_per_side,) * grid.n)
     for lo, hi in family_boxes(grid, mode):
-        _scatter_max(grid, out, lo, hi, score(lo, hi))
-    return out
+        cnt = np.prod(hi - lo, axis=1)
+        score = np.ones(len(lo))
+        for t in tables:
+            score *= t.box_sum(lo, hi) / cnt
+        _scatter_block(out, lo, hi, score)
+    return out.reshape(-1)
 
 
 def multilinear_maximal(fs, mode: CubeFamilyMode = DYADIC) -> GridFunction:
@@ -150,18 +170,7 @@ def multilinear_maximal(fs, mode: CubeFamilyMode = DYADIC) -> GridFunction:
     for f in fs:
         if f.grid != grid:
             raise ValueError("inputs must share one grid")
-    tables = [BoxSums(grid, np.abs(f.values)) for f in fs]
-
-    def score(lo, hi):
-        cnt = 1
-        for a in range(grid.n):
-            cnt *= hi[a] - lo[a]
-        v = 1.0
-        for t in tables:
-            v *= t.box_sum(lo, hi) / cnt
-        return v
-
-    return GridFunction(grid, _family_sup(grid, mode, score))
+    return GridFunction(grid, _average_sup(grid, mode, [np.abs(f.values) for f in fs]))
 
 
 def m_delta(g: GridFunction, delta: float, mode: CubeFamilyMode = DYADIC) -> GridFunction:
@@ -172,17 +181,8 @@ def m_delta(g: GridFunction, delta: float, mode: CubeFamilyMode = DYADIC) -> Gri
     """
     if not (delta > 0 and math.isfinite(delta)):
         raise ValueError("delta must be positive and finite")
-    grid = g.grid
-    table = BoxSums(grid, np.abs(g.values) ** delta)
-
-    def score(lo, hi):
-        cnt = 1
-        for a in range(grid.n):
-            cnt *= hi[a] - lo[a]
-        return table.box_sum(lo, hi) / cnt
-
-    out = _family_sup(grid, mode, score)
-    return GridFunction(grid, out ** (1.0 / delta))
+    out = _average_sup(g.grid, mode, [np.abs(g.values) ** delta])
+    return GridFunction(g.grid, out ** (1.0 / delta))
 
 
 def grand_maximal(op: OperatorSpec, fs, mode: CubeFamilyMode = DYADIC) -> GridFunction:
@@ -260,9 +260,9 @@ def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | N
         xs, rbox = np.arange(grid.num_cells), None
     else:
         xs, rbox = cube_flat_indices(grid, within), triple_cube(grid, within)
-    boxes = list(family_boxes(grid, mode, within))
-    lo = np.array([b[0] for b in boxes], dtype=np.intp).reshape(len(boxes), grid.n)
-    hi = np.array([b[1] for b in boxes], dtype=np.intp).reshape(len(boxes), grid.n)
+    blocks = list(family_boxes(grid, mode, within))
+    lo = np.concatenate([b[0] for b in blocks])
+    hi = np.concatenate([b[1] for b in blocks])
     lo3, hi3 = np.maximum(2 * lo - hi, 0), np.minimum(2 * hi - lo, N)  # 3Q, clipped like triple_cube
 
     def block(xb):
@@ -274,10 +274,10 @@ def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | N
             ranks.append(np.cumsum(r))
         cells = np.stack(np.unravel_index(xb, (N,) * grid.n), axis=-1).tolist()
         ref = np.zeros(xb.size)
-        gaps = np.zeros(len(boxes))
+        gaps = np.zeros(len(lo))
         for j, V in enumerate(rows):
             ref[j] = t_r = float(np.sum(V * W)) * hm
-            inside = np.ones(len(boxes), dtype=bool)
+            inside = np.ones(len(lo), dtype=bool)
             for a, c in enumerate(cells[j]):
                 inside &= (lo[:, a] <= c) & (c < hi[:, a])
             qs = np.flatnonzero(inside)
@@ -293,12 +293,13 @@ def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | N
     if within is None and not all(np.all(np.isfinite(ref)) for ref, _ in parts):
         raise ArithmeticError("operator output is not finite")  # T(f) itself, as ``apply`` reports it
     scores = functools.reduce(np.maximum, [gaps for _, gaps in parts])
-    out = np.zeros(grid.num_cells)
-    for (blo, bhi), sc in zip(boxes, scores):
-        _scatter_max(grid, out, blo, bhi, sc)
+    out = np.zeros((N,) * grid.n)
+    ends = np.cumsum([len(b) for b, _ in blocks])
+    for (blo, bhi), sc in zip(blocks, np.split(scores, ends[:-1])):
+        _scatter_block(out, blo, bhi, sc)
     if not np.all(np.isfinite(out)):
         raise ArithmeticError("truncation gap is not finite")
-    return GridFunction(grid, out)
+    return GridFunction(grid, out.reshape(-1))
 
 
 def best_of_shifted(compute, grid: GridSpec) -> GridFunction:

@@ -4,7 +4,7 @@ A sparse family is a set of dyadic cubes, each paired with a witness
 subset of its cells; the family is gamma-sparse when every witness
 holds at least gamma of its cube's cells and the witnesses are pairwise
 disjoint.  Verification runs on exact integer cell counts, so for
-gamma = 1/2 (whose products with powers of two are exact floats) the
+gamma = 1/2 (whose product with any cell count is an exact float) the
 checks carry no rounding at all.
 """
 
@@ -111,9 +111,9 @@ def verify_witness_sparsity(family: SparseFamily, gamma: float | None = None) ->
     """Check the three sparseness clauses on exact integer counts.
 
     Containment: every witness cell lies in its cube.  Disjointness:
-    no cell appears in two witnesses.  Count: len(witness) * 1 >=
-    gamma * cells(cube), tested as an integer inequality when gamma
-    is a dyadic rational (2 * len >= cells for the standard 1/2).
+    no cell appears in two witnesses.  Count: len(witness) >=
+    gamma * cells(cube), exact whenever gamma times the cell count is
+    an exact float, as it is for the standard gamma = 1/2 at any count.
     """
     if gamma is None:
         gamma = family.gamma
@@ -128,11 +128,7 @@ def verify_witness_sparsity(family: SparseFamily, gamma: float | None = None) ->
         if not wit <= cells:
             containment_ok = False
         total = cube_cell_count(grid, e.cube)
-        if gamma == 0.5:
-            good = 2 * len(wit) >= total
-        else:
-            good = len(wit) >= gamma * total
-        if not good:
+        if len(wit) < gamma * total:
             count_ok = False
         ratio = len(wit) / total
         if ratio < worst_ratio:

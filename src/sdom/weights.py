@@ -82,9 +82,13 @@ class WeightTuple:
 def vec_ap_characteristic(wt: WeightTuple, mode: CubeFamilyMode = DYADIC) -> float:
     """The joint characteristic over a cube family.
 
-    Averages come from prefix sums, so the sup over any family is a max
-    of exactly computed cube scores.  The all-ones tuple scores exactly
-    one on every cube.
+    Averages come from prefix sums read a block of cubes at a time, so
+    the sup over any family is a max of exactly computed cube scores.
+    Each dual average is raised to its power by Python's float ``**``,
+    one cube at a time.  The all-ones tuple scores exactly one on every
+    cube.  A dual average that rounds below zero (prefix-sum cancellation
+    in two dimensions) has no real fractional power and raises
+    ArithmeticError.
     """
     grid = wt.grid
     p = wt.p
@@ -96,14 +100,19 @@ def vec_ap_characteristic(wt: WeightTuple, mode: CubeFamilyMode = DYADIC) -> flo
         dual_pows.append(p * (pi - wt.r) / (pi * wt.r))
     best = 0.0
     for lo, hi in family_boxes(grid, mode):
-        cnt = 1
-        for a in range(grid.n):
-            cnt *= hi[a] - lo[a]
+        cnt = np.prod(hi - lo, axis=1)
         score = v_table.box_sum(lo, hi) / cnt
-        for t, e in zip(dual_tables, dual_pows):
-            score *= (t.box_sum(lo, hi) / cnt) ** e
-        if score > best:
-            best = score
+        for i, (t, e) in enumerate(zip(dual_tables, dual_pows)):
+            avg = t.box_sum(lo, hi) / cnt
+            powered = np.array([a ** e for a in avg.tolist()])
+            if powered.dtype.kind == "c":  # a negative average under a fractional power
+                k = int(np.argmax(avg < 0.0))
+                raise ArithmeticError(
+                    f"weight {i}: dual average over cells {lo[k].tolist()} to {(hi[k] - 1).tolist()} "
+                    f"rounds below zero ({float(avg[k])!r})"
+                )
+            score *= powered
+        best = max(best, float(np.fmax.reduce(score)))  # NaN scores never win, as with ``>``
     return best
 
 

@@ -337,6 +337,24 @@ def test_non_finite_operator_output_in_grand_maximal(tmp_path, capsys):
     assert_one_line_failure(capsys, code, 2, prefix, tmp_path, ["cfg.json"])
 
 
+def test_negative_dual_average_in_weights(tmp_path, capsys):
+    # the dual weight |x|^-40 spans 47 orders of magnitude on this grid,
+    # so the two-dimensional inclusion-exclusion of one dyadic cube's
+    # prefix sums rounds below zero; its fractional power has no real value
+    cfg = {
+        "grid": {"n": 2, "L": 4, "origin": [0.0, 0.0], "side": 8.0},
+        "kernel": {"variant": "dini_synthetic", "m": 1, "modulus": {"kind": "power", "c": 1.0, "eps": 0.5}},
+        "r": 1.0,
+        "mode": "dyadic",
+        "weights": [{"kind": "power", "exponent": 2.0}],
+        "exponents": [1.05],
+        "bank": {"shapes": ["spike"], "count_per_shape": 1, "seed": 0},
+    }
+    code, _ = run(tmp_path, "weights", cfg)
+    prefix = "sdom: numerical failure: weight 0: dual average over cells [12, 4] to [15, 7] rounds below zero"
+    assert_one_line_failure(capsys, code, 2, prefix, tmp_path, ["cfg.json"])
+
+
 @pytest.mark.parametrize("command", ["h2", "separation"])
 def test_estimator_lattice_too_large_is_a_config_error(tmp_path, capsys, command):
     # two slots at L = 13 is 2^26 tuples (the golden case kr_errors_lattice

@@ -12,8 +12,6 @@ from sdom import (
     GridSpec,
     cell_box,
     cell_centers,
-    children,
-    cube_cell_count,
     cube_flat_indices,
     cube_values,
     local_average,
@@ -65,45 +63,6 @@ def test_cell_centers_row_major():
     assert np.array_equal(cell_centers(g, some), pts[some])
     g1 = GridSpec(n=1, L=3, origin=(0.5,), side=1.0)
     assert cell_centers(g1).tolist() == [[0.5 + 0.125 * (i + 0.5)] for i in range(8)]
-
-
-def test_children_bisection_1d(grid8):
-    root = unit_root(grid8)
-    kids = children(grid8, root)
-    assert [c.index for c in kids] == [(0,), (1,)]
-    lo0, hi0 = cell_box(grid8, kids[0])
-    lo1, hi1 = cell_box(grid8, kids[1])
-    assert (lo0[0], hi0[0]) == (0, 4)
-    assert (lo1[0], hi1[0]) == (4, 8)
-
-
-def test_children_quadrants_2d(grid2d):
-    root = unit_root(grid2d)
-    kids = children(grid2d, root)
-    assert len(kids) == 4
-    seen = set()
-    for c in kids:
-        cells = set(cube_flat_indices(grid2d, c).tolist())
-        assert not (cells & seen)
-        seen |= cells
-    assert seen == set(range(grid2d.num_cells))
-
-
-def test_children_partition_counts():
-    # sum of child cells equals the parent cell count, at every node
-    g = GridSpec(n=2, L=3, origin=(0.0, 0.0), side=2.0)
-    for level in range(g.L):
-        for ix in range(1 << level):
-            for iy in range(1 << level):
-                q = DyadicCube(level=level, index=(ix, iy))
-                kids = children(g, q)
-                assert sum(cube_cell_count(g, c) for c in kids) == cube_cell_count(g, q)
-
-
-def test_children_leaf_error(grid8):
-    leaf = DyadicCube(level=3, index=(5,))
-    with pytest.raises(ValueError):
-        children(grid8, leaf)
 
 
 def test_triple_cube_interior():
@@ -225,10 +184,15 @@ def test_box_sums_match_direct_sums(data, n, integer):
     cell = st.integers(-10**6, 10**6) if integer else st.floats(-1e6, 1e6, allow_nan=False)
     values = np.array(data.draw(st.lists(cell, min_size=grid.num_cells, max_size=grid.num_cells)), dtype=float)
     table = BoxSums(grid, values)
-    for _ in range(4):
-        lo, hi = zip(*(sorted(data.draw(st.tuples(st.integers(0, N), st.integers(0, N)))) for _ in range(n)))
+    boxes = [
+        tuple(zip(*(sorted(data.draw(st.tuples(st.integers(0, N), st.integers(0, N)))) for _ in range(n))))
+        for _ in range(4)
+    ]
+    los, his = (np.array(corners, dtype=np.intp) for corners in zip(*boxes))
+    sums = table.box_sum(los, his)
+    assert sums.shape == (4,)
+    for (lo, hi), got in zip(boxes, sums.tolist()):
         want = float(np.sum(values.reshape((N,) * n)[tuple(slice(a, b) for a, b in zip(lo, hi))]))
-        got = table.box_sum(lo, hi)
         if integer:  # every partial sum is an integer below 2^53, so exact
             assert got == want
         else:

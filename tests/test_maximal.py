@@ -59,11 +59,11 @@ def test_mode_validation_and_parse():
 
 def test_family_boxes_counts():
     g = GridSpec(n=1, L=2, origin=(0.0,), side=1.0)
-    assert len(list(family_boxes(g, ALL_GRID_CUBES))) == 4 + 3 + 2 + 1
-    assert len(list(family_boxes(g, DYADIC))) == 1 + 2 + 4
+    assert [len(lo) for lo, _ in family_boxes(g, ALL_GRID_CUBES)] == [4, 3, 2, 1]
+    assert [len(lo) for lo, _ in family_boxes(g, DYADIC)] == [1, 2, 4]
     q = DyadicCube(1, (0,))
-    inside = list(family_boxes(g, DYADIC, within=q))
-    assert inside == [((0,), (2,)), ((0,), (1,)), ((1,), (2,))]
+    inside = [(lo.tolist(), hi.tolist()) for lo, hi in family_boxes(g, DYADIC, within=q)]
+    assert inside == [([[0]], [[2]]), ([[0], [1]], [[1], [2]])]
 
 
 def test_ones_give_one_everywhere():
