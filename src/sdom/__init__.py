@@ -14,14 +14,15 @@ import numpy as _np
 
 # Freeing one large block raises glibc's dynamic mmap threshold
 # (mallopt(3), M_MMAP_THRESHOLD) to its size.  Below that threshold the
-# 2 MiB temporaries of the kernel-evaluation loops (one per elementwise
-# step of `eval_batch` on a block of 2^18 slot tuples) are reused from
-# the heap; above it they are mapped and unmapped on every call.  On two
-# `dominate` configs (the gauss and rademacher inputs of the dominate-1d
-# benchmark at r = 1; 2-core Xeon, Python 3.11, numpy 2.4) the block
-# keeps minor page faults near 430 where they are about 125,000 without
-# it, and wall time at 0.6 s where it is 0.9 s.  The block is never
-# written, so it adds nothing to the resident set.
+# temporaries of `eval_batch` (one per elementwise step, each the size
+# of a kernel row) are reused from the heap; above it they are mapped
+# and unmapped on every call.  The dominate-1d benchmark's rows of
+# 16,384 slot tuples make them 128 KiB, glibc's default threshold.  Over
+# its 16 `dominate` configs, run once each in one process (2-core Xeon,
+# Python 3.11, numpy 2.4), the block keeps minor page faults near 370
+# where they are about 124,000 without it, and wall time at 2.1 s where
+# it is 2.3-2.8 s.  The block is never written, so it adds nothing to
+# the resident set.
 _np.empty(16 << 20, dtype=_np.uint8)
 
 from .bank import BankSpec, make_bank, single_input

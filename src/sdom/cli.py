@@ -46,10 +46,12 @@ from .kernels import (
     hormander_constant,
     lattice_error,
     mpt_truncated_kernel,
+    plan_error,
     regularity,
 )
 from .maximal import (
     CubeFamilyMode,
+    family_error,
     grand_maximal,
     local_grand_maximal,
     m_delta,
@@ -167,11 +169,9 @@ def _parse_kernel(c: Checker, grid, sampled=False):
 
 def _parse_plan(c: Checker, grid):
     plan = c.spec("plan", SamplePlan, "sampling plan")
-    if plan is not None and plan.levels is not None and grid is not None:
-        bad = [lam for lam in plan.levels if not 0 <= lam <= grid.L]
-        if bad:
-            c.fail("plan.levels", f"levels {bad} outside [0, {grid.L}]")
-            return None
+    if plan is not None and grid is not None and (problem := plan_error(plan, grid)):
+        c.fail("plan" if plan.levels is None else "plan.levels", problem)
+        return None
     return plan
 
 
@@ -183,15 +183,19 @@ def _parse_root(c: Checker, grid):
     return cube
 
 
-def _parse_mode(c: Checker, default="dyadic"):
-    text = c.string("mode", default=default)
+def _parse_mode(c: Checker, grid):
+    text = c.string("mode", default="dyadic")
     if text is None:
         return None
     try:
-        return CubeFamilyMode.parse(text)
+        mode = CubeFamilyMode.parse(text)
     except ValueError as exc:
         c.fail("mode", str(exc))
         return None
+    if grid is not None and (problem := family_error(mode, grid)):
+        c.fail("mode", problem)
+        return None
+    return mode
 
 
 def _parse_inputs(c: Checker, grid, m, support):
@@ -312,7 +316,7 @@ def _build(c: Checker, dominate=False):
     kernel = _parse_kernel(c, grid)
     root = _parse_root(c, grid)
     r = c.number("r", pred=lambda v: v >= 1, msg="must be >= 1", required=True)
-    mode = _parse_mode(c)
+    mode = _parse_mode(c, grid)
     fs = _parse_inputs(c, grid, kernel.m if kernel is not None else None, root)
     if root is not None and grid is not None:
         if triple_cube(grid, root).clipped:
@@ -354,7 +358,7 @@ def _build(c: Checker, dominate=False):
 def _maximal(c: Checker):
     grid = _parse_grid(c)
     opname = c.string("op", choices=("multilinear", "mdelta", "grand", "local_grand"), required=True)
-    mode = _parse_mode(c)
+    mode = _parse_mode(c, grid)
     m = c.integer("m", pred=lambda v: v in (1, 2), msg="must be 1 or 2", default=1)
     kernel = root = delta = None
     if opname in ("grand", "local_grand"):
@@ -418,7 +422,7 @@ def _weights(c: Checker):
     grid = _parse_grid(c)
     kernel = _parse_kernel(c, grid)
     r = c.number("r", pred=lambda v: v >= 1, msg="must be >= 1", required=True)
-    mode = _parse_mode(c)
+    mode = _parse_mode(c, grid)
     wlist = c.raw("weights", required=True)
     exponents = c.raw("exponents", required=True)
     m = kernel.m if kernel is not None else None

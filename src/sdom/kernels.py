@@ -5,7 +5,8 @@ ambient space.  The module ships a fixed set of variants (a zero
 kernel, an x-independent smooth kernel, an odd homogeneous bilinear
 kernel, a boundary-logarithmic convolution kernel with its comb-like
 truncations, and a synthetic family built from a prescribed modulus of
-continuity).
+continuity).  ``eval_batch`` takes one point array per slot, and numpy
+broadcasting forms the slot tuples, so no tuple matrix is ever built.
 
 On top of evaluation it provides the three regularity measurements the
 rest of the package consumes: an annulus-sum smoothness constant taken
@@ -23,8 +24,8 @@ dilates 2^j Q are index ranges of the sorted quadrature axes, found by
 binary search, and they sort the lattice into shells: Q itself, then
 each dyadic annulus.  The samples are grouped by cube, and each
 distinct sample point p of a cube is evaluated once, K(p, .) over the
-shell-sorted slot tuples, so a pair's difference K(x, .) - K(z, .) is
-one subtraction.  Per-shell sums of |K(x, .) - K(z, .)|^{r'} (maxima at
+product of the shell-sorted lattice with itself, so a pair's difference
+K(x, .) - K(z, .) is one subtraction.  Per-shell sums of |K(x, .) - K(z, .)|^{r'} (maxima at
 r = 1) fill a table with one cell per shell multi-index, from which
 ``hormander_constant`` reads the annulus series and ``h2_constant`` the
 normalized shell values.  One parallel task handles one cube, and the
@@ -49,8 +50,9 @@ from .parallel import parallel_map
 
 _LN2 = math.log(2.0)
 
-# Slot tuples are evaluated in fixed-size blocks: constant chunking
-# keeps summation order independent of memory pressure and thread count.
+# The estimators evaluate slot tuples in fixed-size row blocks: constant
+# chunking keeps summation order independent of memory pressure and
+# thread count.
 _CHUNK = 1 << 18
 _MAX_PRODUCT_POINTS = 1 << 24
 
@@ -242,72 +244,60 @@ def _check_mpt(beta, r):
         raise ValueError("kernel exponent r must satisfy r >= 1")
 
 
-def eval_batch(spec: KernelSpec, x: np.ndarray, Y: np.ndarray):
-    """Evaluate K(x, .) on a batch of slot tuples.
+def eval_batch(spec: KernelSpec, x: np.ndarray, *ys: np.ndarray):
+    """Evaluate K(x, .) on the slot tuples formed by broadcasting.
 
     Parameters
     ----------
     x : (n,) point.
-    Y : (batch, m, n) slot tuples.
+    ys : one (..., n) point array per slot.  The leading shapes
+        broadcast against each other: equal shapes zip the slots into a
+        batch of tuples, and one axis per slot gives their product.
 
     Returns
     -------
-    vals : (batch,) float array, zero where invalid.
-    valid : (batch,) bool array, False exactly on singular set hits
-        (any slot equal to x), kernel-specific singularities, and
+    vals : float array of the broadcast shape, zero where invalid.
+    valid : bool array of the same shape, False exactly on singular set
+        hits (any slot equal to x), kernel-specific singularities, and
         non-finite evaluations.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 3 or Y.shape[1] != spec.m or Y.shape[2] != x.size:
-        raise ValueError("Y must have shape (batch, m, n) matching x")
-    vals, valid = _eval_values(spec, x, Y)
-    valid &= ~_on_diagonal(x, Y)
+    ys = [np.asarray(y, dtype=float) for y in ys]
+    if len(ys) != spec.m or any(y.shape[-1:] != x.shape for y in ys):
+        raise ValueError("eval_batch takes one (..., n) point array per slot, matching x")
+    if spec.variant in _ONE_DIMENSIONAL and x.size != 1:
+        raise ValueError(f"{_ONE_DIMENSIONAL[spec.variant]} lives in one ambient dimension")
+    vals, valid = _eval_values(spec, x, ys)
+    # diagonal hits, slot by slot: a column compare per axis (a reduction
+    # over the short last axis costs far more), masked out by broadcasting
+    for y in ys:
+        at_x = y[..., 0] == x[0]
+        for a in range(1, x.size):
+            at_x &= y[..., a] == x[a]
+        valid &= ~at_x
     return np.where(valid, vals, 0.0), valid
 
 
-def _on_diagonal(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Tuples with some slot equal to x, by per-slot column compares:
-    with at most two slots and two axes, reductions over those short
-    axes would cost far more than the compares themselves."""
-    hit = None
-    for s in range(Y.shape[1]):
-        at_x = Y[:, s, 0] == x[0]
-        for a in range(1, x.size):
-            at_x &= Y[:, s, a] == x[a]
-        hit = at_x if hit is None else hit | at_x
-    return hit
-
-
-def _eval_values(spec: KernelSpec, x: np.ndarray, Y: np.ndarray):
-    batch = Y.shape[0]
+def _eval_values(spec: KernelSpec, x: np.ndarray, ys):
     if spec.variant == "zero":
-        return np.zeros(batch), np.ones(batch, dtype=bool)
+        shape = np.broadcast_shapes(*(y.shape[:-1] for y in ys))
+        return np.zeros(shape), np.ones(shape, dtype=bool)
     if spec.variant == "x_independent":
-        vals = np.exp(-np.sum(Y * Y, axis=(1, 2)))
-        return vals, np.ones(batch, dtype=bool)
+        # the y^2 terms, added left to right slot by slot and axis by axis
+        sq = sum(y[..., a] * y[..., a] for y in ys for a in range(x.size))
+        return np.exp(-sq), np.ones(sq.shape, dtype=bool)
     if spec.variant == "bilinear_odd":
-        if x.size != 1:
-            raise ValueError("the odd bilinear kernel lives in one ambient dimension")
-        u0, u1 = x[0] - Y[:, 0, 0], x[0] - Y[:, 1, 0]
+        u0, u1 = x[0] - ys[0][..., 0], x[0] - ys[1][..., 0]
         den = u0 * u0 + u1 * u1
         valid = den > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = (u0 + u1) / den ** 1.5
         return np.where(valid, vals, 0.0), valid
     if spec.variant in ("mpt", "mpt_truncated"):
-        if x.size != 1:
-            raise ValueError("the boundary-logarithmic kernel lives in one ambient dimension")
-        t = x[0] - Y[:, 0, 0]
-        return _mpt_values(spec, t)
+        return _mpt_values(spec, x[0] - ys[0][..., 0])
     if spec.variant == "dini_synthetic":
-        D = None  # sum over slots of |x - y_s|, folded term by term
-        for s in range(spec.m):
-            sq = None
-            for a in range(x.size):
-                d = x[a] - Y[:, s, a]
-                sq = d * d if sq is None else sq + d * d
-            D = np.sqrt(sq) if D is None else D + np.sqrt(sq)
+        # sum over slots of |x - y_s|, each taken once per slot point
+        D = sum(np.sqrt(sum((x[a] - y[..., a]) ** 2 for a in range(x.size))) for y in ys)
         valid = D > 0.0
         Dsafe = np.where(valid, D, 1.0)
         frac = np.log2(Dsafe)
@@ -353,10 +343,6 @@ def y_support_box(spec: KernelSpec, grid: GridSpec):
         lo = np.array(grid.origin)
         return (lo, lo)  # empty-for-all-purposes box, any point works
     return None
-
-
-def has_bounded_support(spec: KernelSpec) -> bool:
-    return spec.variant in ("zero", "mpt", "mpt_truncated")
 
 
 @dataclass(frozen=True)
@@ -432,27 +418,36 @@ class EstimateReport:
         }
 
 
+def plan_error(plan: SamplePlan, grid: GridSpec) -> str | None:
+    """Why the plan cannot be sampled on the grid, or None when it can:
+    levels outside [0, L], or explicit samples of the wrong dimension,
+    outside their concentric half cube, or all degenerate (x = z)."""
+    if plan.cubes is None:
+        bad = [lam for lam in plan.levels if not 0 <= lam <= grid.L]
+        return f"levels {bad} outside [0, {grid.L}]" if bad else None
+    configs = enumerate_plan(plan, grid)
+    for center, side, x, z in configs:
+        if not center.size == x.size == z.size == grid.n:
+            return "explicit cube/pair dimension does not match the grid"
+        if not side > 0:
+            return "explicit cube side must be positive"
+        if np.any(np.abs(np.stack((x, z)) - center) > side / 4 + 1e-12 * side):
+            return "sample points must lie in the concentric half cube"
+    if all(np.array_equal(x, z) for _, _, x, z in configs):
+        return "all sampled pairs were degenerate (x = z)"
+    return None
+
+
 def enumerate_plan(plan: SamplePlan, grid: GridSpec) -> list:
-    """Expand a plan into (center, side, x, z) sample configurations."""
+    """Expand a plan that ``plan_error`` accepts into (center, side, x, z)
+    sample configurations."""
     configs = []
     if plan.cubes is not None:
         for (c, side), (x, z) in zip(plan.cubes, plan.pairs):
-            center = np.atleast_1d(np.asarray(c, dtype=float))
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            z = np.atleast_1d(np.asarray(z, dtype=float))
-            if center.size != grid.n or x.size != grid.n or z.size != grid.n:
-                raise ValueError("explicit cube/pair dimension does not match the grid")
-            side = float(side)
-            if side <= 0:
-                raise ValueError("explicit cube side must be positive")
-            for p in (x, z):
-                if np.any(np.abs(p - center) > side / 4 + 1e-12 * side):
-                    raise ValueError("sample points must lie in the concentric half cube")
-            configs.append((center, side, x, z))
+            center, x, z = (np.atleast_1d(np.asarray(p, dtype=float)) for p in (c, x, z))
+            configs.append((center, float(side), x, z))
         return configs
     for lam in plan.levels:
-        if not 0 <= lam <= grid.L:
-            raise ValueError(f"plan level {lam} outside [0, {grid.L}]")
         side = grid.side / (1 << lam)
         sub = 1 << plan.pair_depth
         # candidate points: centers of the depth-d sublattice of the
@@ -495,34 +490,12 @@ def _quad_lattice(spec: KernelSpec, grid: GridSpec):
         grid.origin[a] + grid.h * (np.arange(r.start, r.stop) + 0.5)
         for a, r in enumerate(_lattice_indices(spec, grid))
     ]
-    return axes, has_bounded_support(spec)
+    return axes, y_support_box(spec, grid) is not None
 
 
 def _lattice_points(axes) -> np.ndarray:
     """(N, n) points of the product of the axes, in row-major order."""
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-
-
-def tuple_blocks(*pts: np.ndarray):
-    """Yield (i0, i1, Y): rows i0:i1 of the slot-tuple matrix over one
-    (K_s, n) point array per slot (one or two slots), flattened
-    row-major into Y.
-
-    The columns run over the last slot's points and the rows over the
-    first slot's when there are two, so a single slot is a single row.
-    Rows go in fixed-size blocks of about ``_CHUNK`` tuples.
-    """
-    *heads, last = pts
-    K = last.shape[0]
-    R = math.prod(p.shape[0] for p in heads)
-    rows = max(1, _CHUNK // max(K, 1))
-    for i0 in range(0, R, rows):
-        i1 = min(R, i0 + rows)
-        Y = np.empty((i1 - i0, K, len(pts), last.shape[1]))
-        for s, p in enumerate(heads):
-            Y[:, :, s, :] = p[i0:i1, None, :]
-        Y[:, :, -1, :] = last
-        yield i0, i1, Y.reshape(-1, len(pts), last.shape[1])
 
 
 def _shell_order(axes, center: np.ndarray, side: float):
@@ -558,9 +531,11 @@ def _cube_tables(spec: KernelSpec, axes, pts: np.ndarray, r: float, center, side
     the sum of |K(x,.) - K(z,.)|^{r'} over that product of shells, or
     the largest |K(x,.) - K(z,.)| at r = 1.  Every distinct sample point
     p is evaluated once, K(p, .) over the shell-sorted tuples; a pair's
-    difference is then one subtraction.  Returns (table, skipped) per
-    pair, in the order given, with skipped counting the singular tuples
-    outside Q^m.
+    difference is then one subtraction.  At m = 2 the tuples go in
+    blocks of at most ``_CHUNK``, first-slot rows of the shell-sorted
+    lattice against the whole lattice; at m = 1 the lattice is one
+    block.  Returns (table, skipped) per pair, in the order given, with
+    skipped counting the singular tuples outside Q^m.
     """
     m = spec.m
     perm, starts = _shell_order(axes, center, side)
@@ -575,16 +550,17 @@ def _cube_tables(spec: KernelSpec, axes, pts: np.ndarray, r: float, center, side
     zi = np.array([slot[z.tobytes()] for _, z in pairs])
     reduce = np.add.reduce if r > 1 else np.maximum.reduce
     shells = [(j, starts[j], starts[j + 1]) for j in range(J) if starts[j + 1] > starts[j]]
-    acc = np.zeros((len(pairs), N ** (m - 1), J))
+    R, step = N ** (m - 1), max(1, _CHUNK // N)
+    acc = np.zeros((len(pairs), R, J))
     skipped = np.zeros(len(pairs), dtype=np.int64)
     q = starts[1]  # Q^m is the leading q rows and columns
-    for i0, i1, Y in tuple_blocks(*[lattice] * m):
+    for i0 in range(0, R, step):
+        i1 = min(R, i0 + step)
+        ys = (lattice[i0:i1, None], lattice) if m == 2 else (lattice,)
         vals = np.empty((len(points), i1 - i0, N))
         valid = np.empty(vals.shape, dtype=bool)
         for k, p in enumerate(points.values()):
-            v, good = eval_batch(spec, p, Y)
-            vals[k] = v.reshape(i1 - i0, N)
-            valid[k] = good.reshape(i1 - i0, N)
+            vals[k], valid[k] = eval_batch(spec, p, *ys)
         ok = valid[xi] & valid[zi]
         a = np.empty((len(pairs), i1 - i0, N))
         for k in range(len(pairs)):
@@ -616,15 +592,11 @@ def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan)
     (config, table, skipped) for every kept sample in plan order, so
     that ties between samples resolve by plan position.
     """
-    configs = enumerate_plan(plan, grid)
-    if not configs:
-        raise ValueError("sampling plan produced no samples")
-    kept = [cfg for cfg in configs if not np.array_equal(cfg[2], cfg[3])]
-    if not kept:
-        raise ValueError("all sampled pairs were degenerate (x = z)")
-    problem = grid_error(spec, grid) or lattice_error(spec, grid)
+    problem = plan_error(plan, grid) or grid_error(spec, grid) or lattice_error(spec, grid)
     if problem:
         raise ValueError(problem)
+    configs = enumerate_plan(plan, grid)
+    kept = [cfg for cfg in configs if not np.array_equal(cfg[2], cfg[3])]
     axes, bounded = _quad_lattice(spec, grid)
     pts = _lattice_points(axes)
     cubes = {}

@@ -93,6 +93,14 @@ def shifted_modes(n: int) -> list:
     return out
 
 
+def family_error(mode: CubeFamilyMode, grid: GridSpec) -> str | None:
+    """Why the family cannot be formed on the grid, or None when it can:
+    a shifted family takes one shift per axis."""
+    if mode.kind == "shifted" and len(mode.shifts) != grid.n:
+        return f"shifted family needs one third per grid axis ({grid.n}), got {len(mode.shifts)}"
+    return None
+
+
 def family_boxes(grid: GridSpec, mode: CubeFamilyMode, within: Cube | None = None):
     """Yield the family's cubes, restricted to cubes contained in
     ``within`` when given, as blocks (lo, hi) of (k, n) integer corner
@@ -103,6 +111,9 @@ def family_boxes(grid: GridSpec, mode: CubeFamilyMode, within: Cube | None = Non
     first.  Every cube of a block has the same side, corners run in
     row-major order within a block, and empty blocks are skipped.
     """
+    problem = family_error(mode, grid)
+    if problem:
+        raise ValueError(problem)
     n = grid.n
     wlo, whi = cell_box(grid, within) if within is not None else ((0,) * n, (grid.cells_per_side,) * n)
     if mode.kind == "all":  # every corner, one cell apart

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Cube, GridFunction, GridSpec, cell_centers, cube_flat_indices
-from .kernels import KernelSpec, SingularPointError, eval_batch, grid_error, tuple_blocks
+from .kernels import KernelSpec, SingularPointError, eval_batch, grid_error
 from .parallel import parallel_map
 
 
@@ -81,9 +81,9 @@ def kernel_rows(op: OperatorSpec, fs, xs: np.ndarray, ybox: Cube | None):
     singular or non-finite value raises ``SingularPointError``.  Only
     the current row is held.
 
-    The slot tuples are built once, in the blocks of ``tuple_blocks``,
-    and each x evaluates all of them.  The tuples with x in slot s are
-    index x of axis s.
+    Each x evaluates its whole row in one ``eval_batch`` call, with
+    each slot's cell centres on that slot's axis.  The tuples with x in
+    slot s are index x of axis s.
     """
     slots = [_slot_cells(op, f, ybox) for f in fs]
     idx = [i for i, _ in slots]
@@ -99,12 +99,11 @@ def _rows(op: OperatorSpec, idx, xs: np.ndarray):
             yield np.zeros(sizes)
         return
     xc = cell_centers(grid, xs)
-    blocks = [Y for _, _, Y in tuple_blocks(*(cell_centers(grid, i) for i in idx))]
+    # slot s's centres on axis s of the row, so the slots broadcast to it
+    ys = [np.expand_dims(cell_centers(grid, i), tuple(range(1, len(idx) - s))) for s, i in enumerate(idx)]
     at = [np.searchsorted(i, xs) for i in idx]  # where each x would sit in each slot
     for j in range(xs.size):
-        evals = [eval_batch(op.kernel, xc[j], Y) for Y in blocks]
-        vals = np.concatenate([v for v, _ in evals]).reshape(sizes)
-        ok = np.concatenate([o for _, o in evals]).reshape(sizes)
+        vals, ok = eval_batch(op.kernel, xc[j], *ys)
         for s, i in enumerate(idx):
             k = at[s][j]
             if k < i.size and i[k] == xs[j]:

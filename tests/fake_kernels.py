@@ -16,20 +16,21 @@ from sdom.kernels import KernelSpec
 
 
 def fake_kernel(monkeypatch, m, formula):
-    """A kernel with ``m`` slots whose values are ``formula(x, Y)``.
+    """A kernel with ``m`` slots whose values are ``formula(x, *ys)``.
 
-    ``x`` is an (n,) point and ``Y`` a (batch, m, n) array of slot
-    tuples; the formula returns (batch,) values.  Non-finite values are
-    the kernel's singular points, as ``eval_batch`` reports them.  The
-    spec declares no bounded support.
+    ``x`` is an (n,) point and ``ys`` holds one (..., n) point array per
+    slot, as ``eval_batch`` takes them; the formula returns values of
+    their broadcast shape.  Non-finite values are the kernel's singular
+    points, as ``eval_batch`` reports them.  The spec declares no
+    bounded support.
     """
     spec = KernelSpec("test_fake", m)
     real = kernels._eval_values
 
-    def eval_values(s, x, Y):
+    def eval_values(s, x, ys):
         if s is not spec:
-            return real(s, x, Y)
-        vals = formula(x, Y)
+            return real(s, x, ys)
+        vals = formula(x, *ys)
         valid = np.isfinite(vals)
         return np.where(valid, vals, 0.0), valid
 

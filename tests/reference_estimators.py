@@ -15,7 +15,6 @@ from sdom.kernels import (
     EstimateReport,
     enumerate_plan,
     eval_batch,
-    has_bounded_support,
     y_support_box,
 )
 
@@ -39,7 +38,7 @@ def quad_points(spec, grid):
     else:
         A, B = np.meshgrid(axes[0], axes[1], indexing="ij")
         pts = np.column_stack([A.ravel(), B.ravel()])
-    return pts, has_bounded_support(spec)
+    return pts, sup is not None
 
 
 def box_mask(pts, center, half):
@@ -48,8 +47,8 @@ def box_mask(pts, center, half):
 
 def delta_single(spec, x, z, pts):
     Y = pts[:, None, :]
-    vx, okx = eval_batch(spec, x, Y)
-    vz, okz = eval_batch(spec, z, Y)
+    vx, okx = eval_batch(spec, x, *np.moveaxis(Y, 1, 0))
+    vz, okz = eval_batch(spec, z, *np.moveaxis(Y, 1, 0))
     ok = okx & okz
     return np.where(ok, vx - vz, 0.0), ok
 
@@ -65,8 +64,8 @@ def delta_matrix(spec, x, z, pts):
         Y = np.empty((blk * N, 2, pts.shape[1]))
         Y[:, 0, :] = np.repeat(pts[i0:i1], N, axis=0)
         Y[:, 1, :] = np.tile(pts, (blk, 1))
-        vx, okx = eval_batch(spec, x, Y)
-        vz, okz = eval_batch(spec, z, Y)
+        vx, okx = eval_batch(spec, x, *np.moveaxis(Y, 1, 0))
+        vz, okz = eval_batch(spec, z, *np.moveaxis(Y, 1, 0))
         good = okx & okz
         dk[i0:i1] = np.where(good, vx - vz, 0.0).reshape(blk, N)
         ok[i0:i1] = good.reshape(blk, N)

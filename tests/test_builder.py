@@ -26,8 +26,8 @@ from fake_kernels import fake_kernel
 from reference_maximal import apply_truncated
 
 
-def _one(x, Y):
-    return np.ones(Y.shape[0])
+def _one(x, y):
+    return np.ones(y.shape[:-1])
 
 
 def test_adaptive_threshold_hand_values():

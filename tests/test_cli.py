@@ -355,6 +355,60 @@ def test_negative_dual_average_in_weights(tmp_path, capsys):
     assert_one_line_failure(capsys, code, 2, prefix, tmp_path, ["cfg.json"])
 
 
+@pytest.mark.parametrize(
+    "cube, pair, message",
+    [
+        ([[4.0, 1.0], 2.0], [[4.0], [4.25]], "explicit cube/pair dimension does not match the grid"),
+        ([[4.0], 2.0], [[6.1], [3.9]], "sample points must lie in the concentric half cube"),
+        ([[4.0], 2.0], [[4.25], [4.25]], "all sampled pairs were degenerate (x = z)"),
+    ],
+    ids=["dimension", "half_cube", "degenerate"],
+)
+def test_explicit_plan_problems_are_config_errors(tmp_path, capsys, cube, pair, message):
+    cfg = {
+        "grid": GRID_1D,
+        "kernel": {"variant": "x_independent", "m": 1},
+        "r": 2.0,
+        "plan": {"cubes": [cube], "pairs": [pair]},
+    }
+    code, _ = run(tmp_path, "kr", cfg)
+    assert_one_line_failure(capsys, code, 1, f"sdom: config error: plan: {message}", tmp_path, ["cfg.json"])
+
+
+MODE_CFGS = {
+    "maximal": {"op": "multilinear", "inputs": {"kind": "bank", "shape": "gauss"}},
+    "build": {
+        "kernel": {"variant": "x_independent", "m": 1},
+        "root": {"level": 2, "index": [1, 1]},
+        "r": 1.0,
+        "inputs": {"kind": "bank", "shape": "gauss"},
+    },
+    "weights": {
+        "kernel": {"variant": "x_independent", "m": 1},
+        "r": 1.0,
+        "weights": [{"kind": "power", "exponent": 0.5}],
+        "exponents": [2.0],
+        "bank": {"shapes": ["gauss"], "count_per_shape": 1, "seed": 0},
+    },
+}
+MODE_CFGS["dominate"] = MODE_CFGS["build"]
+
+
+@pytest.mark.parametrize("command", sorted(MODE_CFGS))
+def test_shifted_mode_with_too_few_shifts_is_a_config_error(tmp_path, capsys, command):
+    grid = {"n": 2, "L": 3, "origin": [0.0, 0.0], "side": 8.0}
+    code, _ = run(tmp_path, command, {"grid": grid, "mode": "shifted:1", **MODE_CFGS[command]})
+    prefix = "sdom: config error: mode: shifted family needs one third per grid axis (2), got 1"
+    assert_one_line_failure(capsys, code, 1, prefix, tmp_path, ["cfg.json"])
+
+
+def test_shifted_mode_with_too_many_shifts_is_a_config_error(tmp_path, capsys):
+    cfg = {"grid": GRID_1D, "mode": "shifted:1,2", **MODE_CFGS["maximal"]}
+    code, _ = run(tmp_path, "maximal", cfg)
+    prefix = "sdom: config error: mode: shifted family needs one third per grid axis (1), got 2"
+    assert_one_line_failure(capsys, code, 1, prefix, tmp_path, ["cfg.json"])
+
+
 @pytest.mark.parametrize("command", ["h2", "separation"])
 def test_estimator_lattice_too_large_is_a_config_error(tmp_path, capsys, command):
     # two slots at L = 13 is 2^26 tuples (the golden case kr_errors_lattice

@@ -177,10 +177,10 @@ def test_regularity_refuses_what_the_pair_refuses():
             regularity(kernel, grid, 2.0, delta, plan)
 
 
-def _neighbour_singular(x, Y):
+def _neighbour_singular(x, y0, y1):
     # non-finite wherever the two slots are neighbouring cells (h = 0.5),
     # so singular tuples sit outside Q^m with one slot inside Q
-    y0, y1 = Y[:, 0, 0], Y[:, 1, 0]
+    y0, y1 = y0[..., 0], y1[..., 0]
     vals = 1.0 / (1.0 + np.abs(x[0] - y0) + 2.0 * np.abs(x[0] - y1))
     return np.where(np.abs(np.abs(y0 - y1) - 0.5) < 1e-12, np.inf, vals)
 

@@ -28,7 +28,7 @@ DINI_K1_RATIO = {1: 6.1, 2: 38.8}
 
 def point_value(spec, x, *ys):
     """(K(x, y_1 .. y_m), valid) at one-dimensional points, through eval_batch."""
-    vals, valid = eval_batch(spec, np.array([x]), np.array([[[y] for y in ys]]))
+    vals, valid = eval_batch(spec, np.array([x]), *np.moveaxis(np.array([[[y] for y in ys]]), 1, 0))
     return float(vals[0]), bool(valid[0])
 
 

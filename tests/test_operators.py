@@ -51,7 +51,7 @@ def test_spike_reproduces_kernel_values():
         if i == a:
             assert out.values[i] == 0.0
         else:
-            kv, valid = eval_batch(k, centers[i], centers[a][None, None, :])
+            kv, valid = eval_batch(k, centers[i], *np.moveaxis(centers[a][None, None, :], 1, 0))
             assert valid[0]
             assert out.values[i] == kv[0] * g.h
 
@@ -104,7 +104,7 @@ def test_multilinearity():
 
 def test_singular_off_diagonal_raises(monkeypatch):
     g = GridSpec(n=1, L=3, origin=(0.0,), side=1.0)
-    bad = fake_kernel(monkeypatch, 1, lambda x, Y: np.full(Y.shape[0], np.inf))
+    bad = fake_kernel(monkeypatch, 1, lambda x, y: np.full(y.shape[:-1], np.inf))
     op = OperatorSpec(bad, g)
     f = GridFunction(g, np.ones(g.num_cells))
     with pytest.raises(SingularPointError, match="off-diagonal"):

@@ -81,7 +81,7 @@ def direct_apply(op, fs):
             weight = math.prod(f.values[y] for f, y in zip(fs, ys))
             if x in ys or weight == 0.0:
                 continue
-            val, valid = eval_batch(op.kernel, pts[x], pts[list(ys)][None])
+            val, valid = eval_batch(op.kernel, pts[x], *np.moveaxis(pts[list(ys)][None], 1, 0))
             assert valid[0]
             out[x] += val[0] * weight * hm
             scale[x] += abs(val[0] * weight * hm)
