@@ -29,7 +29,7 @@ from .grid import (
     triple_cube,
 )
 from .maximal import DYADIC, CubeFamilyMode, family_boxes, local_grand_maximal
-from .operators import OperatorSpec, apply, check_inputs
+from .operators import OperatorSpec, check_inputs, check_rows, operator_values
 from .sparse import InvariantViolation, SparseEntry, SparseFamily, sparse_eval
 
 
@@ -161,6 +161,9 @@ def build_sparse_family(
             lgm = local_grand_maximal(op, fs, q0, mode).values
             np.maximum(s, lgm[idx], out=s)
         s /= scale
+        if not np.all(np.isfinite(s)):
+            where = f"level {q0.level} index {list(q0.index)}"
+            raise ArithmeticError(f"level values are not finite on node cube {where}")
         tau = adaptive_threshold(s, grid.n)
         e_cells = idx[s > tau]
         selected = cz_select(grid, q0, e_cells)
@@ -208,6 +211,13 @@ class DominationReport:
 def domination_constant(op: OperatorSpec, fs, family: SparseFamily, r: float) -> DominationReport:
     """Smallest constant with |T f| <= C * sparse form on the root cells.
 
+    T f is evaluated on the root's cells only, where it equals what
+    ``apply`` gives, bit for bit; a non-finite value there raises
+    ArithmeticError, and a value outside the root is never computed.
+    The singular check still covers every cell of the domain: a
+    singular tuple in any row raises the ``SingularPointError`` that
+    ``apply`` would raise, naming the same cells (``check_rows``).
+
     The support flag trips when the sparse form vanishes on a root cell
     where |T f| is not negligible (1e-12 of its largest value on the
     root), which would mean the family fails to see part of the output.
@@ -216,10 +226,10 @@ def domination_constant(op: OperatorSpec, fs, family: SparseFamily, r: float) ->
     """
     fs = check_inputs(op, fs)
     grid = op.grid
-    tf = np.abs(apply(op, fs).values)
-    sp = sparse_eval(family, fs, r).values
+    check_rows(op, fs, np.arange(grid.num_cells))
     idx = cube_flat_indices(grid, family.root)
-    tf_root, sp_root = tf[idx], sp[idx]
+    tf_root = np.abs(operator_values(op, fs, idx))
+    sp_root = sparse_eval(family, fs, r).values[idx]
     scale = float(np.max(tf_root)) if idx.size else 0.0
     covered = sp_root > 0.0
     flag = bool(np.any(~covered & (tf_root > 1e-12 * scale) & (tf_root > 0.0)))

@@ -3,8 +3,11 @@
 ``apply`` realizes T(f_1 .. f_m)(x) = sum over cell tuples of
 K(x_center, y_centers) prod_i f_i(y_i) h^{mn}, one value per cell.
 Tuples touching the x cell in any slot are excluded (the singular
-diagonal is never evaluated); a non-finite kernel value anywhere else
-is a hard error rather than a silent skip.  Cells where an input
+diagonal is never evaluated); any other tuple on the kernel's singular
+set is a hard error rather than a silent skip.  A kernel value that
+overflows, or divides by an underflowed denominator, is not caught per
+tuple: it makes the cell's sum non-finite, and ``apply`` reports that
+as a numerical failure.  Cells where an input
 vanishes contribute nothing and are skipped outright, which makes
 truncation to a support cube literally the same sum in the same order,
 so equalities that hold in exact arithmetic hold bitwise here too.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Cube, GridFunction, GridSpec, cell_centers, cube_flat_indices
-from .kernels import KernelSpec, SingularPointError, eval_batch, grid_error
+from .kernels import KernelSpec, SingularPointError, eval_batch, grid_error, singular_rows
 from .parallel import parallel_map
 
 
@@ -78,8 +81,9 @@ def kernel_rows(op: OperatorSpec, fs, xs: np.ndarray, ybox: Cube | None):
     ``W`` the products of those input values, one axis per slot.
     ``rows`` yields, for each x in order, the kernel values on the same
     axes.  Tuples with x in some slot are set to zero, and any other
-    singular or non-finite value raises ``SingularPointError``.  Only
-    the current row is held.
+    tuple that ``eval_batch`` reports invalid raises
+    ``SingularPointError``; non-finite values pass through.  Only the
+    current row is held.
 
     Each x evaluates its whole row in one ``eval_batch`` call, with
     each slot's cell centres on that slot's axis.  The tuples with x in
@@ -149,11 +153,45 @@ def x_blocks(op: OperatorSpec, fs, xs: np.ndarray, ybox: Cube | None) -> list:
     return [xs[i : i + _XBLOCK] for i in range(0, xs.size, _XBLOCK)]
 
 
-def apply(op: OperatorSpec, fs) -> GridFunction:
-    """Apply the operator to a tuple of m grid functions."""
-    fs = check_inputs(op, fs)
-    blocks = x_blocks(op, fs, np.arange(op.grid.num_cells), None)
+def operator_values(op: OperatorSpec, fs, xs: np.ndarray) -> np.ndarray:
+    """Operator values on the cells ``xs``, every slot over the whole
+    domain, computed in ``x_blocks`` tasks; raises ArithmeticError when
+    one is not finite."""
+    blocks = x_blocks(op, fs, xs, None)
     vals = np.concatenate(parallel_map(lambda b: apply_on_cells(op, fs, b, None), blocks))
     if not np.all(np.isfinite(vals)):
         raise ArithmeticError("operator output is not finite")
-    return GridFunction(op.grid, vals)
+    return vals
+
+
+def apply(op: OperatorSpec, fs) -> GridFunction:
+    """Apply the operator to a tuple of m grid functions."""
+    fs = check_inputs(op, fs)
+    return GridFunction(op.grid, operator_values(op, fs, np.arange(op.grid.num_cells)))
+
+
+# Point pairs per slot that one block of ``check_rows`` holds: a kernel
+# row of 128 x 128 slot tuples, so the check's temporaries are no larger
+# than such a row's.  At 2^16 pairs, one process running the 16
+# `dominate-1d` configs 28 times peaked 0.8 MiB higher (46.26 MiB
+# without the check, 47.04 with it, 46.32 at 2^14; 2-core Xeon,
+# Python 3.11, numpy 2.4).
+_PAIR_BLOCK = 1 << 14
+
+
+def check_rows(op: OperatorSpec, fs, xs: np.ndarray) -> None:
+    """Raise the ``SingularPointError`` that ``kernel_rows`` raises on
+    the first of the ascending cells ``xs`` whose row over every nonzero
+    slot cell holds a singular tuple, evaluating that row alone.
+
+    The rows are screened by ``kernels.singular_rows``, with each row's
+    own cell left out of every slot as ``kernel_rows`` leaves it out.
+    """
+    idx = [_slot_cells(op, f, None)[0] for f in fs]
+    ys = [cell_centers(op.grid, i) for i in idx]
+    step = max(1, _PAIR_BLOCK // max(1, *(i.size for i in idx)))
+    for b in range(0, xs.size, step):
+        xb = xs[b : b + step]
+        hit = singular_rows(op.kernel, cell_centers(op.grid, xb), *ys, keep=[xb[:, None] != i for i in idx])
+        if hit.any():
+            apply_on_cells(op, fs, xb[hit][:1], None)

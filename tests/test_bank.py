@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sdom.bank import SHAPES, BankSpec, make_bank, single_input
+from sdom.bank import SHAPES, BankSpec, _stream, make_bank, single_input
 from sdom.grid import DyadicCube, GridSpec, cube_flat_indices, support_in
 
 
@@ -104,3 +108,21 @@ def test_labels_and_counts():
         "rademacher-2",
     ]
     assert all(len(fs) == 1 for _, fs in bank)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(-(2**63), 2**64 - 1),
+    shape=st.sampled_from(SHAPES),
+    entry=st.integers(0, 2**21),
+    slot=st.integers(0, 1),
+    count=st.integers(1, 40),
+)
+@example(seed=0, shape="spike", entry=0, slot=0, count=9)
+def test_stream_is_numpys_philox(seed, shape, entry, slot, count):
+    # the first `count` draws, across block boundaries, equal numpy's
+    # Philox generator on the same key, drawn one at a time
+    word = (SHAPES.index(shape) << 40) | ((entry & 0xFFFFF) << 20) | (slot & 0xFFFFF)
+    key = np.array([seed & (2**64 - 1), word], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    assert list(itertools.islice(_stream(seed, shape, entry, slot), count)) == [rng.uniform() for _ in range(count)]

@@ -323,6 +323,23 @@ def test_non_finite_truncation_gap(tmp_path, capsys):
     assert_one_line_failure(capsys, code, 2, prefix, tmp_path, ["cfg.json"])
 
 
+@pytest.mark.parametrize("command", ["build", "dominate"])
+def test_overflowing_level_values_are_a_numerical_failure(tmp_path, capsys, command):
+    # the input product 1e400 overflows on a single-cell root, so the
+    # node's level values come out inf / inf
+    spike = [0.0, 0.0, 0.0, 1e200, 0.0, 0.0, 0.0, 0.0]
+    cfg = {
+        "grid": {"n": 1, "L": 3, "origin": [0.0], "side": 8.0},
+        "kernel": {"variant": "bilinear_odd", "m": 2},
+        "root": {"level": 3, "index": [3]},
+        "r": 1.0,
+        "inputs": {"kind": "values", "values": [spike, spike]},
+    }
+    code, _ = run(tmp_path, command, cfg)
+    prefix = "sdom: numerical failure: level values are not finite on node cube level 3 index [3]"
+    assert_one_line_failure(capsys, code, 2, prefix, tmp_path, ["cfg.json"])
+
+
 def test_non_finite_operator_output_in_grand_maximal(tmp_path, capsys):
     # T(f) itself overflows; the grand gap reports that before any gap
     big = [0.0, 0.0, 1e200, 1e200, 0.0, 0.0, 0.0, 0.0]
