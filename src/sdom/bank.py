@@ -46,6 +46,8 @@ class BankSpec:
     def __post_init__(self):
         shapes = tuple(self.shapes)
         object.__setattr__(self, "shapes", shapes)
+        if not shapes:
+            raise ValueError("bank shapes must not be empty")
         for s in shapes:
             if s not in SHAPES:
                 raise ValueError(f"unknown bank shape {s!r}")
@@ -150,5 +152,5 @@ def single_input(grid: GridSpec, m: int, shape: str, seed: int, entry: int, supp
     """Regenerate one bank entry in isolation."""
     if shape not in SHAPES:
         raise ValueError(f"unknown bank shape {shape!r}")
-    box = cell_box(grid, support) if support is not None else ((0,) * grid.n, (grid.cells_per_side,) * grid.n)
+    box = cell_box(grid, support)
     return tuple(_make_one(grid, shape, seed, entry, slot, box) for slot in range(m))

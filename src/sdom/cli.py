@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -416,8 +417,6 @@ def _parse_weight(c: Checker, i, grid):
         return None
 
 
-
-
 def _weights(c: Checker):
     grid = _parse_grid(c)
     kernel = _parse_kernel(c, grid)
@@ -434,7 +433,12 @@ def _weights(c: Checker):
     if not isinstance(exponents, list) or (m is not None and len(exponents) != m):
         c.fail("exponents", f"must be a list of {m} numbers")
         exponents = None
-    bank_spec = c.spec("bank", BankSpec)
+    bank_spec, bank = c.spec("bank", BankSpec), None
+    if bank_spec is not None and grid is not None and m is not None:
+        try:
+            bank = make_bank(grid, m, bank_spec)
+        except ValueError as exc:
+            c.fail("bank", str(exc))
     wt = None
     if not c.errors and weights is not None and all(w is not None for w in weights):
         try:
@@ -443,7 +447,6 @@ def _weights(c: Checker):
             c.fail("weights", str(exc))
 
     def run():
-        bank = make_bank(grid, m, bank_spec)
         rep = weighted_norm_ratio(OperatorSpec(kernel, grid), wt, bank, mode)
         rows = [[i, label, rep.ratios[i]] for i, (label, _) in enumerate(bank)]
         return rep.to_json_dict(), ["case", "label", "ratio"], rows, {}
@@ -553,6 +556,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # one parser per process, however often ``main`` runs in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sdom", description="sparse domination workbench")
     sub = parser.add_subparsers(dest="command", required=True)

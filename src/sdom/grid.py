@@ -128,9 +128,12 @@ class GridCube:
 Cube = DyadicCube | GridCube
 
 
-def cell_box(grid: GridSpec, cube: Cube) -> tuple:
-    """Half-open cell-index box ``(lo, hi)`` of a cube, per axis."""
+def cell_box(grid: GridSpec, cube: Cube | None) -> tuple:
+    """Half-open cell-index box ``(lo, hi)`` of a cube, per axis; the
+    whole domain ``((0,) * n, (S,) * n)`` when ``cube`` is None."""
     s = grid.cells_per_side
+    if cube is None:
+        return (0,) * grid.n, (s,) * grid.n
     if isinstance(cube, DyadicCube):
         if len(cube.index) != grid.n:
             raise ValueError("cube dimension does not match the grid")
@@ -157,22 +160,20 @@ def cube_cell_count(grid: GridSpec, cube: Cube) -> int:
     return count
 
 
-def triple_cube(grid: GridSpec, cube: Cube) -> GridCube:
-    """Concentric 3x dilation in cell units, clipped to the domain."""
-    s = grid.cells_per_side
-    lo, hi = cell_box(grid, cube)
-    corner, shape = [], []
-    clipped = False
-    for a in range(grid.n):
-        w = hi[a] - lo[a]
-        lo3, hi3 = lo[a] - w, hi[a] + w
-        if lo3 < 0:
-            lo3, clipped = 0, True
-        if hi3 > s:
-            hi3, clipped = s, True
-        corner.append(lo3)
-        shape.append(hi3 - lo3)
-    return GridCube(tuple(corner), tuple(shape), clipped)
+def triple_boxes(grid: GridSpec, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """Concentric 3x dilations, in cell units, of the boxes [lo[i],
+    hi[i]) given as (k, n) corner arrays, clipped to the domain."""
+    return np.maximum(2 * lo - hi, 0), np.minimum(2 * hi - lo, grid.cells_per_side)
+
+
+def triple_cube(grid: GridSpec, cube: Cube | None) -> GridCube:
+    """``triple_boxes`` of one cube (of the whole domain when None);
+    ``clipped`` is True when some extent is cut short of three times the
+    cube's."""
+    lo, hi = (np.array([v]) for v in cell_box(grid, cube))
+    lo3, hi3 = triple_boxes(grid, lo, hi)
+    shape = hi3 - lo3
+    return GridCube(tuple(lo3[0].tolist()), tuple(shape[0].tolist()), bool(np.any(shape != 3 * (hi - lo))))
 
 
 def cube_slices(grid: GridSpec, cube: Cube) -> tuple:
@@ -180,8 +181,9 @@ def cube_slices(grid: GridSpec, cube: Cube) -> tuple:
     return tuple(slice(lo[a], hi[a]) for a in range(grid.n))
 
 
-def cube_flat_indices(grid: GridSpec, cube: Cube) -> np.ndarray:
-    """Flat indices of a cube's cells in ascending (row-major) order."""
+def cube_flat_indices(grid: GridSpec, cube: Cube | None) -> np.ndarray:
+    """Flat indices of a cube's cells (every cell when ``cube`` is None)
+    in ascending (row-major) order."""
     lo, hi = cell_box(grid, cube)
     flat = np.arange(lo[0], hi[0])
     for a in range(1, grid.n):

@@ -294,8 +294,7 @@ def _eval_values(spec: KernelSpec, x: np.ndarray, ys):
         den = u0 * u0 + u1 * u1
         valid = den > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = (u0 + u1) / den ** 1.5
-        return np.where(valid, vals, 0.0), valid
+            return (u0 + u1) / den ** 1.5, valid
     if spec.variant in ("mpt", "mpt_truncated"):
         return _mpt_values(spec, x[0] - ys[0][..., 0])
     if spec.variant == "dini_synthetic":
@@ -307,8 +306,7 @@ def _eval_values(spec: KernelSpec, x: np.ndarray, ys):
         frac -= np.floor(frac)
         tent = 2.0 * np.minimum(frac, 1.0 - frac)
         mn = spec.m * x.size
-        vals = spec.amplitude * spec.modulus(tent) / Dsafe ** mn
-        return np.where(valid, vals, 0.0), valid
+        return spec.amplitude * spec.modulus(tent) / Dsafe ** mn, valid
     raise ValueError(f"unknown kernel variant {spec.variant!r}")
 
 

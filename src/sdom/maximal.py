@@ -41,6 +41,7 @@ from .grid import (
     GridSpec,
     cell_box,
     cube_flat_indices,
+    triple_boxes,
     triple_cube,
 )
 from .operators import OperatorSpec, apply, check_inputs, kernel_rows, x_blocks
@@ -115,7 +116,7 @@ def family_boxes(grid: GridSpec, mode: CubeFamilyMode, within: Cube | None = Non
     if problem:
         raise ValueError(problem)
     n = grid.n
-    wlo, whi = cell_box(grid, within) if within is not None else ((0,) * n, (grid.cells_per_side,) * n)
+    wlo, whi = cell_box(grid, within)
     if mode.kind == "all":  # every corner, one cell apart
         widths, shifts = range(1, min(h - l for l, h in zip(wlo, whi)) + 1), (0,) * n
     else:
@@ -267,14 +268,11 @@ def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | N
     grid = op.grid
     N = grid.cells_per_side
     hm = grid.cell_volume() ** op.kernel.m
-    if within is None:
-        xs, rbox = np.arange(grid.num_cells), None
-    else:
-        xs, rbox = cube_flat_indices(grid, within), triple_cube(grid, within)
+    xs, rbox = cube_flat_indices(grid, within), triple_cube(grid, within)
     blocks = list(family_boxes(grid, mode, within))
     lo = np.concatenate([b[0] for b in blocks])
     hi = np.concatenate([b[1] for b in blocks])
-    lo3, hi3 = np.maximum(2 * lo - hi, 0), np.minimum(2 * hi - lo, N)  # 3Q, clipped like triple_cube
+    lo3, hi3 = triple_boxes(grid, lo, hi)
 
     def block(xb):
         idx, W, rows = kernel_rows(op, fs, xb, rbox)
@@ -338,12 +336,11 @@ class MTBoundReport:
     argmax_cell: int
 
 
-def mt_pointwise_bound_check(
-    op: OperatorSpec, fs, r: float, kr_value: float, mode: CubeFamilyMode = DYADIC
-) -> MTBoundReport:
+def mt_pointwise_bound_check(op: OperatorSpec, fs, r: float, kr_value: float) -> MTBoundReport:
     """Measure the constant in the pointwise bound on the grand maximal
     truncation: gap(x) <= c * (product maximal of |f_i|^r)^{1/r}(x)
-    + (delta-average of T(f) at delta = r/4)(x).
+    + (delta-average of T(f) at delta = r/4)(x), every maximal function
+    over the dyadic family.
 
     The report's c_emp is the smallest c making the bound hold on every
     cell of the grid where the maximal product term is positive.
@@ -352,11 +349,11 @@ def mt_pointwise_bound_check(
         raise ValueError("r must satisfy r >= 1")
     fs = check_inputs(op, fs)
     grid = op.grid
-    gap = grand_maximal(op, fs, mode).values
+    gap = grand_maximal(op, fs).values
     tf = apply(op, fs)
-    md = m_delta(tf, r / 4.0, mode).values
+    md = m_delta(tf, r / 4.0).values
     powered = [GridFunction(grid, np.abs(f.values) ** r) for f in fs]
-    denom = multilinear_maximal(powered, mode).values ** (1.0 / r)
+    denom = multilinear_maximal(powered).values ** (1.0 / r)
     num = np.maximum(gap - md, 0.0)
     pos = denom > 0.0
     flag = bool(np.any(~pos & (num > 0.0)))

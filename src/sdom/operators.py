@@ -52,13 +52,9 @@ def check_inputs(op: OperatorSpec, fs) -> tuple:
 
 def _slot_cells(op: OperatorSpec, f: GridFunction, ybox: Cube | None):
     """Ascending flat indices of cells that can contribute: inside the
-    slot box (when given) and carrying a nonzero value."""
-    if ybox is None:
-        idx = np.arange(op.grid.num_cells)
-    else:
-        idx = cube_flat_indices(op.grid, ybox)
-    keep = f.values[idx] != 0.0
-    idx = idx[keep]
+    slot box (the whole domain when None) and carrying a nonzero value."""
+    idx = cube_flat_indices(op.grid, ybox)
+    idx = idx[f.values[idx] != 0.0]
     return idx, f.values[idx]
 
 
@@ -119,13 +115,13 @@ def _rows(op: OperatorSpec, idx, xs: np.ndarray):
         yield vals
 
 
-def apply_on_cells(op: OperatorSpec, fs, xs: np.ndarray, ybox: Cube | None) -> np.ndarray:
+def apply_on_cells(op: OperatorSpec, fs, xs: np.ndarray) -> np.ndarray:
     """Operator values on the cells listed in ``xs`` (flat indices),
-    with every slot restricted to ``ybox``: each value is the sum of
-    the kernel row of ``kernel_rows`` times the input products, times
+    every slot over the whole domain: each value is the sum of the
+    kernel row of ``kernel_rows`` times the input products, times
     h^{mn}."""
     hm = op.grid.cell_volume() ** op.kernel.m
-    _, W, rows = kernel_rows(op, fs, xs, ybox)
+    _, W, rows = kernel_rows(op, fs, xs, None)
     out = np.zeros(xs.size)
     for i, V in enumerate(rows):
         out[i] = float(np.sum(V * W)) * hm
@@ -158,7 +154,7 @@ def operator_values(op: OperatorSpec, fs, xs: np.ndarray) -> np.ndarray:
     domain, computed in ``x_blocks`` tasks; raises ArithmeticError when
     one is not finite."""
     blocks = x_blocks(op, fs, xs, None)
-    vals = np.concatenate(parallel_map(lambda b: apply_on_cells(op, fs, b, None), blocks))
+    vals = np.concatenate(parallel_map(lambda b: apply_on_cells(op, fs, b), blocks))
     if not np.all(np.isfinite(vals)):
         raise ArithmeticError("operator output is not finite")
     return vals
@@ -194,4 +190,4 @@ def check_rows(op: OperatorSpec, fs, xs: np.ndarray) -> None:
         xb = xs[b : b + step]
         hit = singular_rows(op.kernel, cell_centers(op.grid, xb), *ys, keep=[xb[:, None] != i for i in idx])
         if hit.any():
-            apply_on_cells(op, fs, xb[hit][:1], None)
+            apply_on_cells(op, fs, xb[hit][:1])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sdom import DyadicCube, GridFunction, GridSpec
+from sdom.grid import DyadicCube, GridFunction, GridSpec
 
 
 @pytest.fixture

@@ -13,18 +13,22 @@ they apply T again on the cells of Q with every slot restricted to 3Q,
 and compare with the reference truncation, T(f) for the grand and
 T(f restricted to 3 q0) for the local variant.  ``apply_truncated`` is
 the truncation T(f restricted to 3Q) on every cell, which the tests
-compare the gaps and ``apply`` with.
+compare the gaps and ``apply`` with.  Every truncation here is summed
+directly from ``eval_batch`` (``_truncated``), not through the row
+engine of `sdom.operators` that the gaps use.
 
 All of it is slow but follows the definitions line by line, so the
 fast paths are tested against it.  Only public `sdom` names are used.
 """
 
+import functools
 import itertools
 
 import numpy as np
 
-from sdom.grid import GridCube, GridFunction, cell_box, cube_flat_indices, triple_cube
-from sdom.operators import apply, apply_on_cells
+from sdom.grid import GridCube, GridFunction, cell_box, cell_centers, cube_flat_indices, triple_cube
+from sdom.kernels import eval_batch
+from sdom.operators import apply
 
 
 def family_boxes(grid, mode, within=None):
@@ -132,11 +136,33 @@ def vec_ap_characteristic(wt, mode):
     return best
 
 
+def _truncated(op, fs, xs, cube):
+    """T(f restricted to the tripled cube) on the cells ``xs``.  For each
+    cell: one ``eval_batch`` call over the product of the slots' nonzero
+    cells in 3Q (ascending, each slot on its own axis), the tuples with
+    the cell in some slot zeroed, summed against the input products and
+    scaled by h^{mn}."""
+    grid, m = op.grid, op.kernel.m
+    box = cube_flat_indices(grid, triple_cube(grid, cube))
+    idx = [box[f.values[box] != 0.0] for f in fs]
+    W = functools.reduce(np.multiply.outer, [f.values[i] for f, i in zip(fs, idx)])
+    ys = [np.expand_dims(cell_centers(grid, i), tuple(range(1, m - s))) for s, i in enumerate(idx)]
+    hm = grid.cell_volume() ** m
+    out = np.zeros(len(xs))
+    for j, x in enumerate(xs):
+        V, ok = eval_batch(op.kernel, cell_centers(grid, np.array([x]))[0], *ys)
+        for s, i in enumerate(idx):
+            own = (slice(None),) * s + (i == x,)
+            V[own], ok[own] = 0.0, True
+        assert ok.all(), f"singular tuple off the diagonal at x cell {x}"
+        out[j] = float(np.sum(V * W)) * hm
+    return out
+
+
 def apply_truncated(op, fs, cube):
     """T applied to the inputs restricted to the tripled cube, on every
     cell of the grid."""
-    grid = op.grid
-    return GridFunction(grid, apply_on_cells(op, fs, np.arange(grid.num_cells), triple_cube(grid, cube)))
+    return GridFunction(op.grid, _truncated(op, fs, np.arange(op.grid.num_cells), cube))
 
 
 def _gap(op, fs, reference, mode, within):
@@ -146,7 +172,7 @@ def _gap(op, fs, reference, mode, within):
     for lo, hi in family_boxes(grid, mode, within):
         cube = GridCube(lo, tuple(hi[a] - lo[a] for a in range(grid.n)))
         xs = cube_flat_indices(grid, cube)
-        t_q = apply_on_cells(op, fs, xs, triple_cube(grid, cube))
+        t_q = _truncated(op, fs, xs, cube)
         score = float(np.max(np.abs(reference[xs] - t_q)))
         sl = tuple(slice(lo[a], hi[a]) for a in range(grid.n))
         np.maximum(view[sl], score, out=view[sl])
@@ -162,5 +188,5 @@ def grand_maximal(op, fs, mode):
 def local_grand_maximal(op, fs, q0, mode):
     x0 = cube_flat_indices(op.grid, q0)
     t_q0 = np.zeros(op.grid.num_cells)
-    t_q0[x0] = apply_on_cells(op, fs, x0, triple_cube(op.grid, q0))
+    t_q0[x0] = _truncated(op, fs, x0, q0)
     return _gap(op, fs, t_q0, mode, q0)

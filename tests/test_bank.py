@@ -16,6 +16,8 @@ def test_bank_spec_validation():
         BankSpec(shapes=("spike", "spike"))
     with pytest.raises(ValueError):
         BankSpec(count_per_shape=0)
+    with pytest.raises(ValueError, match="must not be empty"):
+        BankSpec(shapes=())
 
 
 def test_frozen_stream_values():

@@ -33,6 +33,7 @@ def run(tmp_path, command, cfg, extra=()):
 
 
 GRID_1D = {"n": 1, "L": 5, "origin": [0.0], "side": 8.0}
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_kr_report_and_hash(tmp_path):
@@ -373,6 +374,29 @@ def test_negative_dual_average_in_weights(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "side, kernel, bank, message",
+    [
+        (8.0, "x_independent", {"support": {"level": 1, "index": [0, 1]}}, "cube dimension does not match the grid"),
+        (8.0, "x_independent", {"support": {"level": 9, "index": [0]}}, "cube is finer than the grid resolution"),
+        (8.0, "x_independent", {"shapes": []}, "bank shapes must not be empty"),
+        (1e-310, "zero", {"shapes": ["spike"]}, "cell values must all be finite"),
+    ],
+    ids=["support_dimension", "support_too_fine", "no_shapes", "spike_overflows"],
+)
+def test_weights_bank_refusals_are_config_errors(tmp_path, capsys, side, kernel, bank, message):
+    cfg = {
+        "grid": {"n": 1, "L": 4, "origin": [0.0], "side": side},
+        "kernel": {"variant": kernel, "m": 1},
+        "r": 1.0,
+        "weights": [{"kind": "power", "exponent": 0.0}],
+        "exponents": [2.0],
+        "bank": {"count_per_shape": 1, **bank},
+    }
+    code, _ = run(tmp_path, "weights", cfg)
+    assert_one_line_failure(capsys, code, 1, f"sdom: config error: bank: {message}", tmp_path, ["cfg.json"])
+
+
+@pytest.mark.parametrize(
     "cube, pair, message",
     [
         ([[4.0, 1.0], 2.0], [[4.0], [4.25]], "explicit cube/pair dimension does not match the grid"),
@@ -492,8 +516,17 @@ def test_written_paths_printed(tmp_path, capsys):
     assert str(out / "dini_cases.csv") in stdout
 
 
+def test_readme_example_runs(tmp_path):
+    example = ROOT / "examples" / "dominate.json"
+    assert f"```json\n{example.read_text()}```" in (ROOT / "README.md").read_text()
+    out = tmp_path / "out"
+    assert cli.main(["dominate", "--config", str(example), "--out", str(out)]) == 0
+    names = ["dominate_cases.csv", "dominate_family.json", "dominate_report.json", "dominate_stats.json"]
+    assert sorted(os.listdir(out)) == names
+
+
 def test_module_entry_points_run_the_cli():
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for module in ("sdom.cli", "sdom"):
         proc = subprocess.run([sys.executable, "-m", module], capture_output=True, text=True, env=env, timeout=120)

@@ -132,7 +132,7 @@ def test_domination_constant_is_the_full_domain_reference(cfg, r, block):
         got = outcome(lambda: domination_constant(op, fs, family, r))
     if expected == (ArithmeticError, "operator output is not finite") and got != expected:
         idx = cube_flat_indices(op.grid, root)
-        tf = np.abs(apply_on_cells(op, fs, np.arange(op.grid.num_cells), None))
+        tf = np.abs(apply_on_cells(op, fs, np.arange(op.grid.num_cells)))
         assert np.all(np.isfinite(tf[idx])) and not np.all(np.isfinite(tf))
         expected = outcome(lambda: ref.report_on_root(tf, sparse_eval(family, fs, r).values, idx))
     assert got == expected

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdom import (
+from sdom.grid import (
+    BoxSums,
     DyadicCube,
     GridCube,
     GridFunction,
@@ -18,7 +19,6 @@ from sdom import (
     support_in,
     triple_cube,
 )
-from sdom.grid import BoxSums
 
 from conftest import gf, unit_root
 

@@ -1,6 +1,6 @@
-"""Modules of the package use only each other's public names, and every
-public function and method is reached by a command or the acceptance
-gate."""
+"""Modules of the package use only each other's public names, the
+package root re-exports none, and every public function and method is
+reached by a command or the acceptance gate."""
 
 import ast
 import collections
@@ -29,10 +29,24 @@ def test_no_private_names_across_modules():
     assert found == []
 
 
+def test_package_root_imports_no_names():
+    """Every name has one home: the package root imports nothing from
+    its submodules, so each name is imported from its defining module."""
+    tree = TREES["__init__.py"]
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("sdom")))
+        or (isinstance(node, ast.Import) and any(a.name.startswith("sdom") for a in node.names))
+    ]
+    assert found == []
+
+
 # Public names that neither a command nor the acceptance gate reaches,
 # kept on purpose, with the reason each stays.
 KEPT = {
     "get_thread_count": "bench/tracer.py imports it",
+    "shifted_modes": "the acceptance gate reaches it only through best_of_shifted (ROADMAP item 8)",
 }
 
 
@@ -73,27 +87,23 @@ def _codes_run() -> set:
 
 
 def test_every_public_function_is_reached():
-    """A module-level function is reached when another module, its own
-    module outside its body, or the acceptance gate names it.  A method
-    of a public class is reached when it runs during the golden corpus
-    or the acceptance gate names it."""
+    """A public module-level function, or a method of a public class, is
+    reached when it runs during the golden corpus or the acceptance gate
+    names it."""
     acceptance = _names(ast.parse(ACCEPTANCE.read_text()))
-    trees = {mod: tree for mod, tree in TREES.items() if mod != "__init__.py"}
-    # one walk per module: the names of each top-level statement
-    per_stmt = {mod: [_names(stmt) for stmt in tree.body] for mod, tree in trees.items()}
-    total = sum((c for counts in per_stmt.values() for c in counts), collections.Counter())
     ran = _codes_run()
     unreached = {}
-    for mod, tree in trees.items():
-        for stmt, counts in zip(tree.body, per_stmt[mod]):
-            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
-                if total[stmt.name] == counts[stmt.name] and stmt.name not in acceptance:
+    for mod, tree in TREES.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
+                continue
+            obj = getattr(importlib.import_module(f"sdom.{mod[:-3]}"), stmt.name)
+            if isinstance(stmt, ast.FunctionDef):
+                if _code(obj) not in ran and stmt.name not in acceptance:
                     unreached[stmt.name] = mod
-            if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
-                attrs = vars(getattr(importlib.import_module(f"sdom.{mod[:-3]}"), stmt.name))
-                for sub in stmt.body:
-                    if not isinstance(sub, ast.FunctionDef) or sub.name.startswith("_"):
-                        continue
-                    if _code(attrs[sub.name]) not in ran and sub.name not in acceptance:
+                continue
+            for sub in stmt.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    if _code(vars(obj)[sub.name]) not in ran and sub.name not in acceptance:
                         unreached[f"{stmt.name}.{sub.name}"] = mod
     assert sorted(unreached) == sorted(KEPT), unreached

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from sdom import (
-    GridSpec,
+from sdom.grid import GridSpec
+from sdom.kernels import (
     KernelSpec,
     Modulus,
     SamplePlan,
     bilinear_odd_kernel,
     dini_norm,
     dini_synthetic_kernel,
+    eval_batch,
     h2_constant,
     hormander_constant,
     mpt_kernel,
@@ -18,7 +19,6 @@ from sdom import (
     x_independent_kernel,
     zero_kernel,
 )
-from sdom.kernels import eval_batch
 
 # Dimensional comparison constants for the synthetic Dini kernels,
 # recorded from reference runs (n=1, levels (2,3) plan, L=8): the
