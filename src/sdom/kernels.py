@@ -23,14 +23,24 @@ Both estimators run on one shell engine.  Around a sampled cube Q the
 dilates 2^j Q are index ranges of the sorted quadrature axes, found by
 binary search, and they sort the lattice into shells: Q itself, then
 each dyadic annulus.  The samples are grouped by cube, and each
-distinct sample point p of a cube is evaluated once, K(p, .) over the
-product of the shell-sorted lattice with itself, so a pair's difference
-K(x, .) - K(z, .) is one subtraction.  Per-shell sums of |K(x, .) - K(z, .)|^{r'} (maxima at
-r = 1) fill a table with one cell per shell multi-index, from which
+distinct sample point p of a cube has one row K(p, .) over the product
+of the shell-sorted lattice with itself, so a pair's difference
+K(x, .) - K(z, .) is one subtraction.  A one-slot kernel that is a
+function of x - y (the boundary-logarithmic and synthetic ones) is
+evaluated once per call, as an offset table: the row of one sample
+point over the lattice padded by the spread of the points.  The row of
+every point whose differences x - y are bitwise the table's at some
+lattice shift is a gather from it; every other row is evaluated
+directly, so the values do not depend on which path served them.
+Per-shell sums of |K(x, .) - K(z, .)|^{r'} (maxima at r = 1) fill a
+table with one cell per shell multi-index, from which
 ``hormander_constant`` reads the annulus series and ``h2_constant`` the
 normalized shell values.  One parallel task handles one cube, and the
 results return in plan order.  ``regularity`` reads both constants off
-one pass of tables; the tables live only for that call.
+one pass of tables; the tables live only for that call.  A non-finite
+shell table or value, or a decay factor |x - z|^e that under- or
+overflows, raises FloatingPointError naming the sample's cube centre
+and pair.
 
 The boundary-logarithmic kernels find their live set (the open band
 3 < t < 5, cut to the comb's teeth) on the whole batch and evaluate
@@ -55,6 +65,10 @@ _LN2 = math.log(2.0)
 # thread count.
 _CHUNK = 1 << 18
 _MAX_PRODUCT_POINTS = 1 << 24
+_MAX_TABLE = 1 << 22  # entries of one offset table
+
+# Variants that are functions of the offsets x - y alone.
+_CONVOLUTION = ("mpt", "mpt_truncated", "dini_synthetic")
 
 # Variants whose formula lives on the real line, by their name in errors.
 _ONE_DIMENSIONAL = {
@@ -556,6 +570,9 @@ def _shell_order(axes, center: np.ndarray, side: float):
     found by the same half-open comparison as testing coordinates.
     Returns (perm, starts): lattice indices sorted by shell, ascending
     within a shell, and the J + 2 offsets of the shells in that order.
+    In one dimension shell j >= 1 is two runs of indices, the one left
+    of B_{j-1} and then the one right of it, so the permutation is read
+    off the bounds; in two it is a stable sort of per-point shell labels.
     """
     halves = np.ldexp(side, np.arange(-1, 80))
     lo = [np.searchsorted(ax, c - halves) for ax, c in zip(axes, center)]
@@ -564,6 +581,13 @@ def _shell_order(axes, center: np.ndarray, side: float):
     if not whole.any():
         raise RuntimeError("shell enumeration failed to terminate")
     J = int(np.argmax(whole))
+    if len(axes) == 1:
+        lo, hi = lo[0][: J + 1].tolist(), hi[0][: J + 1].tolist()
+        index = np.arange(hi[J])
+        runs = [index[lo[0] : hi[0]]]
+        for j in range(1, J + 1):
+            runs += [index[lo[j] : lo[j - 1]], index[hi[j - 1] : hi[j]]]
+        return np.concatenate(runs), np.array([0] + [b - a for a, b in zip(lo, hi)], dtype=np.intp)
     label = np.full(tuple(len(ax) for ax in axes), J)
     for j in range(J - 1, -1, -1):
         label[tuple(slice(a[j], b[j]) for a, b in zip(lo, hi))] = j
@@ -573,28 +597,85 @@ def _shell_order(axes, center: np.ndarray, side: float):
     return np.argsort(label, kind="stable"), starts
 
 
-def _cube_tables(spec: KernelSpec, axes, pts: np.ndarray, r: float, center, side, pairs) -> list:
+def _offset_table(spec: KernelSpec, grid: GridSpec, axes, points: np.ndarray):
+    """The offset table of the distinct sample points ``points`` (P, n),
+    or None when K is not a function of x - y with one slot or the
+    table would exceed ``_MAX_TABLE`` entries.
+
+    The table is (vals, valid, index, shift): the row K(p0, .) over the
+    quadrature lattice padded by the spread of the points, flat in
+    row-major order, with ``valid`` None when it holds no False;
+    ``index``, the flat table position of each lattice point in p0's
+    own row; and ``shift``, which maps the bytes of a sample point p to
+    the flat offset of its row, so that K(p, .) is
+    ``vals[index + shift[p]]``.
+
+    p0 is the first point.  A point p within the lattice's length of p0
+    on every axis is s = round((p - p0) / h) cells away, and joins
+    ``shift`` when p - y, over each lattice axis, is bitwise p0 - y' with
+    y' = y - s h as the lattice spells it.  The kernel then sees the
+    same differences, so the gathered row is bitwise the row
+    ``eval_batch`` gives; every other point keeps ``eval_batch``.  The
+    table is evaluated with numpy's floating-point warnings off, since
+    its padding holds offsets that no row meets.
+    """
+    if spec.m != 1 or spec.variant not in _CONVOLUTION:
+        return None
+    sizes = [len(ax) for ax in axes]
+    p0 = points[0]
+    with np.errstate(all="ignore"):
+        d = (points - p0) / grid.h
+        near = np.all(np.abs(d) <= sizes, axis=1)
+        points, shifts = points[near], np.rint(d[near]).astype(np.intp)
+        lo, hi = shifts.min(axis=0).tolist(), shifts.max(axis=0).tolist()
+        shape = tuple(size + b - a for size, a, b in zip(sizes, lo, hi))
+        if math.prod(shape) > _MAX_TABLE:
+            return None
+        ext = [
+            grid.origin[a] + grid.h * (np.arange(rg.start - hi[a], rg.stop - lo[a]) + 0.5)
+            for a, rg in enumerate(_lattice_indices(spec, grid))
+        ]
+        vals, valid = eval_batch(spec, p0, _lattice_points(ext))
+        base = [p0[a] - e for a, e in enumerate(ext)]  # p0 - y' along each padded axis
+        strides = [math.prod(shape[a + 1 :]) for a in range(len(shape))]
+        shift = {}
+        for p, s in zip(points, shifts.tolist()):
+            first = [b - t for b, t in zip(hi, s)]
+            if all((p[a] - ax).tobytes() == base[a][f : f + len(ax)].tobytes() for a, (ax, f) in enumerate(zip(axes, first))):
+                shift[p.tobytes()] = -sum(t * st for t, st in zip(s, strides))
+    # lattice cell i sits at padded cell i + hi in p0's own row
+    index = np.ravel_multi_index(np.meshgrid(*(np.arange(size) + b for size, b in zip(sizes, hi)), indexing="ij"), shape)
+    return vals, None if valid.all() else valid, index.ravel(), shift
+
+
+def _cube_tables(spec: KernelSpec, axes, pts: np.ndarray, r: float, center, side, pairs, offsets) -> list:
     """Shell tables of the sample pairs (x, z) that share one cube.
 
     The table of a pair has one cell per shell multi-index (j_1 .. j_m):
     the sum of |K(x,.) - K(z,.)|^{r'} over that product of shells, or
     the largest |K(x,.) - K(z,.)| at r = 1.  Every distinct sample point
-    p is evaluated once, K(p, .) over the shell-sorted tuples; a pair's
-    difference is then one subtraction.  At m = 2 the tuples go in
-    blocks of at most ``_CHUNK``, first-slot rows of the shell-sorted
-    lattice against the whole lattice; at m = 1 the lattice is one
-    block.  Returns (table, skipped) per pair, in the order given, with
-    skipped counting the singular tuples outside Q^m.
+    p has one row K(p, .) over the shell-sorted tuples, and a pair's
+    difference is one subtraction.  The rows of the points that the
+    ``_offset_table`` result ``offsets`` serves (None: no point) come
+    in one gather from it; every other row is an ``eval_batch`` call.
+    At m = 2 the tuples go in blocks of at most ``_CHUNK``, first-slot
+    rows of the shell-sorted lattice against the whole lattice; at
+    m = 1 the lattice is one block.  Returns (table, skipped) per pair,
+    in the order given, with skipped counting the singular tuples
+    outside Q^m.
     """
     m = spec.m
     perm, starts = _shell_order(axes, center, side)
-    lattice = pts[perm]
-    N, J = lattice.shape[0], len(starts) - 1
+    N, J = len(perm), len(starts) - 1
     points = {}
     for x, z in pairs:
         points.setdefault(x.tobytes(), x)
         points.setdefault(z.tobytes(), z)
-    slot = {key: i for i, key in enumerate(points)}
+    table_vals, table_valid, index, shift = offsets if offsets is not None else (None, None, None, {})
+    keys = sorted(points, key=lambda key: key not in shift)  # gathered rows first
+    H = sum(key in shift for key in keys)
+    lattice = pts[perm] if H < len(keys) else None
+    slot = {key: i for i, key in enumerate(keys)}
     xi = np.array([slot[x.tobytes()] for x, _ in pairs])
     zi = np.array([slot[z.tobytes()] for _, z in pairs])
     reduce = np.add.reduce if r > 1 else np.maximum.reduce
@@ -605,23 +686,28 @@ def _cube_tables(spec: KernelSpec, axes, pts: np.ndarray, r: float, center, side
     q = starts[1]  # Q^m is the leading q rows and columns
     for i0 in range(0, R, step):
         i1 = min(R, i0 + step)
-        ys = (lattice[i0:i1, None], lattice) if m == 2 else (lattice,)
-        vals = np.empty((len(points), i1 - i0, N))
+        vals = np.empty((len(keys), i1 - i0, N))
         valid = np.empty(vals.shape, dtype=bool)
-        for k, p in enumerate(points.values()):
-            vals[k], valid[k] = eval_batch(spec, p, *ys)
-        ok = valid[xi] & valid[zi]
+        if H:  # one slot: a single block of one row per point
+            at = index[perm] + np.array([shift[key] for key in keys[:H]])[:, None]
+            vals[:H, 0] = table_vals[at]
+            valid[:H, 0] = True if table_valid is None else table_valid[at]
+        for k in range(H, len(keys)):
+            ys = (lattice[i0:i1, None], lattice) if m == 2 else (lattice,)
+            vals[k], valid[k] = eval_batch(spec, points[keys[k]], *ys)
+        bad = ~(valid[xi] & valid[zi])
         a = np.empty((len(pairs), i1 - i0, N))
         for k in range(len(pairs)):
             np.subtract(vals[xi[k]], vals[zi[k]], out=a[k])
-        a[~ok] = 0.0
+        if bad.any():
+            a[bad] = 0.0
+            top = max(0, min(i1, q ** (m - 1)) - i0)
+            skipped += np.count_nonzero(bad, axis=(1, 2)) - np.count_nonzero(bad[:, :top, :q], axis=(1, 2))
         np.abs(a, out=a)
         if r > 1:
             a **= r / (r - 1.0)  # in place, with the scalar fast paths (square, sqrt) of ``a ** e``
         for j, s, e in shells:
             acc[:, i0:i1, j] = reduce(a[..., s:e], axis=-1)
-        top = max(0, min(i1, q ** (m - 1)) - i0)
-        skipped += np.count_nonzero(~ok, axis=(1, 2)) - np.count_nonzero(~ok[:, :top, :q], axis=(1, 2))
     if m == 2:
         # fold the rows of each shell: cell (j1, j2) of the product shells
         rows_acc, acc = acc, np.zeros((len(pairs), J, J))
@@ -629,17 +715,23 @@ def _cube_tables(spec: KernelSpec, axes, pts: np.ndarray, r: float, center, side
             acc[:, j] = reduce(rows_acc[:, s:e], axis=1)
     else:
         acc = acc[:, 0]
+    finite = np.isfinite(acc).reshape(len(pairs), -1).all(axis=1)
+    if not finite.all():
+        x, z = pairs[int(np.argmin(finite))]
+        raise _sample_failure((center, side, x, z), "non-finite shell table")
     return [(acc[i], int(skipped[i])) for i in range(len(pairs))]
 
 
 def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan):
     """The front end both estimators share.
 
-    Expands the plan, drops degenerate x = z pairs, and runs the shell
-    engine once per distinct cube, one parallel task each.  Returns
-    (rows, skipped_pairs, samples, covers_all), where ``rows`` holds
-    (config, table, skipped) for every kept sample in plan order, so
-    that ties between samples resolve by plan position.
+    Expands the plan, drops degenerate x = z pairs, builds the offset
+    table of the distinct sample points, and runs the shell engine once
+    per distinct cube, one parallel task each.  Returns (rows,
+    skipped_pairs, samples, covers_all), where ``rows`` holds (config,
+    table, skipped) for every kept sample in plan order, so that ties
+    between samples resolve by plan position.  The offset table lives
+    only for this call.
     """
     problem = plan_error(plan, grid) or grid_error(spec, grid) or lattice_error(spec, grid)
     if problem:
@@ -648,14 +740,17 @@ def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan)
     kept = [cfg for cfg in configs if not np.array_equal(cfg[2], cfg[3])]
     axes, bounded = _quad_lattice(spec, grid)
     pts = _lattice_points(axes)
-    cubes = {}
+    cubes, distinct = {}, {}
     for pos, (center, side, x, z) in enumerate(kept):
         cubes.setdefault((tuple(center), side), []).append(pos)
+        distinct.setdefault(x.tobytes(), x)
+        distinct.setdefault(z.tobytes(), z)
     groups = list(cubes.values())
+    offsets = _offset_table(spec, grid, axes, np.array(list(distinct.values())))
 
     def task(positions):
         center, side = kept[positions[0]][:2]
-        return _cube_tables(spec, axes, pts, r, center, side, [kept[i][2:] for i in positions])
+        return _cube_tables(spec, axes, pts, r, center, side, [kept[i][2:] for i in positions], offsets)
 
     rows = [None] * len(kept)
     for positions, tables in zip(groups, parallel_map(task, groups)):
@@ -694,13 +789,19 @@ def _shell_peak(table: np.ndarray, cfg, r: float, delta: float, grid: GridSpec):
     m, n = table.ndim, grid.n
     hvol = grid.cell_volume() ** m
     scale = (side ** n) ** (m * delta / n)
-    decay = float(np.sqrt(np.sum((x - z) ** 2))) ** (m * (delta - n / r))
+    dist = float(np.sqrt(np.sum((x - z) ** 2)))
+    decay = dist ** (m * (delta - n / r))
+    if not 0.0 < decay < math.inf:
+        what = "|x - z| underflows" if dist == 0.0 else f"the decay factor |x - z|^{m * (delta - n / r):g} is {decay!r}"
+        raise _sample_failure(cfg, what)
     best, best_j0 = 0.0, 0
     for idx, s in zip(itertools.product(range(len(table)), repeat=m), table.ravel().tolist()):
-        if not any(idx):
+        if not any(idx) or s == 0.0:  # an empty cell's quotient is 0 and never wins
             continue
         lhs = (s * hvol) ** (1.0 / (r / (r - 1.0))) if r > 1 else s
         val = lhs * scale * 2.0 ** (m * delta * max(idx)) / decay
+        if not math.isfinite(val):
+            raise _sample_failure(cfg, f"the shell quotient is {val!r}")
         if val > best:
             best, best_j0 = val, max(idx)
     return best, best_j0
@@ -731,14 +832,26 @@ def hormander_constant(spec: KernelSpec, grid: GridSpec, r: float, plan: SampleP
     return _kr_report(_sample_tables(spec, grid, r, plan), r, grid)
 
 
+def _sample_failure(cfg, what: str) -> FloatingPointError:
+    """The error that refuses one (center, side, x, z) sample: ``what``,
+    then the sample's cube centre and pair, on one line."""
+    center, _, x, z = cfg
+    return FloatingPointError(f"{what} at cube centre {center.tolist()}, pair x = {x.tolist()}, z = {z.tolist()}")
+
+
 def _kr_report(sampled, r: float, grid: GridSpec) -> EstimateReport:
     """The annulus-sum report read off ``_sample_tables``' result."""
     rows, skipped, samples, bounded = sampled
     best_terms, best_v = (), -1.0
     for cfg, table, sk in rows:
         skipped += sk
-        terms = _annulus_series(table, cfg[1], r, grid)
+        try:
+            terms = _annulus_series(table, cfg[1], r, grid)
+        except OverflowError:
+            raise _sample_failure(cfg, "an annulus term overflows") from None
         v = float(np.sum(np.array(terms))) if terms else 0.0
+        if not math.isfinite(v):  # a term is: a measure that overflows times an empty cell, say
+            raise _sample_failure(cfg, f"the annulus sum is {v!r}")
         if v > best_v:
             best_terms, best_v = tuple(terms), v
     return EstimateReport(
@@ -773,7 +886,10 @@ def _h2_report(sampled, r: float, delta: float, grid: GridSpec) -> EstimateRepor
     best, best_j0 = 0.0, 0
     for cfg, table, sk in rows:
         skipped += sk
-        v, j0 = _shell_peak(table, cfg, r, delta, grid)
+        try:
+            v, j0 = _shell_peak(table, cfg, r, delta, grid)
+        except OverflowError:
+            raise _sample_failure(cfg, "a shell quotient overflows") from None
         if v > best:
             best, best_j0 = v, j0
     return EstimateReport(

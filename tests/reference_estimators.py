@@ -1,10 +1,17 @@
-"""Direct-sum reference for the `kr` / `h2` estimators.
+"""Direct-sum references for the `kr` / `h2` estimators.
 
-These are the original mask-based loops: for every sample and every
-scale they rebuild whole-lattice box masks and evaluate K(x, .) and
-K(z, .) on each region anew.  They are slow but obviously faithful to
-the definitions in `sdom.kernels`, so the shell engine is tested
-against them.  Only public `sdom.kernels` names are used.
+The original mask-based loops: for every sample and every scale they
+rebuild whole-lattice box masks and evaluate K(x, .) and K(z, .) on
+each region anew.  They are slow but obviously faithful to the
+definitions in `sdom.kernels`, so the shell engine is tested against
+them to a relative tolerance.
+
+``cube_tables`` is the shell engine's table builder as it was before
+rows came from offset tables: each distinct sample point's row is one
+``eval_batch`` call over the shell-sorted lattice, and the shells come
+from a stable argsort of per-point shell labels.  The engine must
+reproduce its tables and skip counts bit for bit.  Only public
+`sdom.kernels` names are used.
 """
 
 import math
@@ -24,21 +31,94 @@ _CHUNK = 1 << 18
 def quad_points(spec, grid):
     """Midpoint lattice over the domain extended to the support box."""
     sup = y_support_box(spec, grid)
-    axes = []
-    for a in range(grid.n):
-        lo, hi = grid.origin[a], grid.origin[a] + grid.side
-        if sup is not None:
-            lo, hi = min(lo, float(sup[0][a])), max(hi, float(sup[1][a]))
-        o, h = grid.origin[a], grid.h
-        i_lo = math.ceil((lo - o) / h - 0.5)
-        i_hi = math.ceil((hi - o) / h - 0.5)
-        axes.append(o + h * (np.arange(i_lo, i_hi) + 0.5))
+    axes = quad_axes(spec, grid)
     if grid.n == 1:
         pts = axes[0][:, None]
     else:
         A, B = np.meshgrid(axes[0], axes[1], indexing="ij")
         pts = np.column_stack([A.ravel(), B.ravel()])
     return pts, sup is not None
+
+
+def quad_axes(spec, grid):
+    """The sorted lattice coordinates along each axis, as ``quad_points``
+    spans them."""
+    sup = y_support_box(spec, grid)
+    axes = []
+    for a in range(grid.n):
+        lo, hi = grid.origin[a], grid.origin[a] + grid.side
+        if sup is not None:
+            lo, hi = min(lo, float(sup[0][a])), max(hi, float(sup[1][a]))
+        o, h = grid.origin[a], grid.h
+        axes.append(o + h * (np.arange(math.ceil((lo - o) / h - 0.5), math.ceil((hi - o) / h - 0.5)) + 0.5))
+    return axes
+
+
+def shell_order(axes, center, side):
+    """(perm, starts): lattice indices sorted by shell around the cube,
+    ascending within a shell, by a stable argsort of per-point labels."""
+    halves = np.ldexp(side, np.arange(-1, 80))
+    lo = [np.searchsorted(ax, c - halves) for ax, c in zip(axes, center)]
+    hi = [np.searchsorted(ax, c + halves) for ax, c in zip(axes, center)]
+    whole = np.logical_and.reduce([(a == 0) & (b == len(ax)) for a, b, ax in zip(lo, hi, axes)])
+    J = int(np.argmax(whole))
+    label = np.full(tuple(len(ax) for ax in axes), J)
+    for j in range(J - 1, -1, -1):
+        label[tuple(slice(a[j], b[j]) for a, b in zip(lo, hi))] = j
+    label = label.ravel()
+    starts = np.zeros(J + 2, dtype=np.intp)
+    np.cumsum(np.bincount(label, minlength=J + 1), out=starts[1:])
+    return np.argsort(label, kind="stable"), starts
+
+
+def cube_tables(spec, axes, r, center, side, pairs):
+    """(table, skipped) per pair (x, z) of one cube, in the order given:
+    per-shell sums of |K(x,.) - K(z,.)|^{r'} (maxima at r = 1), one cell
+    per shell multi-index, and the singular tuples outside Q^m."""
+    m = spec.m
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    perm, starts = shell_order(axes, center, side)
+    lattice = pts[perm]
+    N, J = lattice.shape[0], len(starts) - 1
+    points = {}
+    for x, z in pairs:
+        points.setdefault(x.tobytes(), x)
+        points.setdefault(z.tobytes(), z)
+    slot = {key: i for i, key in enumerate(points)}
+    xi = np.array([slot[x.tobytes()] for x, _ in pairs])
+    zi = np.array([slot[z.tobytes()] for _, z in pairs])
+    reduce = np.add.reduce if r > 1 else np.maximum.reduce
+    shells = [(j, starts[j], starts[j + 1]) for j in range(J) if starts[j + 1] > starts[j]]
+    R, step = N ** (m - 1), max(1, _CHUNK // N)
+    acc = np.zeros((len(pairs), R, J))
+    skipped = np.zeros(len(pairs), dtype=np.int64)
+    q = starts[1]  # Q^m is the leading q rows and columns
+    for i0 in range(0, R, step):
+        i1 = min(R, i0 + step)
+        ys = (lattice[i0:i1, None], lattice) if m == 2 else (lattice,)
+        vals = np.empty((len(points), i1 - i0, N))
+        valid = np.empty(vals.shape, dtype=bool)
+        for k, p in enumerate(points.values()):
+            vals[k], valid[k] = eval_batch(spec, p, *ys)
+        ok = valid[xi] & valid[zi]
+        a = np.empty((len(pairs), i1 - i0, N))
+        for k in range(len(pairs)):
+            np.subtract(vals[xi[k]], vals[zi[k]], out=a[k])
+        a[~ok] = 0.0
+        np.abs(a, out=a)
+        if r > 1:
+            a **= r / (r - 1.0)
+        for j, s, e in shells:
+            acc[:, i0:i1, j] = reduce(a[..., s:e], axis=-1)
+        top = max(0, min(i1, q ** (m - 1)) - i0)
+        skipped += np.count_nonzero(~ok, axis=(1, 2)) - np.count_nonzero(~ok[:, :top, :q], axis=(1, 2))
+    if m == 2:
+        rows_acc, acc = acc, np.zeros((len(pairs), J, J))
+        for j, s, e in shells:
+            acc[:, j] = reduce(rows_acc[:, s:e], axis=1)
+    else:
+        acc = acc[:, 0]
+    return [(acc[i], int(skipped[i])) for i in range(len(pairs))]
 
 
 def box_mask(pts, center, half):

@@ -179,9 +179,9 @@ def test_separation_builds_each_shell_table_once(tmp_path, monkeypatch):
     calls = []
     inner = kernels._cube_tables
 
-    def counted(spec, axes, pts, r, center, side, pairs):
+    def counted(spec, axes, pts, r, center, side, pairs, offsets):
         calls.append((spec.ell, tuple(center), side))
-        return inner(spec, axes, pts, r, center, side, pairs)
+        return inner(spec, axes, pts, r, center, side, pairs, offsets)
 
     monkeypatch.setattr(kernels, "_cube_tables", counted)
     cfg = {"grid": {"n": 1, "L": 6, "origin": [0.0], "side": 8.0}, "beta": 1.0, "r": 2.0, "delta": 1.0, "ells": [0, 1]}
@@ -373,6 +373,48 @@ def test_negative_dual_average_in_weights(tmp_path, capsys):
     assert_one_line_failure(capsys, code, 2, prefix, tmp_path, ["cfg.json"])
 
 
+DINI_M1 = {"variant": "dini_synthetic", "m": 1, "modulus": {"kind": "power", "c": 1.0, "eps": 0.7}}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        # 1/|x - y| ~ 1e100 on cells of side 6e-102: squared differences overflow
+        (
+            "kr",
+            {
+                "grid": {"n": 2, "L": 4, "origin": [0.0, 0.0], "side": 1e-100},
+                "kernel": DINI_M1,
+                "r": 2.0,
+                "plan": {"levels": [1, 2], "pair_depth": 1},
+            },
+            "non-finite shell table at cube centre [",
+        ),
+        # |x - z| ~ 1e-201 squares to zero, so the decay factor vanishes
+        (
+            "h2",
+            {
+                "grid": {"n": 1, "L": 4, "origin": [0.0], "side": 1e-200},
+                "kernel": {"variant": "x_independent", "m": 1},
+                "r": 2.0,
+                "delta": 1.0,
+                "plan": {"levels": [1, 2], "pair_depth": 1},
+            },
+            "|x - z| underflows at cube centre [2.5e-201], pair x = [",
+        ),
+        # |x - z| ~ 1e299 squares to infinity
+        (
+            "separation",
+            {"grid": {"n": 1, "L": 5, "origin": [0.0], "side": 1e300}, "beta": 1.0, "r": 2.0, "delta": 1.0, "ells": [0, 1]},
+            "the decay factor |x - z|^0.5 is inf at cube centre [",
+        ),
+    ],
+)
+def test_non_finite_estimates_exit_2_naming_the_sample(tmp_path, capsys, command, cfg, message):
+    code, _ = run(tmp_path, command, cfg)
+    assert_one_line_failure(capsys, code, 2, f"sdom: numerical failure: {message}", tmp_path, ["cfg.json"])
+
+
 @pytest.mark.parametrize(
     "side, kernel, bank, message",
     [
@@ -523,6 +565,16 @@ def test_readme_example_runs(tmp_path):
     assert cli.main(["dominate", "--config", str(example), "--out", str(out)]) == 0
     names = ["dominate_cases.csv", "dominate_family.json", "dominate_report.json", "dominate_stats.json"]
     assert sorted(os.listdir(out)) == names
+
+
+def test_readme_separation_example_runs(tmp_path):
+    example = ROOT / "examples" / "separation.json"
+    assert f"```json\n{example.read_text()}```" in (ROOT / "README.md").read_text()
+    out = tmp_path / "out"
+    assert cli.main(["separation", "--config", str(example), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["separation_cases.csv", "separation_report.json"]
+    cases = json.loads((out / "separation_report.json").read_text())["results"]["cases"]
+    assert [c["ell"] for c in cases] == [2, 3, 4]
 
 
 def test_module_entry_points_run_the_cli():

@@ -7,36 +7,52 @@ sample must give the reference's series, shell peak and skip count at
 its own plan position, and the reports must agree.  ``regularity``
 must return the two reports of ``hormander_constant`` and
 ``h2_constant`` bit for bit.
+
+The engine's shell tables and skip counts must also be bitwise those of
+``reference_estimators.cube_tables``, which evaluates every row with
+``eval_batch``, for every kernel a config can name, on grids whose
+centre differences are not all exact and on plans with points off the
+lattice class, so that both the offset-table gather and the per-row
+fallback run.
 """
 
 import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from reference_estimators import (
+    cube_tables,
+    quad_axes,
     reference_h2,
     reference_hormander,
     reference_series,
     reference_shells,
 )
+from sdom import kernels
 from sdom.grid import GridSpec
 from sdom.kernels import (
     Modulus,
     SamplePlan,
     _annulus_series,
+    _lattice_points,
+    _offset_table,
+    _quad_lattice,
     _sample_tables,
     _shell_peak,
     bilinear_odd_kernel,
     dini_synthetic_kernel,
+    enumerate_plan,
     h2_constant,
     hormander_constant,
     mpt_kernel,
     mpt_truncated_kernel,
+    plan_error,
     regularity,
     x_independent_kernel,
+    zero_kernel,
 )
 
 from fake_kernels import fake_kernel
@@ -201,3 +217,125 @@ def test_skips_off_the_full_diagonal_match_the_reference(monkeypatch):
     assert kr.skipped == want_kr.skipped == h2.skipped == want_h2.skipped > 0
     _same_report(kr, want_kr)
     _same_report(h2, want_h2)
+
+
+# every kernel variant a config can name, by (m, n)
+ROW_KERNELS = {
+    (1, 1): (
+        zero_kernel(1),
+        x_independent_kernel(1),
+        mpt_kernel(1.0, 2.0),
+        mpt_truncated_kernel(1.0, 2.0, 1),
+        dini_synthetic_kernel(DINI, 1),
+    ),
+    (2, 1): (zero_kernel(2), x_independent_kernel(2), bilinear_odd_kernel(), dini_synthetic_kernel(DINI, 2)),
+    (1, 2): (zero_kernel(1), x_independent_kernel(1), dini_synthetic_kernel(DINI, 1)),
+    (2, 2): (zero_kernel(2), x_independent_kernel(2), dini_synthetic_kernel(DINI, 2)),
+}
+ROW_DEPTHS = {(1, 1): (1, 7), (2, 1): (1, 5), (1, 2): (1, 4), (2, 2): (1, 3)}
+ORIGINS = (0.0, 0.375, 0.1)
+SIDES = (8.0, 14.0, 1e-3)
+
+
+@st.composite
+def row_cases(draw):
+    m, n = draw(st.sampled_from(sorted(ROW_KERNELS)))
+    kernel = draw(st.sampled_from(ROW_KERNELS[(m, n)]))
+    side = draw(st.sampled_from(SIDES))
+    lo, hi = ROW_DEPTHS[(m, n)]
+    if kernel.variant.startswith("mpt") and side < 1:
+        hi = 2  # the support box spans 5 units, some 10^4 cells at L = 2
+    grid = GridSpec(n=n, L=draw(st.integers(lo, hi)), origin=tuple(draw(st.sampled_from(ORIGINS)) for _ in range(n)), side=side)
+    r = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    if draw(st.booleans()):
+        levels = draw(st.lists(st.integers(0, grid.L), min_size=1, max_size=2, unique=True))
+        return kernel, grid, r, SamplePlan(levels=tuple(levels), pair_depth=draw(st.integers(1, 2)), max_pairs=draw(st.integers(1, 4)))
+    cubes, pairs = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        lam = draw(st.integers(0, grid.L))
+        cube_side = grid.side / (1 << lam)
+        center = np.array([o + (draw(st.integers(0, (1 << lam) - 1)) + 0.5) * cube_side for o in grid.origin])
+        x, z = (center + cube_side / 4 * np.array([draw(OFFSETS) for _ in range(n)]) for _ in range(2))
+        cubes.append((center, cube_side))
+        pairs.append((x, z))
+    if all(np.array_equal(x, z) for x, z in pairs):
+        pairs[0] = (cubes[0][0], cubes[0][0] + cubes[0][1] / 8)
+    return kernel, grid, r, SamplePlan(cubes=tuple(cubes), pairs=tuple(pairs))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(row_cases())
+# the golden corpus's estimator grids: the dyadic one and the two whose centre differences are not exact
+@example(case=(mpt_kernel(1.0, 2.0), GridSpec(n=1, L=6, origin=(0.0,), side=8.0), 2.0, SamplePlan(levels=(2, 3), max_pairs=4)))
+@example(case=(mpt_kernel(1.0, 2.0), GridSpec(n=1, L=8, origin=(0.1,), side=14.0), 2.0, SamplePlan(levels=(2, 3), max_pairs=4)))
+@example(
+    case=(dini_synthetic_kernel(DINI, 1), GridSpec(n=2, L=5, origin=(0.375, 0.1), side=1e-3), 2.0, SamplePlan(levels=(1, 2), max_pairs=4))
+)
+# a separation cube family (ell = 2 at L = 8) and the 2-D kr plan of the mixed benchmark workload
+@example(case=(mpt_truncated_kernel(1.5, 2.0, 2), GridSpec(n=1, L=8, origin=(0.0,), side=8.0), 2.0, SamplePlan(levels=(4, 5, 6), max_pairs=6)))
+@example(case=(dini_synthetic_kernel(DINI, 1), GridSpec(n=2, L=3, origin=(0.0, 0.0), side=8.0), 2.0, SamplePlan(levels=(1, 2), pair_depth=1, max_pairs=3)))
+def test_shell_tables_are_the_row_by_row_reference_bit_for_bit(case):
+    kernel, grid, r, plan = case
+    assume(plan_error(plan, grid) is None)  # an offset of 1 can round a point off the half cube
+    rows, _, _, _ = _sample_tables(kernel, grid, r, plan)
+    axes = quad_axes(kernel, grid)
+    cubes = {}
+    for pos, (cfg, _, _) in enumerate(rows):
+        cubes.setdefault((tuple(cfg[0]), cfg[1]), []).append(pos)
+    for (center, side), positions in cubes.items():
+        want = cube_tables(kernel, axes, r, np.array(center), side, [rows[i][0][2:] for i in positions])
+        for pos, (table, skipped) in zip(positions, want):
+            assert rows[pos][1].shape == table.shape
+            assert rows[pos][1].tobytes() == table.tobytes()
+            assert rows[pos][2] == skipped
+
+
+def _distinct_points(grid, plan):
+    points = {}
+    for _, _, x, z in enumerate_plan(plan, grid):
+        points.setdefault(x.tobytes(), x)
+        points.setdefault(z.tobytes(), z)
+    return list(points.values())
+
+
+def test_offset_table_serves_the_lattice_class_of_its_reference():
+    # on the dyadic grid every difference is exact: the points an odd
+    # number of cells from the lattice (level 2, which comes first) are
+    # one class with the table's reference point, and the lattice
+    # points themselves (level 3) are another, which keeps eval_batch
+    grid = GridSpec(n=1, L=6, origin=(0.0,), side=8.0)
+    kernel = mpt_kernel(1.0, 2.0)
+    points = _distinct_points(grid, SamplePlan(levels=(2, 3), max_pairs=4))
+    axes, _ = _quad_lattice(kernel, grid)
+    vals, valid, index, shift = _offset_table(kernel, grid, axes, np.array(points))
+    on_class = {p.tobytes() for p in points if float(p[0] / grid.h) % 1.0 == 0.0}
+    assert set(shift) == on_class and 0 < len(on_class) < len(points)
+    # the table row of each served point is its eval_batch row
+    pts = _lattice_points(axes)
+    for p in points:
+        if p.tobytes() in shift:
+            at = index + shift[p.tobytes()]
+            want_vals, want_valid = kernels.eval_batch(kernel, p, pts)
+            assert vals[at].tobytes() == want_vals.tobytes()
+            assert np.array_equal(want_valid, np.ones_like(want_valid) if valid is None else valid[at])
+    # two slots, or a kernel that is not a function of x - y, get no table
+    for other in (bilinear_odd_kernel(), x_independent_kernel(1), zero_kernel(1)):
+        assert _offset_table(other, grid, axes, np.array(points)) is None
+
+
+def test_separation_evaluates_one_table_row_per_ell(monkeypatch):
+    # at L >= ell + 8 every sample point of a separation plan lies an
+    # integer number of cells from the first, in one lattice class, so
+    # each ell's kernel is evaluated once, as its table
+    calls = []
+    inner = kernels.eval_batch
+
+    def counted(spec, x, *ys):
+        calls.append(spec.ell)
+        return inner(spec, x, *ys)
+
+    monkeypatch.setattr(kernels, "eval_batch", counted)
+    grid = GridSpec(n=1, L=9, origin=(0.0,), side=8.0)
+    for ell in (0, 1):
+        regularity(mpt_truncated_kernel(1.0, 2.0, ell), grid, 2.0, 1.0, SamplePlan(levels=(ell + 2, ell + 3, ell + 4), max_pairs=6))
+    assert calls == [0, 1]

@@ -6,14 +6,16 @@ the dyadic, all-cubes and shifted families, at one and two threads.
 The x loop is cut into blocks of three cells whatever the row length,
 so blocks are merged on these small grids too.  Inputs carry random
 zeros; a sparse variant puts one slot on a single cell, so some cubes Q
-see no nonzero cell of that slot in 3Q.
+see no nonzero cell of that slot in 3Q.  The localized inputs live
+either on 3 q0 alone or on the whole grid, so that the values outside
+3 q0, which the localized gap must not read, are there to be misread.
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_maximal as ref
@@ -98,14 +100,23 @@ def test_grand_maximal_is_the_cube_major_reference(case, seed, density, lone, th
 
 
 @settings(max_examples=60, deadline=None)
-@given(**PARAMS, data=st.data())
-def test_local_grand_maximal_is_the_cube_major_reference(case, seed, density, lone, threads, data):
+@given(**PARAMS, outside=st.booleans(), pick=st.tuples(*(st.integers(0, 1 << 12),) * 3))
+# inputs over the whole grid around a small and a mid-level q0, in one and two dimensions
+@example(
+    case=(OperatorSpec(bilinear_odd_kernel(), GridSpec(n=1, L=4, origin=(-1.0,), side=SIDE)), DYADIC),
+    seed=20260819, density=1.0, lone=False, threads=1, outside=True, pick=(2, 1, 0),
+)
+@example(
+    case=(OperatorSpec(dini_synthetic_kernel(DINI, 1), GridSpec(n=2, L=3, origin=(-1.0, -1.0), side=SIDE)), ALL_GRID_CUBES),
+    seed=7, density=0.7, lone=False, threads=2, outside=True, pick=(1, 1, 0),
+)
+def test_local_grand_maximal_is_the_cube_major_reference(case, seed, density, lone, threads, outside, pick):
     op, mode = case
     grid = op.grid
-    level = data.draw(st.integers(0, grid.L), label="level")
-    index = tuple(data.draw(st.integers(0, (1 << level) - 1), label="index") for _ in range(grid.n))
-    q0 = DyadicCube(level, index)
-    fs = inputs(op, cube_flat_indices(grid, triple_cube(grid, q0)), seed, density, op.kernel.m - 1 if lone else None)
+    level = pick[0] % (grid.L + 1)  # q0: a level, then an index on it
+    q0 = DyadicCube(level, tuple(i % (1 << level) for i in pick[1 : 1 + grid.n]))
+    cells = np.arange(grid.num_cells) if outside else cube_flat_indices(grid, triple_cube(grid, q0))
+    fs = inputs(op, cells, seed, density, op.kernel.m - 1 if lone else None)
     want = ref.local_grand_maximal(op, fs, q0, mode)
     set_thread_count(threads)
     with small_blocks():
