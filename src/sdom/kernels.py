@@ -68,7 +68,7 @@ _MAX_PRODUCT_POINTS = 1 << 24
 _MAX_TABLE = 1 << 22  # entries of one offset table
 
 # Variants that are functions of the offsets x - y alone.
-_CONVOLUTION = ("mpt", "mpt_truncated", "dini_synthetic")
+CONVOLUTION = ("mpt", "mpt_truncated", "dini_synthetic")
 
 # Variants whose formula lives on the real line, by their name in errors.
 _ONE_DIMENSIONAL = {
@@ -619,7 +619,7 @@ def _offset_table(spec: KernelSpec, grid: GridSpec, axes, points: np.ndarray):
     table is evaluated with numpy's floating-point warnings off, since
     its padding holds offsets that no row meets.
     """
-    if spec.m != 1 or spec.variant not in _CONVOLUTION:
+    if spec.m != 1 or spec.variant not in CONVOLUTION:
         return None
     sizes = [len(ax) for ax in axes]
     p0 = points[0]
@@ -727,7 +727,9 @@ def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan)
 
     Expands the plan, drops degenerate x = z pairs, builds the offset
     table of the distinct sample points, and runs the shell engine once
-    per distinct cube, one parallel task each.  Returns (rows,
+    per distinct cube, one parallel task each.  A plan whose kept
+    samples skip every slot tuple outside their cubes measures nothing,
+    and raises FloatingPointError naming the first.  Returns (rows,
     skipped_pairs, samples, covers_all), where ``rows`` holds (config,
     table, skipped) for every kept sample in plan order, so that ties
     between samples resolve by plan position.  The offset table lives
@@ -756,6 +758,12 @@ def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan)
     for positions, tables in zip(groups, parallel_map(task, groups)):
         for pos, (table, skipped) in zip(positions, tables):
             rows[pos] = (kept[pos], table, skipped)
+
+    def blind(cfg, skipped):  # every tuple off Q^m, the only ones either estimate reads, skipped
+        return skipped > 0 and skipped == len(pts) ** spec.m - _shell_order(axes, cfg[0], cfg[1])[1][1] ** spec.m
+
+    if rows and all(blind(cfg, skipped) for cfg, _, skipped in rows):
+        raise _sample_failure(rows[0][0], "every slot tuple outside the cube is singular")
     samples = {"cubes": len({(tuple(c), s) for c, s, _, _ in configs}), "pairs": len(configs)}
     return rows, len(configs) - len(kept), samples, bounded
 

@@ -2,8 +2,8 @@
 
 ``apply`` realizes T(f_1 .. f_m)(x) = sum over cell tuples of
 K(x_center, y_centers) prod_i f_i(y_i) h^{mn}, one value per cell.
-Tuples touching the x cell in any slot are excluded (the singular
-diagonal is never evaluated); any other tuple on the kernel's singular
+Tuples touching the x cell in any slot are excluded (their kernel
+value is taken as zero); any other tuple on the kernel's singular
 set is a hard error rather than a silent skip.  A kernel value that
 overflows, or divides by an underflowed denominator, is not caught per
 tuple: it makes the cell's sum non-finite, and ``apply`` reports that
@@ -11,6 +11,13 @@ as a numerical failure.  Cells where an input
 vanishes contribute nothing and are skipped outright, which makes
 truncation to a support cube literally the same sum in the same order,
 so equalities that hold in exact arithmetic hold bitwise here too.
+
+Kernel rows come in blocks of consecutive cells x.  A one-slot kernel
+that is a function of x - y is evaluated once per call, as a table over
+the per-axis cell offsets between the x cells and the slot cells, and a
+block of rows is one gather from it.  The table serves only where it is
+bitwise every row it stands for (``_offset_table``); elsewhere, and for
+m = 2, each row is one ``eval_batch`` call.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Cube, GridFunction, GridSpec, cell_centers, cube_flat_indices
-from .kernels import KernelSpec, SingularPointError, eval_batch, grid_error, singular_rows
+from .kernels import CONVOLUTION, KernelSpec, SingularPointError, eval_batch, grid_error, singular_rows
 from .parallel import parallel_map
 
 
@@ -67,6 +74,16 @@ def _singular_error(grid, x_flat, y_flats):
     )
 
 
+# (x, y) pairs that one block holds: a gather of ``_row_blocks``, a
+# centre check of ``_offset_table``, and per slot a screen of
+# ``check_rows``.  That is a kernel row of 128 x 128 slot tuples, so no
+# block's temporaries are larger than such a row's.  At 2^16 pairs, one
+# process running the 16 `dominate-1d` configs 28 times peaked 0.8 MiB
+# higher in the screen (46.26 MiB without it, 47.04 with it, 46.32 at
+# 2^14; 2-core Xeon, Python 3.11, numpy 2.4).
+_PAIR_BLOCK = 1 << 14
+
+
 def kernel_rows(op: OperatorSpec, fs, xs: np.ndarray, ybox: Cube | None):
     """The kernel rows K(x, .) of the cells ``xs`` over the slot tuples
     in ``ybox``.  Serial by design; callers parallelize over disjoint x
@@ -76,22 +93,39 @@ def kernel_rows(op: OperatorSpec, fs, xs: np.ndarray, ybox: Cube | None):
     indices of the cells in ``ybox`` where that input is nonzero, and
     ``W`` the products of those input values, one axis per slot.
     ``rows`` yields, for each x in order, the kernel values on the same
-    axes.  Tuples with x in some slot are set to zero, and any other
-    tuple that ``eval_batch`` reports invalid raises
-    ``SingularPointError``; non-finite values pass through.  Only the
-    current row is held.
-
-    Each x evaluates its whole row in one ``eval_batch`` call, with
-    each slot's cell centres on that slot's axis.  The tuples with x in
-    slot s are index x of axis s.
+    axes.  Tuples with x in some slot are zero, and any other tuple
+    that ``eval_batch`` reports invalid raises ``SingularPointError``;
+    non-finite values pass through.  Only the current block of rows
+    (``_row_blocks``) is held.
     """
+    idx, W = _slots(op, fs, ybox)
+    return idx, W, (V for block in _row_blocks(op, idx, xs) for V in block)
+
+
+def _slots(op: OperatorSpec, fs, ybox: Cube | None):
     slots = [_slot_cells(op, f, ybox) for f in fs]
-    idx = [i for i, _ in slots]
-    W = functools.reduce(np.multiply.outer, [val for _, val in slots])
-    return idx, W, _rows(op, idx, xs)
+    return [i for i, _ in slots], functools.reduce(np.multiply.outer, [val for _, val in slots])
+
+
+def _row_blocks(op: OperatorSpec, idx, xs: np.ndarray):
+    """Yield the kernel rows of the cells ``xs`` over the slot cells
+    ``idx`` in blocks of consecutive x, each shaped (rows, *slot sizes):
+    gathers of at most ``_PAIR_BLOCK`` entries from the
+    ``_offset_table`` when it serves, else one row per block."""
+    table = _offset_table(op, idx, xs)
+    if table is None:
+        yield from (V[None] for V in _rows(op, idx, xs))
+        return
+    vals, xpos, ypos = table
+    step = max(1, _PAIR_BLOCK // ypos.size)
+    for b in range(0, xs.size, step):
+        yield vals[xpos[b : b + step, None] + ypos]
 
 
 def _rows(op: OperatorSpec, idx, xs: np.ndarray):
+    """One row per x, each from one ``eval_batch`` call with each slot's
+    cell centres on that slot's axis.  The tuples with x in slot s are
+    index x of axis s."""
     grid = op.grid
     sizes = tuple(i.size for i in idx)
     if 0 in sizes:
@@ -115,16 +149,77 @@ def _rows(op: OperatorSpec, idx, xs: np.ndarray):
         yield vals
 
 
+def _offset_table(op: OperatorSpec, idx, xs: np.ndarray):
+    """The one-slot rows of the cells ``xs`` over the slot cells ``idx``
+    as one table: (vals, xpos, ypos) with K(x_k, y_l) equal to
+    ``vals[xpos[k] + ypos[l]]``, or None when the rows are evaluated one
+    by one.
+
+    Along each axis, the table position of an offset d = i - j between
+    an x cell index i and a slot cell index j holds the point e at index
+    t - d, on or beyond the grid, with t the largest x index; ``vals``
+    is ``eval_batch`` of the centre p of cell index t against every
+    point.  The kernel then sees p - e where a row sees c[i] - c[j].
+    The table serves only when it is bitwise every row it stands for:
+
+    - the kernel is a function of x - y alone, with one slot;
+    - along every axis, each centre difference c[i] - c[j] equals the
+      table's p - e at i - j bit for bit (checked a block of x indices
+      at a time), so the kernel sees the same numbers;
+    - no entry but the zero offset, the diagonal a row sets to zero, is
+      invalid, so no row holds a singular tuple;
+    - its evaluation raises no floating-point exception, so no row would
+      have raised a warning.
+    """
+    kernel, grid = op.kernel, op.grid
+    if kernel.m != 1 or kernel.variant not in CONVOLUTION or idx[0].size == 0 or xs.size == 0:
+        return None
+
+    def centre(a, k):  # as ``cell_centers`` spells it
+        return grid.origin[a] + grid.h * (k + 0.5)
+
+    xi, yi = (np.unravel_index(i, (grid.cells_per_side,) * grid.n) for i in (xs, idx[0]))
+    p, points, los = [], [], []
+    for a in range(grid.n):
+        X, Y = np.unique(xi[a]), np.unique(yi[a])
+        t, lo = int(X[-1]), int(X[0] - Y[-1])
+        e = centre(a, np.arange(t - lo, int(Y[0]) - 1, -1))
+        diff = centre(a, t) - e
+        step = max(1, _PAIR_BLOCK // Y.size)
+        for b in range(0, X.size, step):
+            xb = X[b : b + step, None]
+            if not np.array_equal(centre(a, xb) - centre(a, Y), diff[xb - Y - lo]):
+                return None
+        p.append(centre(a, t))
+        points.append(e)
+        los.append(lo)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            vals, valid = eval_batch(kernel, np.array(p), np.stack(np.meshgrid(*points, indexing="ij"), axis=-1))
+    except FloatingPointError:
+        return None
+    at_zero = tuple(-lo for lo in los)
+    if all(0 <= z < size for z, size in zip(at_zero, valid.shape)):
+        valid[at_zero] = True
+    if not valid.all():
+        return None
+    strides = [math.prod(valid.shape[a + 1 :]) for a in range(grid.n)]
+    xpos = sum((i - lo) * stride for i, lo, stride in zip(xi, los, strides))
+    ypos = -sum(j * stride for j, stride in zip(yi, strides))
+    return vals.ravel(), xpos, ypos
+
+
 def apply_on_cells(op: OperatorSpec, fs, xs: np.ndarray) -> np.ndarray:
     """Operator values on the cells listed in ``xs`` (flat indices),
     every slot over the whole domain: each value is the sum of the
     kernel row of ``kernel_rows`` times the input products, times
-    h^{mn}."""
+    h^{mn}, taken for a block of rows (``_row_blocks``) at a time."""
     hm = op.grid.cell_volume() ** op.kernel.m
-    _, W, rows = kernel_rows(op, fs, xs, None)
-    out = np.zeros(xs.size)
-    for i, V in enumerate(rows):
-        out[i] = float(np.sum(V * W)) * hm
+    idx, W = _slots(op, fs, None)
+    out, at = np.zeros(xs.size), 0
+    for V in _row_blocks(op, idx, xs):
+        out[at : at + len(V)] = np.sum(V * W, axis=tuple(range(1, V.ndim))) * hm
+        at += len(V)
     return out
 
 
@@ -166,24 +261,19 @@ def apply(op: OperatorSpec, fs) -> GridFunction:
     return GridFunction(op.grid, operator_values(op, fs, np.arange(op.grid.num_cells)))
 
 
-# Point pairs per slot that one block of ``check_rows`` holds: a kernel
-# row of 128 x 128 slot tuples, so the check's temporaries are no larger
-# than such a row's.  At 2^16 pairs, one process running the 16
-# `dominate-1d` configs 28 times peaked 0.8 MiB higher (46.26 MiB
-# without the check, 47.04 with it, 46.32 at 2^14; 2-core Xeon,
-# Python 3.11, numpy 2.4).
-_PAIR_BLOCK = 1 << 14
-
-
 def check_rows(op: OperatorSpec, fs, xs: np.ndarray) -> None:
     """Raise the ``SingularPointError`` that ``kernel_rows`` raises on
     the first of the ascending cells ``xs`` whose row over every nonzero
     slot cell holds a singular tuple, evaluating that row alone.
 
-    The rows are screened by ``kernels.singular_rows``, with each row's
+    Nothing is screened when the rows come from an ``_offset_table``,
+    which serves only when no row holds a singular tuple.  Otherwise
+    the rows are screened by ``kernels.singular_rows``, with each row's
     own cell left out of every slot as ``kernel_rows`` leaves it out.
     """
     idx = [_slot_cells(op, f, None)[0] for f in fs]
+    if _offset_table(op, idx, xs) is not None:
+        return
     ys = [cell_centers(op.grid, i) for i in idx]
     step = max(1, _PAIR_BLOCK // max(1, *(i.size for i in idx)))
     for b in range(0, xs.size, step):

@@ -415,6 +415,24 @@ def test_non_finite_estimates_exit_2_naming_the_sample(tmp_path, capsys, command
     assert_one_line_failure(capsys, code, 2, f"sdom: numerical failure: {message}", tmp_path, ["cfg.json"])
 
 
+@pytest.mark.parametrize("command", ["kr", "h2"])
+def test_estimates_that_skip_every_tuple_exit_2(tmp_path, capsys, command):
+    # every (x - y)^2 underflows on cells of side 6e-202, so each tuple
+    # reads as the synthetic kernel's singular point and is skipped
+    cfg = {
+        "grid": {"n": 1, "L": 4, "origin": [0.0], "side": 1e-200},
+        "kernel": DINI_M1,
+        "r": 2.0,
+        "delta": 1.0,
+        "plan": {"levels": [1, 2], "pair_depth": 1},
+    }
+    if command == "kr":
+        del cfg["delta"]
+    code, _ = run(tmp_path, command, cfg)
+    message = "every slot tuple outside the cube is singular at cube centre [2.5e-201], pair x = [1.875e-201], z = ["
+    assert_one_line_failure(capsys, code, 2, f"sdom: numerical failure: {message}", tmp_path, ["cfg.json"])
+
+
 @pytest.mark.parametrize(
     "side, kernel, bank, message",
     [
@@ -575,6 +593,16 @@ def test_readme_separation_example_runs(tmp_path):
     assert sorted(os.listdir(out)) == ["separation_cases.csv", "separation_report.json"]
     cases = json.loads((out / "separation_report.json").read_text())["results"]["cases"]
     assert [c["ell"] for c in cases] == [2, 3, 4]
+
+
+def test_readme_weights_example_runs(tmp_path):
+    example = ROOT / "examples" / "weights.json"
+    assert f"```json\n{example.read_text()}```" in (ROOT / "README.md").read_text()
+    out = tmp_path / "out"
+    assert cli.main(["weights", "--config", str(example), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["weights_cases.csv", "weights_report.json"]
+    results = json.loads((out / "weights_report.json").read_text())["results"]
+    assert results["characteristic"] >= 1.0 and len(results["ratios"]) == 6
 
 
 def test_module_entry_points_run_the_cli():

@@ -1,12 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sdom.grid import DyadicCube, GridFunction, GridSpec, cell_centers, cube_flat_indices, triple_cube
-from sdom.kernels import SingularPointError, bilinear_odd_kernel, eval_batch, mpt_kernel, zero_kernel
-from sdom.operators import OperatorSpec, apply
+from sdom.kernels import (
+    Modulus,
+    SingularPointError,
+    bilinear_odd_kernel,
+    dini_synthetic_kernel,
+    eval_batch,
+    mpt_kernel,
+    zero_kernel,
+)
+from sdom.operators import OperatorSpec, apply, apply_on_cells
 
 from fake_kernels import fake_kernel
 from reference_maximal import apply_truncated
+import reference_operators
 
 
 def test_operator_spec_validation():
@@ -109,3 +120,22 @@ def test_singular_off_diagonal_raises(monkeypatch):
     f = GridFunction(g, np.ones(g.num_cells))
     with pytest.raises(SingularPointError, match="off-diagonal"):
         apply(op, (f,))
+
+
+def test_offset_table_warns_only_where_rows_warn():
+    # 2-D synthetic kernel on cells of side 1.5e-155: K ~ 1/|x - y|^2
+    # overflows at offsets of one or two cells, which the x cell (0, 0)
+    # never meets against the slot cells (0, 7) and (7, 0), yet the
+    # table spans them; so the rows are evaluated one by one, and, as
+    # before, no warning is raised
+    g = GridSpec(n=2, L=3, origin=(0.0, 0.0), side=1.2e-154)
+    op = OperatorSpec(dini_synthetic_kernel(Modulus("power", c=1.0, eps=0.7), 1), g)
+    v = np.zeros(g.num_cells)
+    v[[7, 56]] = 1.0
+    xs = np.array([0])
+    fs = (GridFunction(g, v),)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = apply_on_cells(op, fs, xs)
+        assert got.tobytes() == reference_operators.apply_on_cells(op, fs, xs).tobytes()
+    assert np.isfinite(got).all() and got[0] > 0.0
