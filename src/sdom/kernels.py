@@ -27,11 +27,12 @@ distinct sample point p of a cube has one row K(p, .) over the product
 of the shell-sorted lattice with itself, so a pair's difference
 K(x, .) - K(z, .) is one subtraction.  A one-slot kernel that is a
 function of x - y (the boundary-logarithmic and synthetic ones) is
-evaluated once per call, as an offset table: the row of one sample
-point over the lattice padded by the spread of the points.  The row of
-every point whose differences x - y are bitwise the table's at some
-lattice shift is a gather from it; every other row is evaluated
-directly, so the values do not depend on which path served them.
+evaluated once per call, as an ``offset_table``: the row of one point
+over the lattice padded by the spread of the points.  The row of every
+point whose differences x - y are bitwise the table's at some lattice
+shift is a gather from it; every other row is evaluated directly, so
+values, errors and warnings do not depend on which path served them.
+``sdom.operators`` reads its one-slot rows from the same table.
 Per-shell sums of |K(x, .) - K(z, .)|^{r'} (maxima at r = 1) fill a
 table with one cell per shell multi-index, from which
 ``hormander_constant`` reads the annulus series and ``h2_constant`` the
@@ -54,6 +55,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import GridSpec
 from .parallel import parallel_map
@@ -66,9 +68,10 @@ _LN2 = math.log(2.0)
 _CHUNK = 1 << 18
 _MAX_PRODUCT_POINTS = 1 << 24
 _MAX_TABLE = 1 << 22  # entries of one offset table
+_CHECK_BLOCK = 1 << 15  # point-cell pairs of one block of its serving check
 
 # Variants that are functions of the offsets x - y alone.
-CONVOLUTION = ("mpt", "mpt_truncated", "dini_synthetic")
+_CONVOLUTION = ("mpt", "mpt_truncated", "dini_synthetic")
 
 # Variants whose formula lives on the real line, by their name in errors.
 _ONE_DIMENSIONAL = {
@@ -597,66 +600,83 @@ def _shell_order(axes, center: np.ndarray, side: float):
     return np.argsort(label, kind="stable"), starts
 
 
-def _offset_table(spec: KernelSpec, grid: GridSpec, axes, points: np.ndarray):
-    """The offset table of the distinct sample points ``points`` (P, n),
-    or None when K is not a function of x - y with one slot or the
-    table would exceed ``_MAX_TABLE`` entries.
+def offset_table(spec: KernelSpec, grid: GridSpec, points: np.ndarray, cells: np.ndarray):
+    """The rows K(p, .) of the points ``points`` (P, n) over the cells
+    with integer lattice indices ``cells`` (K, n), read off one
+    ``eval_batch`` row; None when K is not a function of x - y with one
+    slot, the table would exceed ``_MAX_TABLE`` entries, or its
+    evaluation raises a floating-point exception.
 
-    The table is (vals, valid, index, shift): the row K(p0, .) over the
-    quadrature lattice padded by the spread of the points, flat in
-    row-major order, with ``valid`` None when it holds no False;
-    ``index``, the flat table position of each lattice point in p0's
-    own row; and ``shift``, which maps the bytes of a sample point p to
-    the flat offset of its row, so that K(p, .) is
-    ``vals[index + shift[p]]``.
+    Returns (vals, valid, row, col): the row of the first point p0 over
+    the cells padded by the spread of the points, flat in row-major
+    order; a row offset per point, -1 where the point is not served;
+    and a column offset per cell.  For every served point k,
+    ``vals[row[k] + col[l]]`` and ``valid[row[k] + col[l]]`` are bitwise
+    ``eval_batch(spec, points[k], y_l)``.  Coordinates are spelt
+    origin + h (k + 1/2), as ``grid.cell_centers`` spells them.
 
-    p0 is the first point.  A point p within the lattice's length of p0
-    on every axis is s = round((p - p0) / h) cells away, and joins
-    ``shift`` when p - y, over each lattice axis, is bitwise p0 - y' with
-    y' = y - s h as the lattice spells it.  The kernel then sees the
-    same differences, so the gathered row is bitwise the row
-    ``eval_batch`` gives; every other point keeps ``eval_batch``.  The
-    table is evaluated with numpy's floating-point warnings off, since
-    its padding holds offsets that no row meets.
+    Point p is s = rint((p - p0) / h) cells from p0, and is served when,
+    along every axis, its difference p - y to every cell coordinate y is
+    bitwise p0 - y', with y' = y - s h as the table spells it; the
+    kernel then sees the same numbers.  The check runs per axis, against
+    the distinct cell coordinates, ``_CHECK_BLOCK`` point-cell pairs at
+    a time, never as a points x cells matrix.  The table is evaluated
+    with overflow, division by zero and invalid operations raising: a
+    table that raises may hold a value that some row meets and warns
+    about, so None leaves every row, and its warnings, to ``eval_batch``.
     """
-    if spec.m != 1 or spec.variant not in CONVOLUTION:
+    if spec.m != 1 or spec.variant not in _CONVOLUTION or len(points) == 0 or len(cells) == 0:
         return None
-    sizes = [len(ax) for ax in axes]
-    p0 = points[0]
+    h, p0 = grid.h, points[0]
     with np.errstate(all="ignore"):
-        d = (points - p0) / grid.h
-        near = np.all(np.abs(d) <= sizes, axis=1)
-        points, shifts = points[near], np.rint(d[near]).astype(np.intp)
-        lo, hi = shifts.min(axis=0).tolist(), shifts.max(axis=0).tolist()
-        shape = tuple(size + b - a for size, a, b in zip(sizes, lo, hi))
-        if math.prod(shape) > _MAX_TABLE:
-            return None
-        ext = [
-            grid.origin[a] + grid.h * (np.arange(rg.start - hi[a], rg.stop - lo[a]) + 0.5)
-            for a, rg in enumerate(_lattice_indices(spec, grid))
-        ]
-        vals, valid = eval_batch(spec, p0, _lattice_points(ext))
-        base = [p0[a] - e for a, e in enumerate(ext)]  # p0 - y' along each padded axis
-        strides = [math.prod(shape[a + 1 :]) for a in range(len(shape))]
-        shift = {}
-        for p, s in zip(points, shifts.tolist()):
-            first = [b - t for b, t in zip(hi, s)]
-            if all((p[a] - ax).tobytes() == base[a][f : f + len(ax)].tobytes() for a, (ax, f) in enumerate(zip(axes, first))):
-                shift[p.tobytes()] = -sum(t * st for t, st in zip(s, strides))
-    # lattice cell i sits at padded cell i + hi in p0's own row
-    index = np.ravel_multi_index(np.meshgrid(*(np.arange(size) + b for size, b in zip(sizes, hi)), indexing="ij"), shape)
-    return vals, None if valid.all() else valid, index.ravel(), shift
+        shifts = np.rint((points - p0) / h)
+    if not np.all(np.abs(shifts) <= _MAX_TABLE):  # past any table; inf and nan too
+        return None
+    shifts = shifts.astype(np.intp)
+    lo, hi, top = cells.min(axis=0), cells.max(axis=0), shifts.max(axis=0)
+    shape = hi - lo + 1 + top - shifts.min(axis=0)
+    if math.prod(shape.tolist()) > _MAX_TABLE:
+        return None
+    first = lo - top  # the lattice index of each axis' first table point
+    served = np.ones(len(points), dtype=bool)
+    axes = []
+    with np.errstate(all="ignore"):
+        for a in range(grid.n):
+            axes.append(grid.origin[a] + h * (np.arange(first[a], first[a] + shape[a]) + 0.5))
+            # the distinct cell indices less lo, ascending.  np.unique
+            # would import numpy.ma or sort, which no other step of an
+            # estimate does: 0.2 to 0.9 MiB more resident numpy, which is
+            # also why the points are not deduplicated
+            span = np.bincount(cells[:, a] - lo[a])
+            C = np.flatnonzero(span)
+            y = grid.origin[a] + h * (C + lo[a] + 0.5)
+            # window i: p0 - y' over the cells lo .. hi at shift top - i
+            window = sliding_window_view((p0[a] - axes[a]).view(np.int64), span.size)
+            cols = C if C.size < span.size else slice(None)
+            step = max(1, _CHECK_BLOCK // C.size)
+            for b in range(0, len(points), step):
+                d = (points[b : b + step, a, None] - y).view(np.int64)
+                served[b : b + step] &= (d == window[top[a] - shifts[b : b + step, a]][:, cols]).all(axis=1)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            vals, valid = eval_batch(spec, p0, _lattice_points(axes))
+    except FloatingPointError:
+        return None
+    strides = np.array([math.prod(shape[a + 1 :].tolist()) for a in range(grid.n)])
+    row = np.where(served, ((top - shifts) * strides).sum(axis=1), -1)
+    return vals.ravel(), valid.ravel(), row, ((cells - lo) * strides).sum(axis=1)
 
 
-def _cube_tables(spec: KernelSpec, axes, pts: np.ndarray, r: float, center, side, pairs, offsets) -> list:
+def _cube_tables(spec: KernelSpec, axes, pts: np.ndarray, r: float, center, side, pairs, table) -> list:
     """Shell tables of the sample pairs (x, z) that share one cube.
 
     The table of a pair has one cell per shell multi-index (j_1 .. j_m):
     the sum of |K(x,.) - K(z,.)|^{r'} over that product of shells, or
     the largest |K(x,.) - K(z,.)| at r = 1.  Every distinct sample point
     p has one row K(p, .) over the shell-sorted tuples, and a pair's
-    difference is one subtraction.  The rows of the points that the
-    ``_offset_table`` result ``offsets`` serves (None: no point) come
+    difference is one subtraction.  ``table`` is None or an
+    ``offset_table`` over the lattice ``pts`` with its row offsets keyed
+    by the bytes of the points it serves.  The rows of those points come
     in one gather from it; every other row is an ``eval_batch`` call.
     At m = 2 the tuples go in blocks of at most ``_CHUNK``, first-slot
     rows of the shell-sorted lattice against the whole lattice; at
@@ -671,9 +691,9 @@ def _cube_tables(spec: KernelSpec, axes, pts: np.ndarray, r: float, center, side
     for x, z in pairs:
         points.setdefault(x.tobytes(), x)
         points.setdefault(z.tobytes(), z)
-    table_vals, table_valid, index, shift = offsets if offsets is not None else (None, None, None, {})
-    keys = sorted(points, key=lambda key: key not in shift)  # gathered rows first
-    H = sum(key in shift for key in keys)
+    table_vals, table_valid, row, col = table if table is not None else (None, None, {}, None)
+    keys = sorted(points, key=lambda key: key not in row)  # gathered rows first
+    H = sum(key in row for key in keys)
     lattice = pts[perm] if H < len(keys) else None
     slot = {key: i for i, key in enumerate(keys)}
     xi = np.array([slot[x.tobytes()] for x, _ in pairs])
@@ -689,9 +709,9 @@ def _cube_tables(spec: KernelSpec, axes, pts: np.ndarray, r: float, center, side
         vals = np.empty((len(keys), i1 - i0, N))
         valid = np.empty(vals.shape, dtype=bool)
         if H:  # one slot: a single block of one row per point
-            at = index[perm] + np.array([shift[key] for key in keys[:H]])[:, None]
+            at = col[perm] + np.array([row[key] for key in keys[:H]])[:, None]
             vals[:H, 0] = table_vals[at]
-            valid[:H, 0] = True if table_valid is None else table_valid[at]
+            valid[:H, 0] = table_valid[at]
         for k in range(H, len(keys)):
             ys = (lattice[i0:i1, None], lattice) if m == 2 else (lattice,)
             vals[k], valid[k] = eval_batch(spec, points[keys[k]], *ys)
@@ -748,11 +768,14 @@ def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan)
         distinct.setdefault(x.tobytes(), x)
         distinct.setdefault(z.tobytes(), z)
     groups = list(cubes.values())
-    offsets = _offset_table(spec, grid, axes, np.array(list(distinct.values())))
+    table = offset_table(spec, grid, np.array(list(distinct.values())), _lattice_points(_lattice_indices(spec, grid)))
+    if table is not None:
+        vals, valid, row, col = table
+        table = vals, valid, {key: k for key, k in zip(distinct, row.tolist()) if k >= 0}, col
 
     def task(positions):
         center, side = kept[positions[0]][:2]
-        return _cube_tables(spec, axes, pts, r, center, side, [kept[i][2:] for i in positions], offsets)
+        return _cube_tables(spec, axes, pts, r, center, side, [kept[i][2:] for i in positions], table)
 
     rows = [None] * len(kept)
     for positions, tables in zip(groups, parallel_map(task, groups)):

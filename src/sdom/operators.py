@@ -13,11 +13,11 @@ truncation to a support cube literally the same sum in the same order,
 so equalities that hold in exact arithmetic hold bitwise here too.
 
 Kernel rows come in blocks of consecutive cells x.  A one-slot kernel
-that is a function of x - y is evaluated once per call, as a table over
-the per-axis cell offsets between the x cells and the slot cells, and a
-block of rows is one gather from it.  The table serves only where it is
-bitwise every row it stands for (``_offset_table``); elsewhere, and for
-m = 2, each row is one ``eval_batch`` call.
+that is a function of x - y is evaluated once per call, as the
+``kernels.offset_table`` of the x cells over the slot cells, and a
+block of rows is one gather from it.  The table serves a call only when
+it serves every x and no row meets a singular tuple (``_table``);
+otherwise, and for m = 2, each row is one ``eval_batch`` call.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Cube, GridFunction, GridSpec, cell_centers, cube_flat_indices
-from .kernels import CONVOLUTION, KernelSpec, SingularPointError, eval_batch, grid_error, singular_rows
+from .kernels import KernelSpec, SingularPointError, eval_batch, grid_error, offset_table, singular_rows
 from .parallel import parallel_map
 
 
@@ -74,13 +74,13 @@ def _singular_error(grid, x_flat, y_flats):
     )
 
 
-# (x, y) pairs that one block holds: a gather of ``_row_blocks``, a
-# centre check of ``_offset_table``, and per slot a screen of
-# ``check_rows``.  That is a kernel row of 128 x 128 slot tuples, so no
-# block's temporaries are larger than such a row's.  At 2^16 pairs, one
-# process running the 16 `dominate-1d` configs 28 times peaked 0.8 MiB
-# higher in the screen (46.26 MiB without it, 47.04 with it, 46.32 at
-# 2^14; 2-core Xeon, Python 3.11, numpy 2.4).
+# (x, y) pairs that one block holds: a gather of ``_row_blocks`` and,
+# per slot, a screen of ``check_rows``.  That is a kernel row of
+# 128 x 128 slot tuples, so no block's temporaries are larger than such
+# a row's.  At 2^16 pairs, one process running the 16 `dominate-1d`
+# configs 28 times peaked 0.8 MiB higher in the screen (46.26 MiB
+# without it, 47.04 with it, 46.32 at 2^14; 2-core Xeon, Python 3.11,
+# numpy 2.4).
 _PAIR_BLOCK = 1 << 14
 
 
@@ -111,15 +111,15 @@ def _row_blocks(op: OperatorSpec, idx, xs: np.ndarray):
     """Yield the kernel rows of the cells ``xs`` over the slot cells
     ``idx`` in blocks of consecutive x, each shaped (rows, *slot sizes):
     gathers of at most ``_PAIR_BLOCK`` entries from the
-    ``_offset_table`` when it serves, else one row per block."""
-    table = _offset_table(op, idx, xs)
+    ``_table`` when it serves, else one row per block."""
+    table = _table(op, idx, xs)
     if table is None:
         yield from (V[None] for V in _rows(op, idx, xs))
         return
-    vals, xpos, ypos = table
-    step = max(1, _PAIR_BLOCK // ypos.size)
+    vals, row, col = table
+    step = max(1, _PAIR_BLOCK // col.size)
     for b in range(0, xs.size, step):
-        yield vals[xpos[b : b + step, None] + ypos]
+        yield vals[row[b : b + step, None] + col]
 
 
 def _rows(op: OperatorSpec, idx, xs: np.ndarray):
@@ -149,64 +149,28 @@ def _rows(op: OperatorSpec, idx, xs: np.ndarray):
         yield vals
 
 
-def _offset_table(op: OperatorSpec, idx, xs: np.ndarray):
-    """The one-slot rows of the cells ``xs`` over the slot cells ``idx``
-    as one table: (vals, xpos, ypos) with K(x_k, y_l) equal to
-    ``vals[xpos[k] + ypos[l]]``, or None when the rows are evaluated one
-    by one.
-
-    Along each axis, the table position of an offset d = i - j between
-    an x cell index i and a slot cell index j holds the point e at index
-    t - d, on or beyond the grid, with t the largest x index; ``vals``
-    is ``eval_batch`` of the centre p of cell index t against every
-    point.  The kernel then sees p - e where a row sees c[i] - c[j].
-    The table serves only when it is bitwise every row it stands for:
-
-    - the kernel is a function of x - y alone, with one slot;
-    - along every axis, each centre difference c[i] - c[j] equals the
-      table's p - e at i - j bit for bit (checked a block of x indices
-      at a time), so the kernel sees the same numbers;
-    - no entry but the zero offset, the diagonal a row sets to zero, is
-      invalid, so no row holds a singular tuple;
-    - its evaluation raises no floating-point exception, so no row would
-      have raised a warning.
-    """
-    kernel, grid = op.kernel, op.grid
-    if kernel.m != 1 or kernel.variant not in CONVOLUTION or idx[0].size == 0 or xs.size == 0:
+def _table(op: OperatorSpec, idx, xs: np.ndarray):
+    """The rows of the cells ``xs`` over the slot cells ``idx`` as one
+    ``kernels.offset_table``: (vals, row, col), with K(x_k, y_l) equal
+    to ``vals[row[k] + col[l]]``, or None when the rows are evaluated one
+    by one.  The table serves only when it serves every x and no entry
+    but the zero offset, the diagonal a row sets to zero, is invalid, so
+    no row holds a singular tuple.  That entry is in the table exactly
+    when, along every axis, the index ranges of the x cells and the slot
+    cells meet."""
+    if len(idx) != 1:  # one slot's rows only
         return None
-
-    def centre(a, k):  # as ``cell_centers`` spells it
-        return grid.origin[a] + grid.h * (k + 0.5)
-
-    xi, yi = (np.unravel_index(i, (grid.cells_per_side,) * grid.n) for i in (xs, idx[0]))
-    p, points, los = [], [], []
-    for a in range(grid.n):
-        X, Y = np.unique(xi[a]), np.unique(yi[a])
-        t, lo = int(X[-1]), int(X[0] - Y[-1])
-        e = centre(a, np.arange(t - lo, int(Y[0]) - 1, -1))
-        diff = centre(a, t) - e
-        step = max(1, _PAIR_BLOCK // Y.size)
-        for b in range(0, X.size, step):
-            xb = X[b : b + step, None]
-            if not np.array_equal(centre(a, xb) - centre(a, Y), diff[xb - Y - lo]):
-                return None
-        p.append(centre(a, t))
-        points.append(e)
-        los.append(lo)
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            vals, valid = eval_batch(kernel, np.array(p), np.stack(np.meshgrid(*points, indexing="ij"), axis=-1))
-    except FloatingPointError:
+    grid = op.grid
+    shape = (grid.cells_per_side,) * grid.n
+    xi, yi = (np.stack(np.unravel_index(i, shape), axis=-1) for i in (xs, idx[0]))
+    table = offset_table(op.kernel, grid, cell_centers(grid, xs), yi)
+    if table is None:
         return None
-    at_zero = tuple(-lo for lo in los)
-    if all(0 <= z < size for z, size in zip(at_zero, valid.shape)):
-        valid[at_zero] = True
-    if not valid.all():
+    vals, valid, row, col = table
+    holds_zero = bool(np.all((xi.min(axis=0) <= yi.max(axis=0)) & (yi.min(axis=0) <= xi.max(axis=0))))
+    if (row < 0).any() or np.count_nonzero(~valid) != holds_zero:
         return None
-    strides = [math.prod(valid.shape[a + 1 :]) for a in range(grid.n)]
-    xpos = sum((i - lo) * stride for i, lo, stride in zip(xi, los, strides))
-    ypos = -sum(j * stride for j, stride in zip(yi, strides))
-    return vals.ravel(), xpos, ypos
+    return vals, row, col
 
 
 def apply_on_cells(op: OperatorSpec, fs, xs: np.ndarray) -> np.ndarray:
@@ -266,13 +230,13 @@ def check_rows(op: OperatorSpec, fs, xs: np.ndarray) -> None:
     the first of the ascending cells ``xs`` whose row over every nonzero
     slot cell holds a singular tuple, evaluating that row alone.
 
-    Nothing is screened when the rows come from an ``_offset_table``,
+    Nothing is screened when the rows come from a ``_table``,
     which serves only when no row holds a singular tuple.  Otherwise
     the rows are screened by ``kernels.singular_rows``, with each row's
     own cell left out of every slot as ``kernel_rows`` leaves it out.
     """
     idx = [_slot_cells(op, f, None)[0] for f in fs]
-    if _offset_table(op, idx, xs) is not None:
+    if _table(op, idx, xs) is not None:
         return
     ys = [cell_centers(op.grid, i) for i in idx]
     step = max(1, _PAIR_BLOCK // max(1, *(i.size for i in idx)))

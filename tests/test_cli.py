@@ -612,3 +612,35 @@ def test_module_entry_points_run_the_cli():
         proc = subprocess.run([sys.executable, "-m", module], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode != 0, module
         assert "usage: sdom" in proc.stderr, module
+
+
+# Runs the CLI on argv[2:]; with argv[1] == "rows", every kernel row is
+# evaluated on its own, as if no offset table could serve.
+_ROWS_OR_TABLE = """
+import sys
+from sdom import cli, kernels
+if sys.argv[1] == "rows":
+    kernels.offset_table = lambda *args: None
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_estimator_warnings_do_not_depend_on_the_offset_table(tmp_path):
+    # squared differences of 2-D sample points on cells of side 2.5e153
+    # overflow; the offset table would serve 1 of the 16 points and its
+    # evaluation raises, so every row, and every warning, is eval_batch's
+    cfg = write_cfg(tmp_path, {
+        "grid": {"n": 2, "L": 3, "origin": [0.0, 0.0], "side": 2e154},
+        "kernel": {"variant": "dini_synthetic", "m": 1, "modulus": {"kind": "power", "c": 1.0, "eps": 0.5}},
+        "r": 2.0, "delta": 1.5,
+        "plan": {"levels": [1], "pair_depth": 1, "max_pairs": 2},
+    })
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    runs = {}
+    for path in ("table", "rows"):
+        argv = [path, "h2", "--config", cfg, "--out", str(tmp_path / path), "--threads", "1"]
+        proc = subprocess.run([sys.executable, "-c", _ROWS_OR_TABLE, *argv], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs[path] = (proc.stderr, (tmp_path / path / "h2_report.json").read_bytes())
+    assert "RuntimeWarning: overflow encountered" in runs["rows"][0]
+    assert runs["table"] == runs["rows"]

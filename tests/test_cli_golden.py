@@ -10,6 +10,10 @@ unchanged.  To re-record deliberately, run this file as a script,
 optionally naming the cases to record (default: all of them):
 
     PYTHONPATH=src python tests/test_cli_golden.py [case ...]
+
+Recording also writes the numpy version to ``numpy_version.txt``: the
+bits of some outputs depend on it, so a failure names the recorded and
+the running versions.
 """
 
 import contextlib
@@ -21,6 +25,7 @@ import shutil
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 
 from sdom import cli
@@ -28,6 +33,7 @@ from sdom.parallel import set_thread_count
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "cli_golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
+NUMPY_VERSION = GOLDEN / "numpy_version.txt"
 
 
 def _run_case(case, work_dir):
@@ -54,9 +60,10 @@ def _run_case(case, work_dir):
 def test_cli_golden(case, tmp_path):
     outcome, files = _run_case(case, str(tmp_path))
     expected_dir = GOLDEN / case["name"]
-    assert outcome == json.loads((expected_dir / "outcome.json").read_text())
+    versions = f"recorded with numpy {NUMPY_VERSION.read_text().strip()}, running numpy {np.__version__}"
+    assert outcome == json.loads((expected_dir / "outcome.json").read_text()), versions
     for name, blob in files.items():
-        assert blob == (expected_dir / name).read_bytes(), name
+        assert blob == (expected_dir / name).read_bytes(), f"{name}, {versions}"
 
 
 def record(names=()):
@@ -75,6 +82,7 @@ def record(names=()):
         for name, blob in files.items():
             (target / name).write_bytes(blob)
         print(case["name"], outcome["exit"], len(files))
+    NUMPY_VERSION.write_text(np.__version__ + "\n")
 
 
 if __name__ == "__main__":

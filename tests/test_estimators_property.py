@@ -37,8 +37,8 @@ from sdom.kernels import (
     Modulus,
     SamplePlan,
     _annulus_series,
+    _lattice_indices,
     _lattice_points,
-    _offset_table,
     _quad_lattice,
     _sample_tables,
     _shell_peak,
@@ -49,6 +49,7 @@ from sdom.kernels import (
     hormander_constant,
     mpt_kernel,
     mpt_truncated_kernel,
+    offset_table,
     plan_error,
     regularity,
     x_independent_kernel,
@@ -305,22 +306,22 @@ def test_offset_table_serves_the_lattice_class_of_its_reference():
     # points themselves (level 3) are another, which keeps eval_batch
     grid = GridSpec(n=1, L=6, origin=(0.0,), side=8.0)
     kernel = mpt_kernel(1.0, 2.0)
-    points = _distinct_points(grid, SamplePlan(levels=(2, 3), max_pairs=4))
+    points = np.array(_distinct_points(grid, SamplePlan(levels=(2, 3), max_pairs=4)))
     axes, _ = _quad_lattice(kernel, grid)
-    vals, valid, index, shift = _offset_table(kernel, grid, axes, np.array(points))
+    cells = _lattice_points(_lattice_indices(kernel, grid))
+    vals, valid, row, col = offset_table(kernel, grid, points, cells)
     on_class = {p.tobytes() for p in points if float(p[0] / grid.h) % 1.0 == 0.0}
-    assert set(shift) == on_class and 0 < len(on_class) < len(points)
+    assert {p.tobytes() for p, k in zip(points, row) if k >= 0} == on_class and 0 < len(on_class) < len(points)
     # the table row of each served point is its eval_batch row
     pts = _lattice_points(axes)
-    for p in points:
-        if p.tobytes() in shift:
-            at = index + shift[p.tobytes()]
+    for p, k in zip(points, row):
+        if k >= 0:
             want_vals, want_valid = kernels.eval_batch(kernel, p, pts)
-            assert vals[at].tobytes() == want_vals.tobytes()
-            assert np.array_equal(want_valid, np.ones_like(want_valid) if valid is None else valid[at])
+            assert vals[k + col].tobytes() == want_vals.tobytes()
+            assert np.array_equal(want_valid, valid[k + col])
     # two slots, or a kernel that is not a function of x - y, get no table
     for other in (bilinear_odd_kernel(), x_independent_kernel(1), zero_kernel(1)):
-        assert _offset_table(other, grid, axes, np.array(points)) is None
+        assert offset_table(other, grid, points, cells) is None
 
 
 def test_separation_evaluates_one_table_row_per_ell(monkeypatch):

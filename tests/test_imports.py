@@ -1,6 +1,7 @@
 """Modules of the package use only each other's public names, the
-package root re-exports none, and every public function and method is
-reached by a command or the acceptance gate."""
+package root re-exports none, no function or class name is defined in
+two modules, and every public function and method is reached by a
+command or the acceptance gate."""
 
 import ast
 import collections
@@ -40,6 +41,17 @@ def test_package_root_imports_no_names():
         or (isinstance(node, ast.Import) and any(a.name.startswith("sdom") for a in node.names))
     ]
     assert found == []
+
+
+def test_one_definition_per_name():
+    """No module-level function or class name is defined in two modules,
+    private names included."""
+    homes = collections.defaultdict(list)
+    for mod, tree in TREES.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                homes[stmt.name].append(mod)
+    assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
 
 
 # Public names that neither a command nor the acceptance gate reaches,

@@ -1,8 +1,11 @@
+import json
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 
+from sdom import kernels, operators
 from sdom.grid import DyadicCube, GridFunction, GridSpec, cell_centers, cube_flat_indices, triple_cube
 from sdom.kernels import (
     Modulus,
@@ -139,3 +142,44 @@ def test_offset_table_warns_only_where_rows_warn():
         got = apply_on_cells(op, fs, xs)
         assert got.tobytes() == reference_operators.apply_on_cells(op, fs, xs).tobytes()
     assert np.isfinite(got).all() and got[0] > 0.0
+
+
+def _count_rows(monkeypatch):
+    """Tag each ``eval_batch`` call by the module that makes it: the
+    offset table's evaluation in ``sdom.kernels``, a row's in
+    ``sdom.operators``."""
+    calls = []
+    inner = kernels.eval_batch
+    for module in (kernels, operators):
+        def counted(spec, x, *ys, name=module.__name__):
+            calls.append(name)
+            return inner(spec, x, *ys)
+
+        monkeypatch.setattr(module, "eval_batch", counted)
+    return calls
+
+
+def test_apply_on_cells_evaluates_one_table_per_call(monkeypatch):
+    # the grid and kernel of examples/weights.json: every centre
+    # difference is exact, so each call's rows are one table's gathers
+    cfg = json.loads((pathlib.Path(__file__).resolve().parents[1] / "examples" / "weights.json").read_text())
+    kernel = cfg["kernel"]
+    op = OperatorSpec(mpt_kernel(kernel["beta"], kernel["r"]), GridSpec(**{**cfg["grid"], "origin": tuple(cfg["grid"]["origin"])}))
+    f = GridFunction(op.grid, np.random.default_rng(3).normal(size=op.grid.num_cells))
+    calls = _count_rows(monkeypatch)
+    for xs in (np.arange(op.grid.num_cells), np.arange(100, 356), np.array([7])):
+        del calls[:]
+        apply_on_cells(op, (f,), xs)
+        assert calls == ["sdom.kernels"]
+
+
+def test_apply_on_cells_evaluates_rows_where_the_table_cannot_serve(monkeypatch):
+    # the dominate_mpt_off_lattice grid: centre differences round, the
+    # table serves 3 of the 32 cells, and the call evaluates every row
+    # on its own, after the table
+    op = OperatorSpec(mpt_kernel(1.0, 2.0), GridSpec(n=1, L=5, origin=(0.1,), side=14.0))
+    f = GridFunction(op.grid, np.random.default_rng(3).normal(size=op.grid.num_cells))
+    calls = _count_rows(monkeypatch)
+    xs = np.arange(op.grid.num_cells)
+    apply_on_cells(op, (f,), xs)
+    assert calls == ["sdom.kernels"] + ["sdom.operators"] * xs.size
