@@ -234,7 +234,10 @@ def _parse_inputs(c: Checker, grid, m, support):
 
 
 def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # strict JSON has no NaN or infinity
+        raise ArithmeticError("a reported number is not finite") from exc
 
 
 def _config_hash(cfg: dict) -> str:
@@ -305,6 +308,8 @@ def _dini(c: Checker):
             value = dini_norm(modulus, tol=tol)
         except ValueError as exc:
             raise InvariantViolation(f"modulus integral failed: {exc}") from exc
+        if not np.isfinite(value):
+            raise ArithmeticError(f"modulus integral is not finite: {value}")
         return {"value": value}, ["case", "value"], [[0, value]], {}
 
     return run

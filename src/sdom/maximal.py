@@ -17,11 +17,13 @@ score is one fixed arithmetic expression no matter which family or
 block asked for it, so pointwise family comparisons are exact, not
 approximate.
 
-The grand maximal truncation gaps run in one pass over x.  Each cell x
-takes one kernel row K(x, .) over the slot tuples of the reference
-truncation, and every family cube containing x reads its truncation at
-3Q off a sub-box of that row.  Kernel evaluations drop from one row per
-cube and cell to one row per cell, while every sum stays the exact
+The grand maximal truncation gaps run in one pass over blocks of x.
+Each block is a stack of kernel rows K(x, .) over the slot tuples of
+the reference truncation, and every family cube meeting the block reads
+its truncation at 3Q, for the block's cells in Q, as one batched sum
+over a sub-box of those rows.  Kernel evaluations drop from one row per
+cube and cell to one row per cell, and sums from one per cell and cube
+to one per block and cube, while every cell's sum stays the exact
 array, in the exact order, that a separate truncation to 3Q would sum.
 """
 
@@ -255,15 +257,18 @@ def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | N
     largest gap |T(f 1_R)(x) - T(f 1_3Q)(x)| over the cells x of Q,
     where R is 3 ``within``, or the whole domain when ``within`` is None.
 
-    One pass over x.  Each x takes one kernel row over the nonzero slot
-    tuples in R (``kernel_rows``); its sum against the input products
-    is the reference T(f 1_R)(x).  Every family cube Q containing x has
-    3Q inside R, so T(f 1_3Q)(x) is the same sum over the sub-box of
-    the row on the nonzero slot cells of 3Q: the very array, in the very
-    order, that applying T on 3Q alone would sum.  Scores are therefore
-    bitwise those of a direct truncation per cube.  The parallel tasks
-    are blocks of x (``x_blocks``), and each box keeps the max over its
-    cells, which no schedule can change.
+    One pass over blocks of consecutive x.  Each block is a stack of
+    kernel rows over the nonzero slot tuples in R (``kernel_rows``); one
+    sum of it against the input products gives the reference T(f 1_R)(x)
+    for every x of the block.  Every family cube Q meeting the block has
+    3Q inside R, so T(f 1_3Q)(x) for the block's x in Q is one sum over
+    the sub-box of their rows on the nonzero slot cells of 3Q, indexed
+    once per task (``_sub_boxes``).  Each product is laid out in C order
+    before it is summed over the slot axes, so each x's sum is the very
+    array, in the very order, that applying T on 3Q alone would sum, and
+    scores are bitwise those of a direct truncation per cube.  The
+    parallel tasks are blocks of x (``x_blocks``), and each box keeps the
+    max over its cells, which no schedule can change.
     """
     grid = op.grid
     N = grid.cells_per_side
@@ -275,27 +280,25 @@ def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | N
     lo3, hi3 = triple_boxes(grid, lo, hi)
 
     def block(xb):
-        idx, W, rows = kernel_rows(op, fs, xb, rbox)
-        ranks = []
-        for i in idx:
-            r = np.zeros(grid.num_cells + 1, dtype=np.intp)
-            r[i + 1] = 1
-            ranks.append(np.cumsum(r))
-        cells = np.stack(np.unravel_index(xb, (N,) * grid.n), axis=-1).tolist()
-        ref = np.zeros(xb.size)
-        gaps = np.zeros(len(lo))
-        for j, V in enumerate(rows):
-            ref[j] = t_r = float(np.sum(V * W)) * hm
-            inside = np.ones(len(lo), dtype=bool)
-            for a, c in enumerate(cells[j]):
-                inside &= (lo[:, a] <= c) & (c < hi[:, a])
-            qs = np.flatnonzero(inside)
-            diffs = np.empty(qs.size)
-            for k, sub in enumerate(_sub_boxes(grid, ranks, lo3[qs], hi3[qs])):
-                Vq = V[sub]
-                t_q = t_r if Vq.size == V.size else float(np.sum(Vq * W[sub])) * hm
-                diffs[k] = abs(t_r - t_q)
-            gaps[qs] = np.maximum(gaps[qs], diffs)  # NaN stays NaN
+        idx, W, row_blocks = kernel_rows(op, fs, xb, rbox)
+        ranks = [np.cumsum(np.bincount(i + 1, minlength=grid.num_cells + 1)) for i in idx]
+        subs = _sub_boxes(grid, ranks, lo3, hi3)
+        axes = tuple(range(1, W.ndim + 1))
+        cells = np.stack(np.unravel_index(xb, (N,) * grid.n))
+        ref, gaps, at = np.empty(xb.size), np.zeros(len(lo)), 0
+        for V in row_blocks:
+            t_r = ref[at : at + len(V)] = np.sum(V * W, axis=axes) * hm
+            inside = np.ones((len(lo), len(V)), dtype=bool)  # cube q holds the block's row k
+            for l, h, c in zip(lo.T, hi.T, cells[:, at : at + len(V)]):
+                inside &= (l[:, None] <= c) & (c < h[:, None])
+            for q in inside.any(axis=1).nonzero()[0]:
+                j = inside[q].nonzero()[0]
+                rows = slice(j[0], j[-1] + 1) if j[-1] - j[0] < j.size else j  # a view when it can be
+                Wq, t_q = W[subs[q]], t_r[rows]
+                if Wq.size < W.size:
+                    t_q = np.multiply(V[rows][(slice(None), *subs[q])], Wq, order="C").sum(axis=axes) * hm
+                gaps[q] = np.maximum(gaps[q], np.abs(t_r[rows] - t_q).max())  # NaN stays NaN
+            at += len(V)
         return ref, gaps
 
     parts = parallel_map(block, x_blocks(op, fs, xs, rbox))

@@ -12,12 +12,13 @@ vanishes contribute nothing and are skipped outright, which makes
 truncation to a support cube literally the same sum in the same order,
 so equalities that hold in exact arithmetic hold bitwise here too.
 
-Kernel rows come in blocks of consecutive cells x.  A one-slot kernel
-that is a function of x - y is evaluated once per call, as the
-``kernels.offset_table`` of the x cells over the slot cells, and a
-block of rows is one gather from it.  The table serves a call only when
-it serves every x and no row meets a singular tuple (``_table``);
-otherwise, and for m = 2, each row is one ``eval_batch`` call.
+Kernel rows come in blocks of consecutive cells x, as many as fit in
+``_PAIR_BLOCK`` entries.  A one-slot kernel of x - y is evaluated once
+per call, as the ``kernels.offset_table`` of the x cells over the slot
+cells, and a block of rows is one gather from it.  The table serves a
+call only when it serves every x and no row meets a singular tuple
+(``_table``); otherwise, and for m = 2, each row is one ``eval_batch``
+call and a block stacks its rows.
 """
 
 from __future__ import annotations
@@ -89,17 +90,18 @@ def kernel_rows(op: OperatorSpec, fs, xs: np.ndarray, ybox: Cube | None):
     in ``ybox``.  Serial by design; callers parallelize over disjoint x
     blocks, which cannot change any value.
 
-    Returns (idx, W, rows).  ``idx`` holds, per slot, the ascending flat
-    indices of the cells in ``ybox`` where that input is nonzero, and
-    ``W`` the products of those input values, one axis per slot.
-    ``rows`` yields, for each x in order, the kernel values on the same
-    axes.  Tuples with x in some slot are zero, and any other tuple
-    that ``eval_batch`` reports invalid raises ``SingularPointError``;
-    non-finite values pass through.  Only the current block of rows
-    (``_row_blocks``) is held.
+    Returns (idx, W, blocks).  ``idx`` holds, per slot, the ascending
+    flat indices of the cells in ``ybox`` where that input is nonzero,
+    and ``W`` the products of those input values, one axis per slot.
+    ``blocks`` yields the rows of consecutive x, in order, in the blocks
+    of ``_row_blocks``: one axis of rows, then the kernel values on the
+    axes of ``W``.  Tuples with x in some slot are zero, and any other
+    tuple that ``eval_batch`` reports invalid raises
+    ``SingularPointError``; non-finite values pass through.  Only the
+    current block is held.
     """
     idx, W = _slots(op, fs, ybox)
-    return idx, W, (V for block in _row_blocks(op, idx, xs) for V in block)
+    return idx, W, _row_blocks(op, idx, xs)
 
 
 def _slots(op: OperatorSpec, fs, ybox: Cube | None):
@@ -109,15 +111,18 @@ def _slots(op: OperatorSpec, fs, ybox: Cube | None):
 
 def _row_blocks(op: OperatorSpec, idx, xs: np.ndarray):
     """Yield the kernel rows of the cells ``xs`` over the slot cells
-    ``idx`` in blocks of consecutive x, each shaped (rows, *slot sizes):
-    gathers of at most ``_PAIR_BLOCK`` entries from the
-    ``_table`` when it serves, else one row per block."""
+    ``idx`` in blocks of consecutive x, each shaped (rows, *slot sizes)
+    and holding as many rows as fit in ``_PAIR_BLOCK`` entries, at least
+    one: gathers from the ``_table`` when it serves, else stacked
+    ``_rows``."""
+    step = max(1, _PAIR_BLOCK // max(1, math.prod(i.size for i in idx)))
     table = _table(op, idx, xs)
     if table is None:
-        yield from (V[None] for V in _rows(op, idx, xs))
+        rows = _rows(op, idx, xs)
+        for b in range(0, xs.size, step):
+            yield np.stack([next(rows) for _ in range(min(step, xs.size - b))])
         return
     vals, row, col = table
-    step = max(1, _PAIR_BLOCK // col.size)
     for b in range(0, xs.size, step):
         yield vals[row[b : b + step, None] + col]
 

@@ -19,14 +19,15 @@ from sdom.kernels import SingularPointError, eval_batch
 
 
 def kernel_rows(op, fs, xs, ybox):
-    """(idx, W, rows) as ``sdom.operators.kernel_rows`` returns them."""
+    """(idx, W, blocks) as ``sdom.operators.kernel_rows`` returns them,
+    one row per block."""
     grid = op.grid
     idx = []
     for f in fs:
         box = cube_flat_indices(grid, ybox)
         idx.append(box[f.values[box] != 0.0])
     W = functools.reduce(np.multiply.outer, [f.values[i] for f, i in zip(fs, idx)])
-    return idx, W, _rows(op, idx, xs)
+    return idx, W, (V[None] for V in _rows(op, idx, xs))
 
 
 def _rows(op, idx, xs):
@@ -62,8 +63,8 @@ def apply_on_cells(op, fs, xs):
     """Operator values on the cells ``xs``, every slot over the whole
     domain, one row and one Python float sum per cell."""
     hm = op.grid.cell_volume() ** op.kernel.m
-    _, W, rows = kernel_rows(op, fs, xs, None)
+    idx, W, _ = kernel_rows(op, fs, xs, None)
     out = np.zeros(xs.size)
-    for i, V in enumerate(rows):
+    for i, V in enumerate(_rows(op, idx, xs)):
         out[i] = float(np.sum(V * W)) * hm
     return out

@@ -106,6 +106,13 @@ def test_dini_default_out(tmp_path, monkeypatch):
     assert abs(doc["results"]["value"] - 1.0) <= 1e-5
 
 
+def test_reports_refuse_non_finite_numbers(tmp_path, capsys):
+    # a NaN the config carries into the report, which strict JSON cannot hold
+    cfg = {"modulus": {"kind": "power", "c": 2.0, "eps": 0.5}, "note": float("nan")}
+    code, _ = run(tmp_path, "dini", cfg)
+    assert_one_line_failure(capsys, code, 2, "sdom: numerical failure: ", tmp_path, ["cfg.json"])
+
+
 def test_dominate_zero_input(tmp_path):
     cfg = {
         "grid": {"n": 1, "L": 3, "origin": [0.0], "side": 8.0},
@@ -603,6 +610,16 @@ def test_readme_weights_example_runs(tmp_path):
     assert sorted(os.listdir(out)) == ["weights_cases.csv", "weights_report.json"]
     results = json.loads((out / "weights_report.json").read_text())["results"]
     assert results["characteristic"] >= 1.0 and len(results["ratios"]) == 6
+
+
+def test_readme_maximal_example_runs(tmp_path):
+    example = ROOT / "examples" / "maximal.json"
+    assert f"```json\n{example.read_text()}```" in (ROOT / "README.md").read_text()
+    out = tmp_path / "out"
+    assert cli.main(["maximal", "--config", str(example), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["maximal_cases.csv", "maximal_field.json", "maximal_report.json"]
+    results = json.loads((out / "maximal_report.json").read_text())["results"]
+    assert results["op"] == "grand" and results["max_value"] > 0.0
 
 
 def test_module_entry_points_run_the_cli():

@@ -3,12 +3,15 @@
 ``grand_maximal`` and ``local_grand_maximal`` must equal
 ``tests/reference_maximal.py`` bit for bit, for m and n in {1, 2}, over
 the dyadic, all-cubes and shifted families, at one and two threads.
-The x loop is cut into blocks of three cells whatever the row length,
-so blocks are merged on these small grids too.  Inputs carry random
-zeros; a sparse variant puts one slot on a single cell, so some cubes Q
-see no nonzero cell of that slot in 3Q.  The localized inputs live
-either on 3 q0 alone or on the whole grid, so that the values outside
-3 q0, which the localized gap must not read, are there to be misread.
+The x loop is cut into tasks of five cells whatever the row length,
+and the kernel rows into blocks of at most 512 (x, y) pairs, so tasks
+are split on these small grids too, and blocks of several rows cut
+through cubes and, in two dimensions, span more than one grid row.
+Inputs carry random zeros; a sparse variant puts one slot on a single
+cell, so some cubes Q see no nonzero cell of that slot in 3Q.  The
+localized inputs live either on 3 q0 alone or on the whole grid, so
+that the values outside 3 q0, which the localized gap must not read,
+are there to be misread.
 """
 
 from unittest import mock
@@ -71,7 +74,7 @@ def inputs(op, cells, seed, density, lone_slot):
 
 
 def small_blocks():
-    return mock.patch.multiple(operators, _XBLOCK=3, _PARALLEL_ROW=0)
+    return mock.patch.multiple(operators, _XBLOCK=5, _PARALLEL_ROW=0, _PAIR_BLOCK=512)
 
 
 def assert_same(got, want):
@@ -90,6 +93,12 @@ PARAMS = dict(
 
 @settings(max_examples=60, deadline=None)
 @given(**PARAMS)
+# a 2-D m = 2 case with blocks of several rows: their sub-box products
+# must be laid out in C order before they are summed
+@example(
+    case=(OperatorSpec(dini_synthetic_kernel(DINI, 2), GridSpec(n=2, L=3, origin=(-1.0, -1.0), side=SIDE)), DYADIC),
+    seed=0, density=0.7, lone=True, threads=1,
+)
 def test_grand_maximal_is_the_cube_major_reference(case, seed, density, lone, threads):
     op, mode = case
     fs = inputs(op, np.arange(op.grid.num_cells), seed, density, 0 if lone else None)
