@@ -75,7 +75,7 @@ def _singular_error(grid, x_flat, y_flats):
     )
 
 
-# (x, y) pairs that one block holds: a gather of ``_row_blocks`` and,
+# (x, y) pairs that one block holds: the rows of ``_row_blocks`` and,
 # per slot, a screen of ``check_rows``.  That is a kernel row of
 # 128 x 128 slot tuples, so no block's temporaries are larger than such
 # a row's.  At 2^16 pairs, one process running the 16 `dominate-1d`
