@@ -118,13 +118,22 @@ def build_sparse_family(
     root: DyadicCube,
     r: float,
     mode: CubeFamilyMode = DYADIC,
+    root_values: bool = False,
 ) -> tuple:
-    """Run the stopping construction; returns (family, node stats).
+    """Run the stopping construction; returns (family, node stats), and
+    with ``root_values`` a third item: T f on the root's cells.
 
     Requires every input supported inside ``root`` and the tripled root
     contained in the domain, so no truncation is ever cut by the
     boundary.  The family's entries come out sorted by (level, index);
     the stats keep traversal (parent before child) order.
+
+    The root values are the reference sums T(f restricted to 3 root) of
+    the root node's ``local_grand_maximal``, in ``cube_flat_indices``
+    order.  The inputs live in the root, so they are bitwise what
+    ``operator_values`` gives there.  They are None when the root node
+    applies no T: a one-cell root, or an input whose r-average over the
+    tripled root vanishes.
     """
     fs = check_inputs(op, fs)
     grid = op.grid
@@ -144,9 +153,11 @@ def build_sparse_family(
 
     entries = []
     stats = []
+    root_tf = None
     depth_cap = 2 * grid.L  # recursion strictly shrinks cubes, so hitting this means a bug
 
     def visit(q0: DyadicCube, depth: int = 0):
+        nonlocal root_tf
         if depth > depth_cap:
             raise InvariantViolation("builder recursion exceeded its depth cap")
         tq = triple_cube(grid, q0)
@@ -158,8 +169,10 @@ def build_sparse_family(
         idx = cube_flat_indices(grid, q0)
         s = prod_vals[idx].copy()
         if idx.size > 1:
-            lgm = local_grand_maximal(op, fs, q0, mode).values
-            np.maximum(s, lgm[idx], out=s)
+            lgm, tf = local_grand_maximal(op, fs, q0, mode)
+            np.maximum(s, lgm.values[idx], out=s)
+            if depth == 0:
+                root_tf = tf
         s /= scale
         if not np.all(np.isfinite(s)):
             where = f"level {q0.level} index {list(q0.index)}"
@@ -193,7 +206,7 @@ def build_sparse_family(
     visit(root)
     entries.sort(key=lambda e: e.cube.sort_key())
     family = SparseFamily(grid=grid, root=root, gamma=0.5, entries=tuple(entries))
-    return family, stats
+    return (family, stats, root_tf) if root_values else (family, stats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,15 +221,20 @@ class DominationReport:
         return {"c_emp": self.c_emp, "argmax_cell": self.argmax_cell, "support_flag": self.support_flag}
 
 
-def domination_constant(op: OperatorSpec, fs, family: SparseFamily, r: float) -> DominationReport:
+def domination_constant(
+    op: OperatorSpec, fs, family: SparseFamily, r: float, tf_root: np.ndarray | None = None
+) -> DominationReport:
     """Smallest constant with |T f| <= C * sparse form on the root cells.
 
-    T f is evaluated on the root's cells only, where it equals what
-    ``apply`` gives, bit for bit; a non-finite value there raises
-    ArithmeticError, and a value outside the root is never computed.
-    The singular check still covers every cell of the domain: a
-    singular tuple in any row raises the ``SingularPointError`` that
-    ``apply`` would raise, naming the same cells (``check_rows``).
+    T f is read on the root's cells only, where it equals what ``apply``
+    gives, bit for bit; a value outside the root is never computed.
+    ``tf_root`` is T f there as ``build_sparse_family`` returns it with
+    ``root_values``, which is how the CLI's ``dominate`` reads it.  When
+    it is None, T f is evaluated through ``operator_values``, and a
+    non-finite value raises ArithmeticError.  The singular check still
+    covers every cell of the domain: a singular tuple in any row raises
+    the ``SingularPointError`` that ``apply`` would raise, naming the
+    same cells (``check_rows``).
 
     The support flag trips when the sparse form vanishes on a root cell
     where |T f| is not negligible (1e-12 of its largest value on the
@@ -228,7 +246,9 @@ def domination_constant(op: OperatorSpec, fs, family: SparseFamily, r: float) ->
     grid = op.grid
     check_rows(op, fs, np.arange(grid.num_cells))
     idx = cube_flat_indices(grid, family.root)
-    tf_root = np.abs(operator_values(op, fs, idx))
+    if tf_root is None:
+        tf_root = operator_values(op, fs, idx)
+    tf_root = np.abs(tf_root)
     sp_root = sparse_eval(family, fs, r).values[idx]
     scale = float(np.max(tf_root)) if idx.size else 0.0
     covered = sp_root > 0.0

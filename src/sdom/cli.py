@@ -333,7 +333,7 @@ def _build(c: Checker, dominate=False):
 
     def run():
         op = OperatorSpec(kernel, grid)
-        family, stats = build_sparse_family(op, fs, root, r, mode)
+        family, stats, tf_root = build_sparse_family(op, fs, root, r, mode, root_values=True)
         rep = verify_witness_sparsity(family)
         if not rep.ok:
             raise InvariantViolation(f"sparseness verification failed: {rep.to_json_dict()}")
@@ -344,7 +344,7 @@ def _build(c: Checker, dominate=False):
             "stats.json": _canonical({"nodes": [st.to_json_dict() for st in stats]}),
         }
         if dominate:
-            dom = domination_constant(op, fs, family, r)
+            dom = domination_constant(op, fs, family, r, tf_root)
             if dom.support_flag:
                 raise InvariantViolation("sparse form misses operator output on the root")
             results["domination"] = dom.to_json_dict()
@@ -385,7 +385,7 @@ def _maximal(c: Checker):
         elif opname == "grand":
             out = grand_maximal(OperatorSpec(kernel, grid), fs, mode)
         else:
-            out = local_grand_maximal(OperatorSpec(kernel, grid), fs, root, mode)
+            out = local_grand_maximal(OperatorSpec(kernel, grid), fs, root, mode)[0]
         arg = int(np.argmax(out.values))
         results = {"op": opname, "max_value": float(out.values[arg]), "argmax_cell": arg}
         rows = [[0, opname, results["max_value"], arg]]

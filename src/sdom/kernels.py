@@ -600,12 +600,14 @@ def _shell_order(axes, center: np.ndarray, side: float):
     return np.argsort(label, kind="stable"), starts
 
 
-def offset_table(spec: KernelSpec, grid: GridSpec, points: np.ndarray, cells: np.ndarray):
+def offset_table(spec: KernelSpec, grid: GridSpec, points: np.ndarray, cells: np.ndarray, every: bool = False):
     """The rows K(p, .) of the points ``points`` (P, n) over the cells
     with integer lattice indices ``cells`` (K, n), read off one
     ``eval_batch`` row; None when K is not a function of x - y with one
-    slot, the table would exceed ``_MAX_TABLE`` entries, or its
-    evaluation raises a floating-point exception.
+    slot, the table would exceed ``_MAX_TABLE`` entries, ``every`` is
+    set and some point is not served, or its evaluation raises a
+    floating-point exception.  Each of these is decided before the
+    table is evaluated, but the last.
 
     Returns (vals, valid, row, col): the row of the first point p0 over
     the cells padded by the spread of the points, flat in row-major
@@ -657,6 +659,8 @@ def offset_table(spec: KernelSpec, grid: GridSpec, points: np.ndarray, cells: np
             for b in range(0, len(points), step):
                 d = (points[b : b + step, a, None] - y).view(np.int64)
                 served[b : b + step] &= (d == window[top[a] - shifts[b : b + step, a]][:, cols]).all(axis=1)
+    if every and not served.all():
+        return None
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             vals, valid = eval_batch(spec, p0, _lattice_points(axes))

@@ -211,17 +211,20 @@ def grand_maximal(op: OperatorSpec, fs, mode: CubeFamilyMode = DYADIC) -> GridFu
     applied separately.
     """
     fs = check_inputs(op, fs)
-    return _truncation_gap(op, fs, mode, None)
+    return _truncation_gap(op, fs, mode, None)[0]
 
 
-def local_grand_maximal(op: OperatorSpec, fs, q0: DyadicCube, mode: CubeFamilyMode = DYADIC) -> GridFunction:
+def local_grand_maximal(op: OperatorSpec, fs, q0: DyadicCube, mode: CubeFamilyMode = DYADIC) -> tuple:
     """Localized variant: cubes range inside ``q0`` only and the
     reference truncation is at ``q0`` itself, T(f restricted to 3 q0).
 
-    The output is a full grid function that vanishes outside ``q0``.
-    For a single-cell ``q0`` the only competitor is ``q0`` and the gap
-    is identically zero.  The kernel rows span the slot tuples in
-    3 q0 only.
+    Returns (gaps, reference).  The gaps are a full grid function that
+    vanishes outside ``q0``; for a single-cell ``q0`` the only
+    competitor is ``q0`` and the gap is identically zero.  The reference
+    holds T(f restricted to 3 q0) on ``q0``'s cells, in
+    ``cube_flat_indices`` order: for inputs supported in 3 q0 it is
+    bitwise ``operator_values`` there.  The kernel rows span the slot
+    tuples in 3 q0 only.
     """
     fs = check_inputs(op, fs)
     return _truncation_gap(op, fs, mode, q0)
@@ -252,10 +255,11 @@ def _sub_boxes(grid: GridSpec, ranks, lo: np.ndarray, hi: np.ndarray) -> list:
     return [p if len(p) == 1 else np.ix_(*p) for p in zip(*per_slot)]
 
 
-def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | None):
+def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | None) -> tuple:
     """Pointwise sup, over family cubes Q inside ``within``, of the
     largest gap |T(f 1_R)(x) - T(f 1_3Q)(x)| over the cells x of Q,
-    where R is 3 ``within``, or the whole domain when ``within`` is None.
+    where R is 3 ``within``, or the whole domain when ``within`` is None;
+    returned with the reference T(f 1_R) on the cells of ``within``.
 
     One pass over blocks of consecutive x.  Each block is a stack of
     kernel rows over the nonzero slot tuples in R (``kernel_rows``); one
@@ -302,7 +306,8 @@ def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | N
         return ref, gaps
 
     parts = parallel_map(block, x_blocks(op, fs, xs, rbox))
-    if within is None and not all(np.all(np.isfinite(ref)) for ref, _ in parts):
+    ref = np.concatenate([ref for ref, _ in parts])
+    if within is None and not np.all(np.isfinite(ref)):
         raise ArithmeticError("operator output is not finite")  # T(f) itself, as ``apply`` reports it
     scores = functools.reduce(np.maximum, [gaps for _, gaps in parts])
     out = np.zeros((N,) * grid.n)
@@ -311,7 +316,7 @@ def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | N
         _scatter_block(out, blo, bhi, sc)
     if not np.all(np.isfinite(out)):
         raise ArithmeticError("truncation gap is not finite")
-    return GridFunction(grid, out.reshape(-1))
+    return GridFunction(grid, out.reshape(-1)), ref
 
 
 def best_of_shifted(compute, grid: GridSpec) -> GridFunction:

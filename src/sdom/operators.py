@@ -158,7 +158,8 @@ def _table(op: OperatorSpec, idx, xs: np.ndarray):
     """The rows of the cells ``xs`` over the slot cells ``idx`` as one
     ``kernels.offset_table``: (vals, row, col), with K(x_k, y_l) equal
     to ``vals[row[k] + col[l]]``, or None when the rows are evaluated one
-    by one.  The table serves only when it serves every x and no entry
+    by one.  The table serves only when it serves every x, which
+    ``offset_table`` decides before it evaluates the table, and no entry
     but the zero offset, the diagonal a row sets to zero, is invalid, so
     no row holds a singular tuple.  That entry is in the table exactly
     when, along every axis, the index ranges of the x cells and the slot
@@ -168,12 +169,12 @@ def _table(op: OperatorSpec, idx, xs: np.ndarray):
     grid = op.grid
     shape = (grid.cells_per_side,) * grid.n
     xi, yi = (np.stack(np.unravel_index(i, shape), axis=-1) for i in (xs, idx[0]))
-    table = offset_table(op.kernel, grid, cell_centers(grid, xs), yi)
+    table = offset_table(op.kernel, grid, cell_centers(grid, xs), yi, every=True)
     if table is None:
         return None
     vals, valid, row, col = table
     holds_zero = bool(np.all((xi.min(axis=0) <= yi.max(axis=0)) & (yi.min(axis=0) <= xi.max(axis=0))))
-    if (row < 0).any() or np.count_nonzero(~valid) != holds_zero:
+    if np.count_nonzero(~valid) != holds_zero:
         return None
     return vals, row, col
 

@@ -11,7 +11,8 @@ replaced; the block scorers must match them bit for bit.
 the one-pass gap in `sdom.maximal` replaced: for every family cube Q
 they apply T again on the cells of Q with every slot restricted to 3Q,
 and compare with the reference truncation, T(f) for the grand and
-T(f restricted to 3 q0) for the local variant.  ``apply_truncated`` is
+T(f restricted to 3 q0) for the local variant, which also returns that
+truncation on q0's cells.  ``apply_truncated`` is
 the truncation T(f restricted to 3Q) on every cell, which the tests
 compare the gaps and ``apply`` with.  Every truncation here is summed
 directly from ``eval_batch`` (``_truncated``), not through the row
@@ -189,4 +190,4 @@ def local_grand_maximal(op, fs, q0, mode):
     x0 = cube_flat_indices(op.grid, q0)
     t_q0 = np.zeros(op.grid.num_cells)
     t_q0[x0] = _truncated(op, fs, x0, q0)
-    return _gap(op, fs, t_q0, mode, q0)
+    return _gap(op, fs, t_q0, mode, q0), t_q0[x0]

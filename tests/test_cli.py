@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from sdom import cli, kernels
+from sdom import cli, kernels, operators
 from sdom.parallel import set_thread_count
 from sdom.sparse import InvariantViolation
 
@@ -157,6 +157,63 @@ def test_build_byte_identical_across_threads(tmp_path):
     doc = json.loads((tmp_path / "a" / "build_report.json").read_text())
     assert doc["results"]["verify"]["ok"] is True
     assert doc["results"]["family_size"] >= 1
+
+
+def test_dominate_byte_identical_across_threads(tmp_path, monkeypatch):
+    cfg = {
+        "grid": {"n": 1, "L": 6, "origin": [0.0], "side": 8.0},
+        "kernel": {"variant": "bilinear_odd", "m": 2},
+        "root": {"level": 2, "index": [1]},
+        "r": 1.0,
+        "mode": "dyadic",
+        "inputs": {"kind": "bank", "shape": "gauss", "seed": 9, "entry": 0},
+    }
+    cfg_path = write_cfg(tmp_path, cfg)
+
+    def outputs(tag, threads):
+        out = tmp_path / tag
+        assert cli.main(["dominate", "--config", cfg_path, "--out", str(out), "--threads", threads]) == 0
+        names = sorted(os.listdir(out))
+        assert names == ["dominate_cases.csv", "dominate_family.json", "dominate_report.json", "dominate_stats.json"]
+        return [(out / n).read_bytes() for n in names]
+
+    whole = outputs("whole", "1")
+    # x-block tasks of 5 cells whatever the row length, so the root's T f
+    # that the domination step reads is joined from several tasks
+    monkeypatch.setattr(operators, "_PARALLEL_ROW", 0)
+    monkeypatch.setattr(operators, "_XBLOCK", 5)
+    for tag, threads in (("a", "1"), ("b", "2"), ("c", "max")):
+        assert outputs(tag, threads) == whole
+    doc = json.loads((tmp_path / "a" / "dominate_report.json").read_text())
+    assert doc["results"]["verify"]["ok"] is True
+    assert doc["results"]["family_size"] >= 1
+
+
+def test_dominate_off_lattice_evaluates_each_row_once(tmp_path, monkeypatch):
+    # golden dominate_mpt_off_lattice: centre differences round, so every
+    # offset table is refused before it is evaluated, and the domination
+    # step reads the root's T f from the build's root node; `dominate`
+    # made 22 eval_batch calls when it evaluated both the tables and the
+    # root's rows again
+    cases = json.loads((ROOT / "tests" / "data" / "cli_golden" / "cases.json").read_text())
+    cfg = next(c["config"] for c in cases if c["name"] == "dominate_mpt_off_lattice")
+    calls = []
+    inner = kernels.eval_batch
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(kernels, "eval_batch", counted)
+    monkeypatch.setattr(operators, "eval_batch", counted)
+    counts = {}
+    for command in ("build", "dominate"):
+        del calls[:]
+        (tmp_path / command).mkdir()
+        code, _ = run(tmp_path / command, command, cfg)
+        assert code == 0
+        counts[command] = len(calls)
+    assert counts == {"build": 10, "dominate": 10}
 
 
 def test_separation_outputs(tmp_path):

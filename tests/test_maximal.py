@@ -181,7 +181,7 @@ def test_local_grand_maximal_matches_direct():
         GridFunction(g, rng.normal(size=g.num_cells)),
     )
     q0 = DyadicCube(1, (0,))
-    got = local_grand_maximal(op, fs, q0, DYADIC).values
+    got = local_grand_maximal(op, fs, q0, DYADIC)[0].values
     x0 = cube_flat_indices(g, q0)
     ref = apply_truncated(op, fs, q0).values
     want = np.zeros(g.num_cells)
@@ -203,7 +203,7 @@ def test_local_grand_single_cell_is_zero():
     op = OperatorSpec(mpt_kernel(1.0, 2.0), g)
     f = GridFunction(g, np.ones(g.num_cells))
     q0 = DyadicCube(g.L, (5,))
-    out = local_grand_maximal(op, (f,), q0, DYADIC)
+    out, _ = local_grand_maximal(op, (f,), q0, DYADIC)
     assert np.array_equal(out.values, np.zeros(g.num_cells))
 
 

@@ -1,7 +1,8 @@
 """The one-pass truncation gaps against the cube-major reference.
 
 ``grand_maximal`` and ``local_grand_maximal`` must equal
-``tests/reference_maximal.py`` bit for bit, for m and n in {1, 2}, over
+``tests/reference_maximal.py`` bit for bit, the local variant's
+reference truncation on q0 included, for m and n in {1, 2}, over
 the dyadic, all-cubes and shifted families, at one and two threads.
 The x loop is cut into tasks of five cells whatever the row length,
 and the kernel rows into blocks of at most 512 (x, y) pairs, so tasks
@@ -82,6 +83,12 @@ def assert_same(got, want):
     assert got.values.tobytes() == want.values.tobytes()
 
 
+def assert_same_local(got, want):
+    """Local gaps and their reference truncation on q0's cells."""
+    assert_same(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+
+
 PARAMS = dict(
     case=cases(),
     seed=st.integers(0, 2**32 - 1),
@@ -129,7 +136,7 @@ def test_local_grand_maximal_is_the_cube_major_reference(case, seed, density, lo
     want = ref.local_grand_maximal(op, fs, q0, mode)
     set_thread_count(threads)
     with small_blocks():
-        assert_same(local_grand_maximal(op, fs, q0, mode), want)
+        assert_same_local(local_grand_maximal(op, fs, q0, mode), want)
 
 
 def test_a_cube_whose_triple_misses_one_slot():
@@ -146,4 +153,4 @@ def test_a_cube_whose_triple_misses_one_slot():
     for mode in (DYADIC, ALL_GRID_CUBES, *shifted_modes(1)):
         assert_same(grand_maximal(op, fs, mode), ref.grand_maximal(op, fs, mode))
         q0 = DyadicCube(1, (0,))
-        assert_same(local_grand_maximal(op, fs, q0, mode), ref.local_grand_maximal(op, fs, q0, mode))
+        assert_same_local(local_grand_maximal(op, fs, q0, mode), ref.local_grand_maximal(op, fs, q0, mode))

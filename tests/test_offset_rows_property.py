@@ -66,6 +66,11 @@ def outcome(fn):
     return None if out is None else np.asarray(getattr(out, "values", out)).tobytes()
 
 
+def local_gaps_and_reference(op, fs, q0, mode):
+    gaps, tf = local_grand_maximal(op, fs, q0, mode)
+    return np.concatenate([gaps.values, tf])
+
+
 BENCH_MPT = grid_op("mpt", 1, 9, 0.0, 14.0)  # weights-mpt
 BENCH_DINI_L6 = grid_op("dini_synthetic", 2, 6, 0.0, 8.0)  # dominate-dini-2d-m1
 BENCH_DINI_L5 = grid_op("dini_synthetic", 2, 5, 0.0, 8.0)  # maximal-grand-2d-dyadic
@@ -116,7 +121,7 @@ def test_truncation_gaps_are_the_row_by_row_reference(op, seed, density, all_cub
     q0 = DyadicCube(level, tuple(int(v) for v in rng.integers(0, 1 << level, size=grid.n)))
     if op is BENCH_DINI_L6:  # the benchmark's root
         q0 = DyadicCube(2, (1, 1))
-    runs = [lambda: local_grand_maximal(op, fs, q0, mode)]
+    runs = [lambda: local_gaps_and_reference(op, fs, q0, mode)]
     if grid.num_cells <= 1024:  # the benchmark's root is the point of the 64 x 64 grid
         runs.append(lambda: grand_maximal(op, fs, mode))
     for run in runs:

@@ -175,11 +175,11 @@ def test_apply_on_cells_evaluates_one_table_per_call(monkeypatch):
 
 def test_apply_on_cells_evaluates_rows_where_the_table_cannot_serve(monkeypatch):
     # the dominate_mpt_off_lattice grid: centre differences round, the
-    # table serves 3 of the 32 cells, and the call evaluates every row
-    # on its own, after the table
+    # table would serve 3 of the 32 cells, so it is refused before it is
+    # evaluated and the call evaluates every row on its own
     op = OperatorSpec(mpt_kernel(1.0, 2.0), GridSpec(n=1, L=5, origin=(0.1,), side=14.0))
     f = GridFunction(op.grid, np.random.default_rng(3).normal(size=op.grid.num_cells))
     calls = _count_rows(monkeypatch)
     xs = np.arange(op.grid.num_cells)
     apply_on_cells(op, (f,), xs)
-    assert calls == ["sdom.kernels"] + ["sdom.operators"] * xs.size
+    assert calls == ["sdom.operators"] * xs.size
