@@ -153,11 +153,11 @@ def build_sparse_family(
 
     entries = []
     stats = []
-    root_tf = None
     depth_cap = 2 * grid.L  # recursion strictly shrinks cubes, so hitting this means a bug
 
     def visit(q0: DyadicCube, depth: int = 0):
-        nonlocal root_tf
+        """Emit the node of ``q0`` and recurse; returns its reference
+        T(f restricted to 3 q0) on its cells, or None when it has none."""
         if depth > depth_cap:
             raise InvariantViolation("builder recursion exceeded its depth cap")
         tq = triple_cube(grid, q0)
@@ -165,14 +165,13 @@ def build_sparse_family(
         for f in fs:
             scale *= local_average(f, tq, r)
         if scale == 0.0:
-            return
+            return None
         idx = cube_flat_indices(grid, q0)
         s = prod_vals[idx].copy()
+        tf = None
         if idx.size > 1:
             lgm, tf = local_grand_maximal(op, fs, q0, mode)
             np.maximum(s, lgm.values[idx], out=s)
-            if depth == 0:
-                root_tf = tf
         s /= scale
         if not np.all(np.isfinite(s)):
             where = f"level {q0.level} index {list(q0.index)}"
@@ -202,8 +201,9 @@ def build_sparse_family(
         )
         for p in selected:
             visit(p, depth + 1)
+        return tf
 
-    visit(root)
+    root_tf = visit(root)
     entries.sort(key=lambda e: e.cube.sort_key())
     family = SparseFamily(grid=grid, root=root, gamma=0.5, entries=tuple(entries))
     return (family, stats, root_tf) if root_values else (family, stats)
@@ -229,12 +229,13 @@ def domination_constant(
     T f is read on the root's cells only, where it equals what ``apply``
     gives, bit for bit; a value outside the root is never computed.
     ``tf_root`` is T f there as ``build_sparse_family`` returns it with
-    ``root_values``, which is how the CLI's ``dominate`` reads it.  When
-    it is None, T f is evaluated through ``operator_values``, and a
-    non-finite value raises ArithmeticError.  The singular check still
-    covers every cell of the domain: a singular tuple in any row raises
-    the ``SingularPointError`` that ``apply`` would raise, naming the
-    same cells (``check_rows``).
+    ``root_values``, which is how the CLI's ``dominate`` reads it; a
+    non-finite one has already stopped the build as a non-finite
+    truncation gap.  When it is None, T f is evaluated through
+    ``operator_values``, and a non-finite value raises ArithmeticError.
+    The singular check still covers every cell of the domain: a singular
+    tuple in any row raises the ``SingularPointError`` that ``apply``
+    would raise, naming the same cells (``check_rows``).
 
     The support flag trips when the sparse form vanishes on a root cell
     where |T f| is not negligible (1e-12 of its largest value on the
