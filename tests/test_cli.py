@@ -130,16 +130,18 @@ def test_dominate_zero_input(tmp_path):
     assert fam["entries"] == []
 
 
+THREADS_CFG = {
+    "grid": {"n": 1, "L": 6, "origin": [0.0], "side": 8.0},
+    "kernel": {"variant": "bilinear_odd", "m": 2},
+    "root": {"level": 2, "index": [1]},
+    "r": 1.0,
+    "mode": "dyadic",
+    "inputs": {"kind": "bank", "shape": "gauss", "seed": 9, "entry": 0},
+}
+
+
 def test_build_byte_identical_across_threads(tmp_path):
-    cfg = {
-        "grid": {"n": 1, "L": 6, "origin": [0.0], "side": 8.0},
-        "kernel": {"variant": "bilinear_odd", "m": 2},
-        "root": {"level": 2, "index": [1]},
-        "r": 1.0,
-        "mode": "dyadic",
-        "inputs": {"kind": "bank", "shape": "gauss", "seed": 9, "entry": 0},
-    }
-    cfg_path = write_cfg(tmp_path, cfg)
+    cfg_path = write_cfg(tmp_path, THREADS_CFG)
     blobs = []
     for tag, threads in (("a", "1"), ("b", "1"), ("c", "2"), ("d", "max")):
         out = tmp_path / tag
@@ -160,15 +162,7 @@ def test_build_byte_identical_across_threads(tmp_path):
 
 
 def test_dominate_byte_identical_across_threads(tmp_path, monkeypatch):
-    cfg = {
-        "grid": {"n": 1, "L": 6, "origin": [0.0], "side": 8.0},
-        "kernel": {"variant": "bilinear_odd", "m": 2},
-        "root": {"level": 2, "index": [1]},
-        "r": 1.0,
-        "mode": "dyadic",
-        "inputs": {"kind": "bank", "shape": "gauss", "seed": 9, "entry": 0},
-    }
-    cfg_path = write_cfg(tmp_path, cfg)
+    cfg_path = write_cfg(tmp_path, THREADS_CFG)
 
     def outputs(tag, threads):
         out = tmp_path / tag
@@ -192,9 +186,8 @@ def test_dominate_byte_identical_across_threads(tmp_path, monkeypatch):
 def test_dominate_off_lattice_evaluates_each_row_once(tmp_path, monkeypatch):
     # golden dominate_mpt_off_lattice: centre differences round, so every
     # offset table is refused before it is evaluated, and the domination
-    # step reads the root's T f from the build's root node; `dominate`
-    # made 22 eval_batch calls when it evaluated both the tables and the
-    # root's rows again
+    # step reads the root's T f from the build's root node, so `dominate`
+    # evaluates no row that `build` does not
     cases = json.loads((ROOT / "tests" / "data" / "cli_golden" / "cases.json").read_text())
     cfg = next(c["config"] for c in cases if c["name"] == "dominate_mpt_off_lattice")
     calls = []
