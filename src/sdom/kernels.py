@@ -20,28 +20,26 @@ lattice sum, maximized over the sampled configurations.  It is not a
 certified bound on the continuum constant.
 
 Both estimators run on one shell engine.  Around a sampled cube Q the
-dilates 2^j Q are index ranges of the sorted quadrature axes, found by
-binary search, and they sort the lattice into shells: Q itself, then
-each dyadic annulus.  The samples are grouped by cube, and each
-distinct sample point p of a cube has one row K(p, .) over the product
-of the shell-sorted lattice with itself, so a pair's difference
-K(x, .) - K(z, .) is one subtraction.  A one-slot kernel that is a
-function of x - y (the boundary-logarithmic and synthetic ones) is
-evaluated once per call, as an ``offset_table``: the row of one point
-over the lattice padded by the spread of the points.  The row of every
-point whose differences x - y are bitwise the table's at some lattice
-shift is a gather from it; every other row is evaluated directly, so
-values, errors and warnings do not depend on which path served them.
-``sdom.operators`` reads its one-slot rows from the same table.
-Per-shell sums of |K(x, .) - K(z, .)|^{r'} (maxima at r = 1) fill a
-table with one cell per shell multi-index, from which
-``hormander_constant`` reads the annulus series and ``h2_constant`` the
-normalized shell values.  One parallel task handles one cube, and the
-results return in plan order.  ``regularity`` reads both constants off
-one pass of tables; the tables live only for that call.  A non-finite
-shell table or value, or a decay factor |x - z|^e that under- or
-overflows, raises FloatingPointError naming the sample's cube centre
-and pair.
+dilates 2^j Q are index ranges of the sorted quadrature axes, found for
+all cubes of a side by one binary search, and they sort the lattice
+into shells: Q itself, then each dyadic annulus.  A one-slot kernel of
+x - y (the boundary-logarithmic and synthetic ones) is evaluated once
+per call, as an ``offset_table``: the row of one point over the lattice
+padded by the spread of the points, which serves every point whose
+differences x - y are bitwise the table's.  A pair of served points
+reads |K(x, .) - K(z, .)|^{r'} in one gather from the pair table of its
+row offset, formed once per call.  Other pairs subtract rows K(p, .)
+over the shell-sorted tuples, gathered or evaluated directly, so values,
+errors and warnings do not depend on the path; ``sdom.operators`` reads
+its one-slot rows from the same offset table.  Per-shell sums of
+|K(x, .) - K(z, .)|^{r'} (maxima at r = 1) fill a table with one cell
+per shell multi-index, from which ``hormander_constant`` reads the
+annulus series and ``h2_constant`` the normalized shell values.  A
+parallel task handles a run of consecutive cubes, and the results
+return in plan order.  ``regularity`` reads both constants off one pass
+of tables, which live only for that call.  A non-finite shell table or
+value, or a decay factor |x - z|^e that under- or overflows, raises
+FloatingPointError naming the sample's cube centre and pair.
 
 The boundary-logarithmic kernels find their live set (the open band
 3 < t < 5, cut to the comb's teeth) on the whole batch and evaluate
@@ -62,9 +60,9 @@ from .parallel import parallel_map
 
 _LN2 = math.log(2.0)
 
-# The estimators evaluate slot tuples in fixed-size row blocks: constant
-# chunking keeps summation order independent of memory pressure and
-# thread count.
+# The estimators' unit of work: m = 2 row blocks, runs of cubes per task,
+# pair tables and plan expansion blocks hold about this many entries.
+# Fixed sizes keep every sum independent of memory and thread count.
 _CHUNK = 1 << 18
 _MAX_PRODUCT_POINTS = 1 << 24
 _MAX_TABLE = 1 << 22  # entries of one offset table
@@ -506,30 +504,27 @@ def plan_error(plan: SamplePlan, grid: GridSpec) -> str | None:
 
 def enumerate_plan(plan: SamplePlan, grid: GridSpec) -> list:
     """Expand a plan that ``plan_error`` accepts into (center, side, x, z)
-    sample configurations."""
+    sample configurations: a level's cubes in row-major order, each with
+    the first ``max_pairs`` pairs of its half cube's depth-d sublattice by
+    (-|x - z|^2, x, z), computed for a block of cubes at a time."""
     configs = []
     if plan.cubes is not None:
         for (c, side), (x, z) in zip(plan.cubes, plan.pairs):
             center, x, z = (np.atleast_1d(np.asarray(p, dtype=float)) for p in (c, x, z))
             configs.append((center, float(side), x, z))
         return configs
+    n, sub = grid.n, 1 << plan.pair_depth
+    i, j = np.triu_indices(sub**n, 1)
     for lam in plan.levels:
         side = grid.side / (1 << lam)
-        sub = 1 << plan.pair_depth
-        # candidate points: centers of the depth-d sublattice of the
-        # concentric half cube
         offsets = -side / 4 + (np.arange(sub) + 0.5) * side / (2 * sub)
-        for idx in np.ndindex(*(1 << lam,) * grid.n):
-            center = np.array([grid.origin[a] + (idx[a] + 0.5) * side for a in range(grid.n)])
-            pts = [center + np.array([offsets[o[a]] for a in range(grid.n)]) for o in np.ndindex(*(sub,) * grid.n)]
-            cand = []
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    d2 = float(np.sum((pts[i] - pts[j]) ** 2))
-                    cand.append((-d2, tuple(pts[i]), tuple(pts[j])))
-            cand.sort()
-            for _, px, pz in cand[: plan.max_pairs]:
-                configs.append((center, side, np.array(px), np.array(pz)))
+        centers = np.add(grid.origin, (np.indices((1 << lam,) * n).reshape(n, -1).T + 0.5) * side)
+        for c in np.array_split(centers, -(-len(centers) * len(i) // _CHUNK)):
+            pts = c[:, None] + offsets[np.indices((sub,) * n).reshape(n, -1).T]
+            d2 = np.sum((pts[:, i] - pts[:, j]) ** 2, axis=-1)
+            pick = np.lexsort([pts[:, k, a] for k in (j, i) for a in reversed(range(n))] + [-d2])[:, : plan.max_pairs]
+            x, z = (np.take_along_axis(pts, k[pick][..., None], axis=1).reshape(-1, n) for k in (i, j))
+            configs += zip([center for center in c for _ in range(pick.shape[1])], itertools.repeat(side), x, z)
     return configs
 
 
@@ -564,28 +559,32 @@ def _lattice_points(axes) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _shell_order(axes, center: np.ndarray, side: float):
-    """Sort the lattice into shells around the cube (center, side).
-
-    The boxes B_j = center +- 2^(j-1) side, j = 0 .. J, grow until B_J
-    holds the whole lattice.  Shell 0 is B_0 = Q and shell j >= 1 is B_j
-    minus B_{j-1}.  Each box is an index range of every sorted axis,
-    found by the same half-open comparison as testing coordinates.
-    Returns (perm, starts): lattice indices sorted by shell, ascending
-    within a shell, and the J + 2 offsets of the shells in that order.
-    In one dimension shell j >= 1 is two runs of indices, the one left
-    of B_{j-1} and then the one right of it, so the permutation is read
-    off the bounds; in two it is a stable sort of per-point shell labels.
-    """
+def _shell_bounds(axes, centers: np.ndarray, side: float) -> list:
+    """Per cube of the (k, n) ``centers`` (lo, hi): per axis the index
+    ranges of the boxes B_j = center +- 2^(j-1) side, j = 0 .. J, grown
+    until B_J holds the whole lattice, from one binary search per axis
+    by the same half-open comparison as testing coordinates."""
     halves = np.ldexp(side, np.arange(-1, 80))
-    lo = [np.searchsorted(ax, c - halves) for ax, c in zip(axes, center)]
-    hi = [np.searchsorted(ax, c + halves) for ax, c in zip(axes, center)]
+    lo = [np.searchsorted(ax, c[:, None] - halves) for ax, c in zip(axes, centers.T)]
+    hi = [np.searchsorted(ax, c[:, None] + halves) for ax, c in zip(axes, centers.T)]
     whole = np.logical_and.reduce([(a == 0) & (b == len(ax)) for a, b, ax in zip(lo, hi, axes)])
-    if not whole.any():
+    if not whole.any(axis=1).all():
         raise RuntimeError("shell enumeration failed to terminate")
-    J = int(np.argmax(whole))
+    J = np.argmax(whole, axis=1).tolist()
+    lo, hi = ([a[:, : max(J) + 1].copy() for a in bounds] for bounds in (lo, hi))  # drop the unused columns
+    return [([a[k, : J[k] + 1] for a in lo], [b[k, : J[k] + 1] for b in hi]) for k in range(len(J))]
+
+
+def _shell_order(axes, lo, hi):
+    """Sort the lattice into the shells of one cube's ``_shell_bounds``:
+    shell 0 is B_0 = Q and shell j >= 1 is B_j minus B_{j-1}.  Returns
+    (perm, starts): lattice indices sorted by shell, ascending within a
+    shell, and the J + 2 offsets of the shells in that order.  In one
+    dimension shell j >= 1 is two runs, left then right of B_{j-1}; in
+    two it is a stable sort of per-point shell labels."""
+    J = len(lo[0]) - 1
     if len(axes) == 1:
-        lo, hi = lo[0][: J + 1].tolist(), hi[0][: J + 1].tolist()
+        lo, hi = lo[0].tolist(), hi[0].tolist()
         index = np.arange(hi[J])
         runs = [index[lo[0] : hi[0]]]
         for j in range(1, J + 1):
@@ -671,37 +670,48 @@ def offset_table(spec: KernelSpec, grid: GridSpec, points: np.ndarray, cells: np
     return vals.ravel(), valid.ravel(), row, ((cells - lo) * strides).sum(axis=1)
 
 
-def _cube_tables(spec: KernelSpec, axes, pts: np.ndarray, r: float, center, side, pairs, table) -> list:
+def _pair_tables(vals: np.ndarray, valid: np.ndarray, deltas: list, r: float):
+    """(F, B, index): F[index[d], u] is |T[u] - T[u + d]|^{r'} (power 1 at
+    r = 1) on the offset table T = ``vals``, 0 where B marks either entry
+    invalid (B is None when it marks none): bitwise what the pair
+    (x, z), d = row[z] - row[x], forms from its rows at u = row[x] + col."""
+    L = len(vals)
+    F, B = np.zeros((len(deltas), L)), np.zeros((len(deltas), L), dtype=bool)
+    for k, d in enumerate(deltas):
+        u, w = slice(max(0, -d), L - max(0, d)), slice(max(0, d), L + min(0, d))
+        np.subtract(vals[u], vals[w], out=F[k, u])
+        B[k, u] = ~(valid[u] & valid[w])
+    F[B] = 0.0
+    np.abs(F, out=F)
+    if r > 1:
+        F **= r / (r - 1.0)  # in place, with the scalar fast paths (square, sqrt) of ``a ** e``
+    return F, B if B.any() else None, {d: k for k, d in enumerate(deltas)}
+
+
+def _cube_tables(spec: KernelSpec, order, pts: np.ndarray, r: float, center, side, pairs, table) -> list:
     """Shell tables of the sample pairs (x, z) that share one cube.
 
     The table of a pair has one cell per shell multi-index (j_1 .. j_m):
     the sum of |K(x,.) - K(z,.)|^{r'} over that product of shells, or
-    the largest |K(x,.) - K(z,.)| at r = 1.  Every distinct sample point
-    p has one row K(p, .) over the shell-sorted tuples, and a pair's
-    difference is one subtraction.  ``table`` is None or an
-    ``offset_table`` over the lattice ``pts`` with its row offsets keyed
-    by the bytes of the points it serves.  The rows of those points come
-    in one gather from it; every other row is an ``eval_batch`` call.
-    At m = 2 the tuples go in blocks of at most ``_CHUNK``, first-slot
-    rows of the shell-sorted lattice against the whole lattice; at
-    m = 1 the lattice is one block.  Returns (table, skipped) per pair,
-    in the order given, with skipped counting the singular tuples
-    outside Q^m.
+    the largest |K(x,.) - K(z,.)| at r = 1.  ``order`` is the cube's
+    ``_shell_order``; ``table`` is None or an ``offset_table`` over the
+    lattice ``pts``, its row offsets keyed by the bytes of the points it
+    serves, and its ``_pair_tables`` or None.  A pair's row is one gather
+    from the pair tables when they serve every point of the cube, else a
+    difference of point rows, each gathered or an ``eval_batch`` call; at
+    m = 2 in blocks of at most ``_CHUNK`` tuples, first-slot rows of the
+    shell-sorted lattice against the whole lattice.  Returns (table,
+    skipped) per pair, in the order given, with skipped counting the
+    singular tuples outside Q^m.
     """
     m = spec.m
-    perm, starts = _shell_order(axes, center, side)
+    perm, starts = order
     N, J = len(perm), len(starts) - 1
     points = {}
     for x, z in pairs:
         points.setdefault(x.tobytes(), x)
         points.setdefault(z.tobytes(), z)
-    table_vals, table_valid, row, col = table if table is not None else (None, None, {}, None)
-    keys = sorted(points, key=lambda key: key not in row)  # gathered rows first
-    H = sum(key in row for key in keys)
-    lattice = pts[perm] if H < len(keys) else None
-    slot = {key: i for i, key in enumerate(keys)}
-    xi = np.array([slot[x.tobytes()] for x, _ in pairs])
-    zi = np.array([slot[z.tobytes()] for _, z in pairs])
+    table_vals, table_valid, row, col, pair = table if table is not None else (None, None, {}, None, None)
     reduce = np.add.reduce if r > 1 else np.maximum.reduce
     shells = [(j, starts[j], starts[j + 1]) for j in range(J) if starts[j + 1] > starts[j]]
     R, step = N ** (m - 1), max(1, _CHUNK // N)
@@ -710,26 +720,37 @@ def _cube_tables(spec: KernelSpec, axes, pts: np.ndarray, r: float, center, side
     q = starts[1]  # Q^m is the leading q rows and columns
     for i0 in range(0, R, step):
         i1 = min(R, i0 + step)
-        vals = np.empty((len(keys), i1 - i0, N))
-        valid = np.empty(vals.shape, dtype=bool)
-        if H:  # one slot: a single block of one row per point
-            at = col[perm] + np.array([row[key] for key in keys[:H]])[:, None]
-            vals[:H, 0] = table_vals[at]
-            valid[:H, 0] = table_valid[at]
-        for k in range(H, len(keys)):
-            ys = (lattice[i0:i1, None], lattice) if m == 2 else (lattice,)
-            vals[k], valid[k] = eval_batch(spec, points[keys[k]], *ys)
-        bad = ~(valid[xi] & valid[zi])
-        a = np.empty((len(pairs), i1 - i0, N))
-        for k in range(len(pairs)):
-            np.subtract(vals[xi[k]], vals[zi[k]], out=a[k])
-        if bad.any():
-            a[bad] = 0.0
-            top = max(0, min(i1, q ** (m - 1)) - i0)
-            skipped += np.count_nonzero(bad, axis=(1, 2)) - np.count_nonzero(bad[:, :top, :q], axis=(1, 2))
-        np.abs(a, out=a)
-        if r > 1:
-            a **= r / (r - 1.0)  # in place, with the scalar fast paths (square, sqrt) of ``a ** e``
+        if pair is not None and all(key in row for key in points):  # one slot: a single block
+            (F, B, index), cp, a = pair, col[perm], np.empty((len(pairs), 1, N))
+            for k, (x, z) in enumerate(pairs):  # from a view at x's row: no index array per pair
+                ux, d = row[x.tobytes()], index[row[z.tobytes()] - row[x.tobytes()]]
+                F[d, ux:].take(cp, out=a[k, 0])
+                skipped[k] = 0 if B is None else np.count_nonzero(B[d, ux:].take(cp[q:]))
+        else:
+            keys = sorted(points, key=lambda key: key not in row)  # gathered rows first
+            H = sum(key in row for key in keys)
+            lattice = pts[perm] if H < len(keys) else None
+            xi, zi = (np.array([keys.index(p.tobytes()) for p in ps]) for ps in zip(*pairs))
+            vals = np.empty((len(keys), i1 - i0, N))
+            valid = np.empty(vals.shape, dtype=bool)
+            if H:  # one slot: a single block of one row per point
+                at = col[perm] + np.array([row[key] for key in keys[:H]])[:, None]
+                vals[:H, 0] = table_vals[at]
+                valid[:H, 0] = table_valid[at]
+            for k in range(H, len(keys)):
+                ys = (lattice[i0:i1, None], lattice) if m == 2 else (lattice,)
+                vals[k], valid[k] = eval_batch(spec, points[keys[k]], *ys)
+            bad = ~(valid[xi] & valid[zi])
+            a = np.empty((len(pairs), i1 - i0, N))
+            for k in range(len(pairs)):
+                np.subtract(vals[xi[k]], vals[zi[k]], out=a[k])
+            if bad.any():
+                a[bad] = 0.0
+                top = max(0, min(i1, q ** (m - 1)) - i0)
+                skipped += np.count_nonzero(bad, axis=(1, 2)) - np.count_nonzero(bad[:, :top, :q], axis=(1, 2))
+            np.abs(a, out=a)
+            if r > 1:
+                a **= r / (r - 1.0)  # in place, with the scalar fast paths (square, sqrt) of ``a ** e``
         for j, s, e in shells:
             acc[:, i0:i1, j] = reduce(a[..., s:e], axis=-1)
     if m == 2:
@@ -750,54 +771,70 @@ def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan)
     """The front end both estimators share.
 
     Expands the plan, drops degenerate x = z pairs, builds the offset
-    table of the distinct sample points, and runs the shell engine once
-    per distinct cube, one parallel task each.  A plan whose kept
+    table of the distinct sample points and its pair tables, finds the
+    shell bounds of all cubes of a side at once, and runs the shell
+    engine on runs of consecutive cubes of about ``_CHUNK`` lattice
+    entries of pair rows, one parallel task each.  A plan whose kept
     samples skip every slot tuple outside their cubes measures nothing,
     and raises FloatingPointError naming the first.  Returns (rows,
     skipped_pairs, samples, covers_all), where ``rows`` holds (config,
     table, skipped) for every kept sample in plan order, so that ties
-    between samples resolve by plan position.  The offset table lives
-    only for this call.
+    between samples resolve by plan position.  The tables live only for
+    this call.
     """
     problem = plan_error(plan, grid) or grid_error(spec, grid) or lattice_error(spec, grid)
     if problem:
         raise ValueError(problem)
     configs = enumerate_plan(plan, grid)
-    kept = [cfg for cfg in configs if not np.array_equal(cfg[2], cfg[3])]
+    kept = [cfg for cfg in configs if cfg[2].tolist() != cfg[3].tolist()]
     axes, bounded = _quad_lattice(spec, grid)
     pts = _lattice_points(axes)
-    cubes, distinct = {}, {}
+    cubes, distinct, bounds = {}, {}, {}
     for pos, (center, side, x, z) in enumerate(kept):
-        cubes.setdefault((tuple(center), side), []).append(pos)
-        distinct.setdefault(x.tobytes(), x)
-        distinct.setdefault(z.tobytes(), z)
-    groups = list(cubes.values())
+        cubes.setdefault((tuple(center.tolist()), side), []).append(pos)
+        distinct.update({x.tobytes(): x, z.tobytes(): z})
+    for side in {side for _, side in cubes}:
+        same = [key for key in cubes if key[1] == side]
+        bounds.update(zip(same, _shell_bounds(axes, np.array([key[0] for key in same]), side)))
     table = offset_table(spec, grid, np.array(list(distinct.values())), _lattice_points(_lattice_indices(spec, grid)))
     if table is not None:
         vals, valid, row, col = table
-        table = vals, valid, {key: k for key, k in zip(distinct, row.tolist()) if k >= 0}, col
+        row = {key: k for key, k in zip(distinct, row.tolist()) if k >= 0}
+        ends = ((row.get(x.tobytes()), row.get(z.tobytes())) for _, _, x, z in kept)
+        deltas = sorted({b - a for a, b in ends if a is not None and b is not None})
+        fits = len(deltas) * len(vals) <= _CHUNK
+        table = vals, valid, row, col, _pair_tables(vals, valid, deltas, r) if fits else None
+    tasks = [[]]
+    for key, positions in cubes.items():
+        if tasks[-1] and (len(positions) + sum(len(p) for _, p in tasks[-1])) * len(pts) ** spec.m > _CHUNK:
+            tasks.append([])
+        tasks[-1].append((key, positions))
 
-    def task(positions):
-        center, side = kept[positions[0]][:2]
-        return _cube_tables(spec, axes, pts, r, center, side, [kept[i][2:] for i in positions], table)
+    def task(chunk):
+        return [
+            _cube_tables(spec, _shell_order(axes, *bounds[k]), pts, r, *kept[p[0]][:2], [kept[i][2:] for i in p], table)
+            for k, p in chunk
+        ]
 
     rows = [None] * len(kept)
-    for positions, tables in zip(groups, parallel_map(task, groups)):
-        for pos, (table, skipped) in zip(positions, tables):
-            rows[pos] = (kept[pos], table, skipped)
+    for (_, positions), tables in zip(itertools.chain(*tasks), itertools.chain(*parallel_map(task, tasks))):
+        for pos, (cells, skipped) in zip(positions, tables):
+            rows[pos] = (kept[pos], cells, skipped)
 
     def blind(cfg, skipped):  # every tuple off Q^m, the only ones either estimate reads, skipped
-        return skipped > 0 and skipped == len(pts) ** spec.m - _shell_order(axes, cfg[0], cfg[1])[1][1] ** spec.m
+        q = math.prod(int(b[0] - a[0]) for a, b in zip(*bounds[tuple(cfg[0].tolist()), cfg[1]]))
+        return skipped > 0 and skipped == len(pts) ** spec.m - q ** spec.m
 
     if rows and all(blind(cfg, skipped) for cfg, _, skipped in rows):
         raise _sample_failure(rows[0][0], "every slot tuple outside the cube is singular")
-    samples = {"cubes": len({(tuple(c), s) for c, s, _, _ in configs}), "pairs": len(configs)}
+    samples = {"cubes": len({(tuple(c.tolist()), s) for c, s, _, _ in configs}), "pairs": len(configs)}
     return rows, len(configs) - len(kept), samples, bounded
 
 
-def _annulus_series(table: np.ndarray, side: float, r: float, grid: GridSpec) -> list:
+def _annulus_series(table: np.ndarray, side: float, r: float, grid: GridSpec, memo: dict | None = None) -> list:
     """The annulus series of one sample from its shell table: scale k
-    takes the cells whose deepest shell is k.  Trailing zeros are cut."""
+    takes the cells whose deepest shell is k.  Trailing zeros are cut.
+    ``memo`` keeps each side's powers |2^k Q|^{m/r} across a report."""
     m = table.ndim
     if m == 1:
         cells = table.tolist()
@@ -805,40 +842,43 @@ def _annulus_series(table: np.ndarray, side: float, r: float, grid: GridSpec) ->
         reduce = np.sum if r > 1 else np.max
         cells = [float(reduce(np.concatenate((table[k, : k + 1], table[:k, k])))) for k in range(len(table))]
     hvol = grid.cell_volume() ** m
-    terms = []
-    for k in range(1, len(cells)):
-        measure = (2.0 ** k * side) ** grid.n
-        if r > 1:
-            terms.append(measure ** (m / r) * (cells[k] * hvol) ** (1.0 / (r / (r - 1.0))))
-        else:
-            terms.append(measure ** m * cells[k])
+    memo = {} if memo is None else memo
+    if len(memo.get(side, ())) < len(cells) - 1:  # increasing in k: one overflows only if the last does
+        memo[side] = [((2.0 ** k * side) ** grid.n) ** (m / r) for k in range(1, len(cells))]
+    e = 1.0 / (r / (r - 1.0)) if r > 1 else None
+    terms = [p * (c * hvol) ** e if e else p * c for p, c in zip(memo.get(side, ()), cells[1:])]
     while terms and terms[-1] == 0.0:
         terms.pop()
     return terms
 
 
-def _shell_peak(table: np.ndarray, cfg, r: float, delta: float, grid: GridSpec):
+def _shell_peak(table: np.ndarray, cfg, r: float, delta: float, grid: GridSpec, memo: dict | None = None):
     """(largest normalized shell value, its deepest shell j0) of one
-    sample from its shell table; (0.0, 0) when no shell carries mass."""
+    sample from its shell table, (0.0, 0) when no shell carries mass;
+    ``memo`` keeps |Q|^{m delta/n} and 2^{m delta j} across a report."""
     _, side, x, z = cfg
-    m, n = table.ndim, grid.n
+    m, n, J = table.ndim, grid.n, len(table)
     hvol = grid.cell_volume() ** m
-    scale = (side ** n) ** (m * delta / n)
-    dist = float(np.sqrt(np.sum((x - z) ** 2)))
+    memo = {} if memo is None else memo
+    scale = memo[side] = memo.get(side) or (side ** n) ** (m * delta / n)
+    dist = math.sqrt(sum(d * d for d in (x - z).tolist()))  # np.sum of the squares, at n <= 2
     decay = dist ** (m * (delta - n / r))
     if not 0.0 < decay < math.inf:
         what = "|x - z| underflows" if dist == 0.0 else f"the decay factor |x - z|^{m * (delta - n / r):g} is {decay!r}"
         raise _sample_failure(cfg, what)
     best, best_j0 = 0.0, 0
-    for idx, s in zip(itertools.product(range(len(table)), repeat=m), table.ravel().tolist()):
-        if not any(idx) or s == 0.0:  # an empty cell's quotient is 0 and never wins
+    for i, s in enumerate(table.ravel().tolist()):
+        if i == 0 or s == 0.0:  # Q^m itself is left out; an empty cell's quotient is 0 and never wins
             continue
+        j0 = max(divmod(i, J)) if m == 2 else i
+        if len(memo.get("2^j", ())) <= j0:  # increasing in j, like the measure powers
+            memo["2^j"] = [2.0 ** (m * delta * j) for j in range(j0 + 1)]
         lhs = (s * hvol) ** (1.0 / (r / (r - 1.0))) if r > 1 else s
-        val = lhs * scale * 2.0 ** (m * delta * max(idx)) / decay
+        val = lhs * scale * memo["2^j"][j0] / decay
         if not math.isfinite(val):
             raise _sample_failure(cfg, f"the shell quotient is {val!r}")
         if val > best:
-            best, best_j0 = val, max(idx)
+            best, best_j0 = val, j0
     return best, best_j0
 
 
@@ -877,11 +917,11 @@ def _sample_failure(cfg, what: str) -> FloatingPointError:
 def _kr_report(sampled, r: float, grid: GridSpec) -> EstimateReport:
     """The annulus-sum report read off ``_sample_tables``' result."""
     rows, skipped, samples, bounded = sampled
-    best_terms, best_v = (), -1.0
+    best_terms, best_v, memo = (), -1.0, {}
     for cfg, table, sk in rows:
         skipped += sk
         try:
-            terms = _annulus_series(table, cfg[1], r, grid)
+            terms = _annulus_series(table, cfg[1], r, grid, memo)
         except OverflowError:
             raise _sample_failure(cfg, "an annulus term overflows") from None
         v = float(np.sum(np.array(terms))) if terms else 0.0
@@ -918,11 +958,11 @@ def h2_constant(spec: KernelSpec, grid: GridSpec, r: float, delta: float, plan: 
 def _h2_report(sampled, r: float, delta: float, grid: GridSpec) -> EstimateReport:
     """The shell-decay report read off ``_sample_tables``' result."""
     rows, skipped, samples, bounded = sampled
-    best, best_j0 = 0.0, 0
+    best, best_j0, memo = 0.0, 0, {}
     for cfg, table, sk in rows:
         skipped += sk
         try:
-            v, j0 = _shell_peak(table, cfg, r, delta, grid)
+            v, j0 = _shell_peak(table, cfg, r, delta, grid, memo)
         except OverflowError:
             raise _sample_failure(cfg, "a shell quotient overflows") from None
         if v > best:

@@ -6,6 +6,10 @@ each region anew.  They are slow but obviously faithful to the
 definitions in `sdom.kernels`, so the shell engine is tested against
 them to a relative tolerance.
 
+``plan_configs`` is ``enumerate_plan`` as it was first written, one
+cube and one candidate pair at a time with a tuple sort; the array
+expansion must give its configs byte for byte and in order.
+
 ``cube_tables`` is the shell engine's table builder as it was before
 rows came from offset tables: each distinct sample point's row is one
 ``eval_batch`` call over the shell-sorted lattice, and the shells come
@@ -119,6 +123,35 @@ def cube_tables(spec, axes, r, center, side, pairs):
     else:
         acc = acc[:, 0]
     return [(acc[i], int(skipped[i])) for i in range(len(pairs))]
+
+
+def plan_configs(plan, grid):
+    """(center, side, x, z) per sample of a plan that ``plan_error``
+    accepts, expanded cube by cube."""
+    configs = []
+    if plan.cubes is not None:
+        for (c, side), (x, z) in zip(plan.cubes, plan.pairs):
+            center, x, z = (np.atleast_1d(np.asarray(p, dtype=float)) for p in (c, x, z))
+            configs.append((center, float(side), x, z))
+        return configs
+    for lam in plan.levels:
+        side = grid.side / (1 << lam)
+        sub = 1 << plan.pair_depth
+        # candidate points: centers of the depth-d sublattice of the
+        # concentric half cube
+        offsets = -side / 4 + (np.arange(sub) + 0.5) * side / (2 * sub)
+        for idx in np.ndindex(*(1 << lam,) * grid.n):
+            center = np.array([grid.origin[a] + (idx[a] + 0.5) * side for a in range(grid.n)])
+            pts = [center + np.array([offsets[o[a]] for a in range(grid.n)]) for o in np.ndindex(*(sub,) * grid.n)]
+            cand = []
+            for i in range(len(pts)):
+                for j in range(i + 1, len(pts)):
+                    d2 = float(np.sum((pts[i] - pts[j]) ** 2))
+                    cand.append((-d2, tuple(pts[i]), tuple(pts[j])))
+            cand.sort()
+            for _, px, pz in cand[: plan.max_pairs]:
+                configs.append((center, side, np.array(px), np.array(pz)))
+    return configs
 
 
 def box_mask(pts, center, half):

@@ -183,6 +183,52 @@ def test_dominate_byte_identical_across_threads(tmp_path, monkeypatch):
     assert doc["results"]["family_size"] >= 1
 
 
+# a 1-D comb kernel (level 2 served by the pair tables, level 3 off the
+# offset table's lattice class), a 2-D one-slot kernel and the two-slot kernel
+ESTIMATE_CFGS = {
+    "mpt_truncated": {
+        "grid": {"n": 1, "L": 6, "origin": [0.0], "side": 8.0},
+        "kernel": {"variant": "mpt_truncated", "m": 1, "beta": 1.0, "r": 2.0, "ell": 1},
+        "r": 2.0,
+        "plan": {"levels": [2, 3], "pair_depth": 2, "max_pairs": 6},
+    },
+    "dini_synthetic_2d": {
+        "grid": {"n": 2, "L": 3, "origin": [0.0, 0.0], "side": 8.0},
+        "kernel": {"variant": "dini_synthetic", "m": 1, "modulus": {"kind": "power", "c": 1.0, "eps": 0.7}},
+        "r": 2.0,
+        "plan": {"levels": [1, 2], "pair_depth": 1, "max_pairs": 3},
+    },
+    "bilinear_odd": {
+        "grid": {"n": 1, "L": 4, "origin": [0.0], "side": 8.0},
+        "kernel": {"variant": "bilinear_odd", "m": 2},
+        "r": 1.5,
+        "plan": {"levels": [2, 3], "pair_depth": 2, "max_pairs": 3},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_CFGS))
+@pytest.mark.parametrize("command", ["kr", "h2"])
+def test_estimates_byte_identical_across_threads(tmp_path, monkeypatch, command, name):
+    cfg_path = write_cfg(tmp_path, dict(ESTIMATE_CFGS[name], delta=1.5))
+
+    def outputs(tag, threads):
+        out = tmp_path / tag
+        assert cli.main([command, "--config", cfg_path, "--out", str(out), "--threads", threads]) == 0
+        return [(out / n).read_bytes() for n in sorted(os.listdir(out))]
+
+    whole = outputs("whole", "1")
+    # runs of two cubes (eight of the 2-D ones) per task, so that tasks
+    # split each level; the pair tables still fit
+    monkeypatch.setattr(kernels, "_CHUNK", 1600)
+    tasks = []
+    inner = kernels.parallel_map
+    monkeypatch.setattr(kernels, "parallel_map", lambda fn, items: tasks.append(len(items)) or inner(fn, items))
+    for tag, threads in (("a", "1"), ("b", "2"), ("c", "max")):
+        assert outputs(tag, threads) == whole
+    assert len(tasks) == 3 and min(tasks) >= 3
+
+
 def test_dominate_off_lattice_evaluates_each_row_once(tmp_path, monkeypatch):
     # golden dominate_mpt_off_lattice: centre differences round, so every
     # offset table is refused before it is evaluated, and the domination

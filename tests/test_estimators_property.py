@@ -16,6 +16,7 @@ lattice class, so that both the offset-table gather and the per-row
 fallback run.
 """
 
+import math
 import re
 
 import numpy as np
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 from reference_estimators import (
     cube_tables,
+    plan_configs,
     quad_axes,
     reference_h2,
     reference_hormander,
@@ -275,6 +277,8 @@ def row_cases(draw):
 # a separation cube family (ell = 2 at L = 8) and the 2-D kr plan of the mixed benchmark workload
 @example(case=(mpt_truncated_kernel(1.5, 2.0, 2), GridSpec(n=1, L=8, origin=(0.0,), side=8.0), 2.0, SamplePlan(levels=(4, 5, 6), max_pairs=6)))
 @example(case=(dini_synthetic_kernel(DINI, 1), GridSpec(n=2, L=3, origin=(0.0, 0.0), side=8.0), 2.0, SamplePlan(levels=(1, 2), pair_depth=1, max_pairs=3)))
+# plain mpt sampled at lattice points: its pair tables hold invalid entries (t = 0 and the singular t = 4)
+@example(case=(mpt_kernel(1.0, 2.0), GridSpec(n=1, L=6, origin=(0.0,), side=8.0), 2.0, SamplePlan(levels=(3,), max_pairs=4)))
 def test_shell_tables_are_the_row_by_row_reference_bit_for_bit(case):
     kernel, grid, r, plan = case
     assume(plan_error(plan, grid) is None)  # an offset of 1 can round a point off the half cube
@@ -340,3 +344,34 @@ def test_separation_evaluates_one_table_row_per_ell(monkeypatch):
     for ell in (0, 1):
         regularity(mpt_truncated_kernel(1.0, 2.0, ell), grid, 2.0, 1.0, SamplePlan(levels=(ell + 2, ell + 3, ell + 4), max_pairs=6))
     assert calls == [0, 1]
+
+
+@st.composite
+def plan_cases(draw):
+    n, pair_depth = draw(st.sampled_from([1, 2])), draw(st.integers(1, 3))
+    top = 6 if n == 1 else 3 if pair_depth < 3 else 1  # the reference sorts every candidate pair of every cube
+    grid = GridSpec(
+        n=n,
+        L=draw(st.integers(1, top)),
+        origin=tuple(draw(st.sampled_from(ORIGINS)) for _ in range(n)),
+        side=draw(st.sampled_from(SIDES)),
+    )
+    levels = draw(st.lists(st.integers(0, grid.L), min_size=1, max_size=3, unique=True))
+    candidates = math.comb(1 << (pair_depth * n), 2)
+    return grid, SamplePlan(levels=tuple(levels), pair_depth=pair_depth, max_pairs=draw(st.integers(1, candidates + 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(plan_cases())
+# the plans of the benchmark workloads: regularity-1d at ell = 4, mixed-2d-t2's bilinear and 2-D dini plans
+@example(case=(GridSpec(n=1, L=12, origin=(0.0,), side=8.0), SamplePlan(levels=(6, 7, 8), pair_depth=2, max_pairs=6)))
+@example(case=(GridSpec(n=1, L=8, origin=(0.0,), side=8.0), SamplePlan(levels=(2, 3), pair_depth=2, max_pairs=3)))
+@example(case=(GridSpec(n=2, L=6, origin=(0.0, 0.0), side=8.0), SamplePlan(levels=(1, 2), pair_depth=1, max_pairs=3)))
+def test_plan_expansion_is_the_cube_by_cube_reference(case):
+    grid, plan = case
+    got, want = enumerate_plan(plan, grid), plan_configs(plan, grid)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g[1]) is type(w[1]) is float and g[1] == w[1]
+        for a, b in zip(g[::2] + g[3:], w[::2] + w[3:]):  # center, x, z
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
