@@ -559,30 +559,30 @@ def _lattice_points(axes) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _shell_bounds(axes, centers: np.ndarray, side: float) -> list:
-    """Per cube of the (k, n) ``centers`` (lo, hi): per axis the index
-    ranges of the boxes B_j = center +- 2^(j-1) side, j = 0 .. J, grown
-    until B_J holds the whole lattice, from one binary search per axis
-    by the same half-open comparison as testing coordinates."""
+def _shell_bounds(axes, centers: np.ndarray, side: float):
+    """(lo, hi, J) for the (k, n) ``centers`` of cubes of one side: per
+    axis and cube the index ranges of the boxes B_j = center +- 2^(j-1)
+    side, j = 0 .. J, grown until B_J holds the whole lattice, from one
+    binary search per axis by the same half-open comparison as testing
+    coordinates; (n, k, max J + 1) arrays, and each cube's J."""
     halves = np.ldexp(side, np.arange(-1, 80))
-    lo = [np.searchsorted(ax, c[:, None] - halves) for ax, c in zip(axes, centers.T)]
-    hi = [np.searchsorted(ax, c[:, None] + halves) for ax, c in zip(axes, centers.T)]
+    lo = np.stack([np.searchsorted(ax, c[:, None] - halves) for ax, c in zip(axes, centers.T)])
+    hi = np.stack([np.searchsorted(ax, c[:, None] + halves) for ax, c in zip(axes, centers.T)])
     whole = np.logical_and.reduce([(a == 0) & (b == len(ax)) for a, b, ax in zip(lo, hi, axes)])
     if not whole.any(axis=1).all():
         raise RuntimeError("shell enumeration failed to terminate")
-    J = np.argmax(whole, axis=1).tolist()
-    lo, hi = ([a[:, : max(J) + 1].copy() for a in bounds] for bounds in (lo, hi))  # drop the unused columns
-    return [([a[k, : J[k] + 1] for a in lo], [b[k, : J[k] + 1] for b in hi]) for k in range(len(J))]
+    J = np.argmax(whole, axis=1)
+    return lo[..., : J.max() + 1].copy(), hi[..., : J.max() + 1].copy(), J.tolist()  # the used columns only
 
 
-def _shell_order(axes, lo, hi):
-    """Sort the lattice into the shells of one cube's ``_shell_bounds``:
+def _shell_order(axes, lo, hi, k: int, J: int):
+    """Sort the lattice into the shells of cube k of ``_shell_bounds``:
     shell 0 is B_0 = Q and shell j >= 1 is B_j minus B_{j-1}.  Returns
     (perm, starts): lattice indices sorted by shell, ascending within a
     shell, and the J + 2 offsets of the shells in that order.  In one
     dimension shell j >= 1 is two runs, left then right of B_{j-1}; in
     two it is a stable sort of per-point shell labels."""
-    J = len(lo[0]) - 1
+    lo, hi = lo[:, k, : J + 1], hi[:, k, : J + 1]
     if len(axes) == 1:
         lo, hi = lo[0].tolist(), hi[0].tolist()
         index = np.arange(hi[J])
@@ -675,10 +675,9 @@ def _pair_tables(vals: np.ndarray, valid: np.ndarray, deltas: list, r: float):
     r = 1) on the offset table T = ``vals``, 0 where B marks either entry
     invalid (B is None when it marks none): bitwise what the pair
     (x, z), d = row[z] - row[x], forms from its rows at u = row[x] + col."""
-    L = len(vals)
-    F, B = np.zeros((len(deltas), L)), np.zeros((len(deltas), L), dtype=bool)
+    F, B = np.zeros((len(deltas), len(vals))), np.zeros((len(deltas), len(vals)), dtype=bool)
     for k, d in enumerate(deltas):
-        u, w = slice(max(0, -d), L - max(0, d)), slice(max(0, d), L + min(0, d))
+        u, w = slice(max(0, -d), len(vals) - max(0, d)), slice(max(0, d), len(vals) + min(0, d))
         np.subtract(vals[u], vals[w], out=F[k, u])
         B[k, u] = ~(valid[u] & valid[w])
     F[B] = 0.0
@@ -795,7 +794,8 @@ def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan)
         distinct.update({x.tobytes(): x, z.tobytes(): z})
     for side in {side for _, side in cubes}:
         same = [key for key in cubes if key[1] == side]
-        bounds.update(zip(same, _shell_bounds(axes, np.array([key[0] for key in same]), side)))
+        lo, hi, J = _shell_bounds(axes, np.array([key[0] for key in same]), side)
+        bounds.update((key, (lo, hi, k, J[k])) for k, key in enumerate(same))
     table = offset_table(spec, grid, np.array(list(distinct.values())), _lattice_points(_lattice_indices(spec, grid)))
     if table is not None:
         vals, valid, row, col = table
@@ -822,8 +822,8 @@ def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan)
             rows[pos] = (kept[pos], cells, skipped)
 
     def blind(cfg, skipped):  # every tuple off Q^m, the only ones either estimate reads, skipped
-        q = math.prod(int(b[0] - a[0]) for a, b in zip(*bounds[tuple(cfg[0].tolist()), cfg[1]]))
-        return skipped > 0 and skipped == len(pts) ** spec.m - q ** spec.m
+        lo, hi, k, _ = bounds[tuple(cfg[0].tolist()), cfg[1]]
+        return skipped > 0 and skipped == len(pts) ** spec.m - math.prod((hi[:, k, 0] - lo[:, k, 0]).tolist()) ** spec.m
 
     if rows and all(blind(cfg, skipped) for cfg, _, skipped in rows):
         raise _sample_failure(rows[0][0], "every slot tuple outside the cube is singular")
