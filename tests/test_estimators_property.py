@@ -282,7 +282,11 @@ def row_cases(draw):
 def test_shell_tables_are_the_row_by_row_reference_bit_for_bit(case):
     kernel, grid, r, plan = case
     assume(plan_error(plan, grid) is None)  # an offset of 1 can round a point off the half cube
-    rows, _, _, _ = _sample_tables(kernel, grid, r, plan)
+    try:
+        rows, _, _, _ = _sample_tables(kernel, grid, r, plan)
+    except FloatingPointError as error:  # a plan that measures nothing is refused, as golden kr_every_tuple_singular pins
+        assume(not str(error).startswith("every slot tuple outside the cube is singular"))
+        raise
     axes = quad_axes(kernel, grid)
     cubes = {}
     for pos, (cfg, _, _) in enumerate(rows):
