@@ -12,8 +12,12 @@ The engine's shell tables and skip counts must also be bitwise those of
 ``reference_estimators.cube_tables``, which evaluates every row with
 ``eval_batch``, for every kernel a config can name, on grids whose
 centre differences are not all exact and on plans with points off the
-lattice class, so that both the offset-table gather and the per-row
-fallback run.
+lattice class, so that the pair-table gather (with and without invalid
+entries), the offset-table gather and the per-row fallback all run.
+
+The plan expansion must give the configs of
+``reference_estimators.plan_configs``, the cube-by-cube loop, byte for
+byte and in order.
 """
 
 import math
