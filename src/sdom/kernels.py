@@ -519,7 +519,7 @@ def enumerate_plan(plan: SamplePlan, grid: GridSpec) -> list:
         side = grid.side / (1 << lam)
         offsets = -side / 4 + (np.arange(sub) + 0.5) * side / (2 * sub)
         centers = np.add(grid.origin, (np.indices((1 << lam,) * n).reshape(n, -1).T + 0.5) * side)
-        for c in np.array_split(centers, -(-len(centers) * len(i) // _CHUNK)):
+        for c in np.array_split(centers, -(-len(centers) * len(i) * 8 * n // _CHUNK)):  # keys under 1 MiB
             pts = c[:, None] + offsets[np.indices((sub,) * n).reshape(n, -1).T]
             d2 = np.sum((pts[:, i] - pts[:, j]) ** 2, axis=-1)
             pick = np.lexsort([pts[:, k, a] for k in (j, i) for a in reversed(range(n))] + [-d2])[:, : plan.max_pairs]
@@ -562,17 +562,17 @@ def _lattice_points(axes) -> np.ndarray:
 def _shell_bounds(axes, centers: np.ndarray, side: float):
     """(lo, hi, J) for the (k, n) ``centers`` of cubes of one side: per
     axis and cube the index ranges of the boxes B_j = center +- 2^(j-1)
-    side, j = 0 .. J, grown until B_J holds the whole lattice, from one
+    side until B_j passes twice the farthest lattice point, from one
     binary search per axis by the same half-open comparison as testing
-    coordinates; (n, k, max J + 1) arrays, and each cube's J."""
-    halves = np.ldexp(side, np.arange(-1, 80))
+    coordinates; (n, k, j) arrays, and each cube's J, the first j whose B_j holds the lattice."""
+    span = max(float(np.max(np.abs(c[:, None] - ax[[0, -1]]))) for ax, c in zip(axes, centers.T))
+    halves = np.ldexp(side, np.arange(-1, math.ceil(math.log2(max(span / side, 1.0))) + 3))
     lo = np.stack([np.searchsorted(ax, c[:, None] - halves) for ax, c in zip(axes, centers.T)])
     hi = np.stack([np.searchsorted(ax, c[:, None] + halves) for ax, c in zip(axes, centers.T)])
     whole = np.logical_and.reduce([(a == 0) & (b == len(ax)) for a, b, ax in zip(lo, hi, axes)])
     if not whole.any(axis=1).all():
         raise RuntimeError("shell enumeration failed to terminate")
-    J = np.argmax(whole, axis=1)
-    return lo[..., : J.max() + 1].copy(), hi[..., : J.max() + 1].copy(), J.tolist()  # the used columns only
+    return lo, hi, np.argmax(whole, axis=1).tolist()
 
 
 def _shell_order(axes, lo, hi, k: int, J: int):
@@ -802,7 +802,7 @@ def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan)
         row = {key: k for key, k in zip(distinct, row.tolist()) if k >= 0}
         ends = ((row.get(x.tobytes()), row.get(z.tobytes())) for _, _, x, z in kept)
         deltas = sorted({b - a for a, b in ends if a is not None and b is not None})
-        fits = len(deltas) * len(vals) <= _CHUNK
+        fits = len(deltas) * len(vals) <= _CHUNK // 2  # F under 1 MiB
         table = vals, valid, row, col, _pair_tables(vals, valid, deltas, r) if fits else None
     tasks = [[]]
     for key, positions in cubes.items():

@@ -36,6 +36,7 @@ from reference_estimators import (
     reference_hormander,
     reference_series,
     reference_shells,
+    shell_order,
 )
 from sdom import kernels
 from sdom.grid import GridSpec
@@ -283,21 +284,35 @@ def row_cases(draw):
 @example(case=(dini_synthetic_kernel(DINI, 1), GridSpec(n=2, L=3, origin=(0.0, 0.0), side=8.0), 2.0, SamplePlan(levels=(1, 2), pair_depth=1, max_pairs=3)))
 # plain mpt sampled at lattice points: its pair tables hold invalid entries (t = 0 and the singular t = 4)
 @example(case=(mpt_kernel(1.0, 2.0), GridSpec(n=1, L=6, origin=(0.0,), side=8.0), 2.0, SamplePlan(levels=(3,), max_pairs=4)))
+# a plan whose every tuple outside the cube is singular, which the estimators refuse
+@example(
+    case=(
+        mpt_kernel(1.0, 2.0),
+        GridSpec(n=1, L=1, origin=(0.0,), side=8.0),
+        1.0,
+        SamplePlan(cubes=((np.array([4.0]), 8.0),), pairs=((np.array([2.0]), np.array([3.0])),)),
+    )
+)
 def test_shell_tables_are_the_row_by_row_reference_bit_for_bit(case):
     kernel, grid, r, plan = case
     assume(plan_error(plan, grid) is None)  # an offset of 1 can round a point off the half cube
     try:
         rows, _, _, _ = _sample_tables(kernel, grid, r, plan)
     except FloatingPointError as error:  # a plan that measures nothing is refused, as golden kr_every_tuple_singular pins
-        assume(not str(error).startswith("every slot tuple outside the cube is singular"))
-        raise
+        if not str(error).startswith("every slot tuple outside the cube is singular"):
+            raise
+        rows = [(cfg, None, None) for cfg in enumerate_plan(plan, grid) if not np.array_equal(cfg[2], cfg[3])]
     axes = quad_axes(kernel, grid)
     cubes = {}
     for pos, (cfg, _, _) in enumerate(rows):
         cubes.setdefault((tuple(cfg[0]), cfg[1]), []).append(pos)
     for (center, side), positions in cubes.items():
         want = cube_tables(kernel, axes, r, np.array(center), side, [rows[i][0][2:] for i in positions])
+        q = shell_order(axes, np.array(center), side)[1][1]
         for pos, (table, skipped) in zip(positions, want):
+            if rows[pos][1] is None:  # refused: the reference skips every tuple outside Q^m, at least one
+                assert 0 < skipped == math.prod(map(len, axes)) ** kernel.m - q**kernel.m
+                continue
             assert rows[pos][1].shape == table.shape
             assert rows[pos][1].tobytes() == table.tobytes()
             assert rows[pos][2] == skipped
