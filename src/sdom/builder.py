@@ -29,7 +29,7 @@ from .grid import (
     triple_cube,
 )
 from .maximal import DYADIC, CubeFamilyMode, family_boxes, local_grand_maximal
-from .operators import OperatorSpec, check_inputs, check_rows, operator_values
+from .operators import OperatorSpec, check_inputs, operator_values
 from .sparse import InvariantViolation, SparseEntry, SparseFamily, sparse_eval
 
 
@@ -233,9 +233,6 @@ def domination_constant(
     non-finite one has already stopped the build as a non-finite
     truncation gap.  When it is None, T f is evaluated through
     ``operator_values``, and a non-finite value raises ArithmeticError.
-    The singular check still covers every cell of the domain: a singular
-    tuple in any row raises the ``SingularPointError`` that ``apply``
-    would raise, naming the same cells (``check_rows``).
 
     The support flag trips when the sparse form vanishes on a root cell
     where |T f| is not negligible (1e-12 of its largest value on the
@@ -244,9 +241,7 @@ def domination_constant(
     output is itself nonzero.
     """
     fs = check_inputs(op, fs)
-    grid = op.grid
-    check_rows(op, fs, np.arange(grid.num_cells))
-    idx = cube_flat_indices(grid, family.root)
+    idx = cube_flat_indices(op.grid, family.root)
     if tf_root is None:
         tf_root = operator_values(op, fs, idx)
     tf_root = np.abs(tf_root)

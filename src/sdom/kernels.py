@@ -273,11 +273,10 @@ def eval_batch(spec: KernelSpec, x: np.ndarray, *ys: np.ndarray):
     -------
     vals : float array of the broadcast shape, zero where invalid.
     valid : bool array of the same shape, False exactly on singular set
-        hits (any slot equal to x) and on the kernel's own singular set
-        (see ``singular_rows``).  No finiteness check is made: a value
-        that overflows or divides by an underflowed denominator comes
-        back as it is, with ``valid`` True, and shows up in the caller's
-        sum.
+        hits (any slot equal to x) and on the kernel's own singular
+        set.  No finiteness check is made: a value that overflows or
+        divides by an underflowed denominator comes back as it is, with
+        ``valid`` True, and shows up in the caller's sum.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     ys = [np.asarray(y, dtype=float) for y in ys]
@@ -323,54 +322,6 @@ def _eval_values(spec: KernelSpec, x: np.ndarray, ys):
         mn = spec.m * x.size
         return spec.amplitude * spec.modulus(tent) / Dsafe ** mn, valid
     raise ValueError(f"unknown kernel variant {spec.variant!r}")
-
-
-def _slot_vanishes(spec: KernelSpec, d):
-    """Where one slot's term of the kernel's own singular set vanishes,
-    from that slot's differences ``d`` (x - y, one array per axis) as
-    ``_eval_values`` forms them; None for variants singular on the
-    diagonal alone.
-
-    ``bilinear_odd`` is singular where u0^2 + u1^2 is 0 and
-    ``dini_synthetic`` where the sum of the slot distances is.  A sum of
-    nonnegative floats is 0 only when every term is, so both hold
-    exactly where the slot term vanishes in every slot.  ``mpt`` has one
-    slot, singular at t = 4; ``mpt_truncated``'s comb leaves t = 4 out.
-    """
-    if spec.variant == "bilinear_odd":
-        return d[0] * d[0] == 0.0
-    if spec.variant == "dini_synthetic":
-        return sum(da ** 2 for da in d) == 0.0
-    if spec.variant == "mpt":
-        return d[0] == 4.0
-    return None
-
-
-def singular_rows(spec: KernelSpec, x: np.ndarray, *ys: np.ndarray, keep) -> np.ndarray:
-    """Whether each row K(x_j, .) has a slot tuple where ``eval_batch``
-    reports ``valid`` False, decided without evaluating a row.
-
-    ``x`` holds (k, n) points and ``ys`` one (K_s, n) point array per
-    slot.  Row j spans the product of the slot points that ``keep[s][j]``
-    marks, one (k, K_s) mask per slot.  A tuple is invalid exactly when
-    some slot point equals x, or the slot term of ``_slot_vanishes``
-    vanishes in every slot, so each row is decided from one (k, K_s)
-    array of point pairs per slot.  Test-only variants count as
-    singular on the diagonal alone.
-    """
-    x = np.asarray(x, dtype=float)
-    k, n = x.shape
-    spans = np.ones(k, dtype=bool)  # every slot keeps a point
-    at_x = np.zeros(k, dtype=bool)  # some slot keeps a point equal to x
-    vanish = np.ones(k, dtype=bool)  # every slot keeps a point where its term vanishes
-    with np.errstate(over="ignore", under="ignore"):
-        for y, live in zip(ys, keep):
-            eq = np.logical_and.reduce([x[:, None, a] == y[None, :, a] for a in range(n)])
-            zero = _slot_vanishes(spec, [x[:, None, a] - y[None, :, a] for a in range(n)])
-            spans &= live.any(axis=1)
-            at_x |= (eq & live).any(axis=1)
-            vanish &= False if zero is None else (zero & live).any(axis=1)
-    return spans & (at_x | vanish)
 
 
 def _mpt_values(spec: KernelSpec, t: np.ndarray):

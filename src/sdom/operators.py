@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Cube, GridFunction, GridSpec, cell_centers, cube_flat_indices
-from .kernels import KernelSpec, SingularPointError, eval_batch, grid_error, offset_table, singular_rows
+from .kernels import KernelSpec, SingularPointError, eval_batch, grid_error, offset_table
 from .parallel import parallel_map
 
 
@@ -75,12 +75,11 @@ def _singular_error(grid, x_flat, y_flats):
     )
 
 
-# (x, y) pairs that one block holds: the rows of ``_row_blocks`` and,
-# per slot, a screen of ``check_rows``.  That is a kernel row of
+# (x, y) pairs that one block of ``_row_blocks`` holds: a kernel row of
 # 128 x 128 slot tuples, so no block's temporaries are larger than such
 # a row's.  At 2^16 pairs, one process running the 16 `dominate-1d`
-# configs 28 times peaked 0.8 MiB higher in the screen (46.26 MiB
-# without it, 47.04 with it, 46.32 at 2^14; 2-core Xeon, Python 3.11,
+# configs 28 times peaked 0.6 to 0.8 MiB higher (36.7 to 36.8 MiB at
+# 2^14 and 2^12, 37.4 to 37.6 at 2^16; 2-core Xeon, Python 3.11,
 # numpy 2.4).
 _PAIR_BLOCK = 1 << 14
 
@@ -229,25 +228,3 @@ def apply(op: OperatorSpec, fs) -> GridFunction:
     """Apply the operator to a tuple of m grid functions."""
     fs = check_inputs(op, fs)
     return GridFunction(op.grid, operator_values(op, fs, np.arange(op.grid.num_cells)))
-
-
-def check_rows(op: OperatorSpec, fs, xs: np.ndarray) -> None:
-    """Raise the ``SingularPointError`` that ``kernel_rows`` raises on
-    the first of the ascending cells ``xs`` whose row over every nonzero
-    slot cell holds a singular tuple, evaluating that row alone.
-
-    Nothing is screened when the rows come from a ``_table``,
-    which serves only when no row holds a singular tuple.  Otherwise
-    the rows are screened by ``kernels.singular_rows``, with each row's
-    own cell left out of every slot as ``kernel_rows`` leaves it out.
-    """
-    idx = [_slot_cells(op, f, None)[0] for f in fs]
-    if _table(op, idx, xs) is not None:
-        return
-    ys = [cell_centers(op.grid, i) for i in idx]
-    step = max(1, _PAIR_BLOCK // max(1, *(i.size for i in idx)))
-    for b in range(0, xs.size, step):
-        xb = xs[b : b + step]
-        hit = singular_rows(op.kernel, cell_centers(op.grid, xb), *ys, keep=[xb[:, None] != i for i in idx])
-        if hit.any():
-            apply_on_cells(op, fs, xb[hit][:1])

@@ -7,8 +7,6 @@ formula.  Every evaluation goes through ``_eval_values``: ``eval_batch``,
 and with it ``apply``, the maximal operators, the estimators and the
 direct-sum references in ``reference_estimators``.  So the engine and its
 references see the same kernel.  Every other spec evaluates as before.
-``kernels.singular_rows``, which decides rows without evaluating them,
-takes a fake kernel as singular on the diagonal alone.
 """
 
 import numpy as np

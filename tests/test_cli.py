@@ -391,10 +391,11 @@ def assert_one_line_failure(capsys, code, expected_code, prefix, tmp_path, left)
 
 
 def test_singular_lattice_hit_is_a_config_error(tmp_path, capsys):
-    # the boundary-log kernel blows up at |x - y| = 4, which side 8 and
-    # L = 3 put on the lattice: x cell 6 at 6.5, y cell 2 at 2.5
+    # the boundary-log kernel blows up at x - y = 4, which side 32 and
+    # L = 4 put on the lattice two cells apart; the bank input lives on
+    # the root's cells 4 to 7, so root row 6 at 13 meets y cell 4 at 9
     cfg = {
-        "grid": {"n": 1, "L": 3, "origin": [0.0], "side": 8.0},
+        "grid": {"n": 1, "L": 4, "origin": [0.0], "side": 32.0},
         "kernel": {"variant": "mpt", "m": 1, "beta": 1.0, "r": 2.0},
         "root": {"level": 2, "index": [1]},
         "r": 1.0,
