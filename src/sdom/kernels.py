@@ -21,25 +21,28 @@ certified bound on the continuum constant.
 
 Both estimators run on one shell engine.  Around a sampled cube Q the
 dilates 2^j Q are index ranges of the sorted quadrature axes, found for
-all cubes of a side by one binary search, and they sort the lattice
-into shells: Q itself, then each dyadic annulus.  A one-slot kernel of
-x - y (the boundary-logarithmic and synthetic ones) is evaluated once
-per call, as an ``offset_table``: the row of one point over the lattice
-padded by the spread of the points, which serves every point whose
-differences x - y are bitwise the table's.  A pair of served points
-reads |K(x, .) - K(z, .)|^{r'} in one gather from the pair table of its
-row offset, formed once per call.  Other pairs subtract rows K(p, .)
-over the shell-sorted tuples, gathered or evaluated directly, so values,
-errors and warnings do not depend on the path; ``sdom.operators`` reads
-its one-slot rows from the same offset table.  Per-shell sums of
-|K(x, .) - K(z, .)|^{r'} (maxima at r = 1) fill a table with one cell
-per shell multi-index, from which ``hormander_constant`` reads the
-annulus series and ``h2_constant`` the normalized shell values.  A
-parallel task handles a run of consecutive cubes, and the results
-return in plan order.  ``regularity`` reads both constants off one pass
-of tables, which live only for that call.  A non-finite shell table or
-value, or a decay factor |x - z|^e that under- or overflows, raises
-FloatingPointError naming the sample's cube centre and pair.
+every cube by one binary search per axis, and they lay the lattice out
+by shell: Q, then each dyadic annulus, each led by a 0.  A one-slot
+kernel of x - y (the boundary-logarithmic and synthetic ones) is
+evaluated once per call, as an ``offset_table``: the row of one point
+over the lattice padded by the spread of the points, which serves every
+point whose differences x - y are bitwise the table's.  The pairs of a
+cube of served points read |K(x, .) - K(z, .)|^{r'} in one gather from
+the pair tables, formed once per call; other pairs subtract rows
+K(p, .), gathered or evaluated, so values, errors and warnings do not
+depend on the path.  ``sdom.operators`` reads its one-slot rows from the
+same offset table.  One ``reduceat`` over the shell heads sums each
+shell (maxima at r = 1) into a table with one cell per shell
+multi-index.  A parallel task handles a run of consecutive cubes.
+``hormander_constant`` and ``h2_constant`` read the annulus series and
+the normalized shell values off all tables of a call at once, grouped
+by cube side and table shape: each product in the one-sample order,
+each power a scalar libm ``pow``, the series of one length summed by one
+``np.sum``, ties won by the first sample in plan order.  ``regularity``
+reads both off one pass of tables, which live only for that call.  A
+non-finite table or value, a power that overflows or a decay factor
+|x - z|^e that underflows refuses the first such sample in plan order
+with FloatingPointError naming its cube centre and pair.
 
 The boundary-logarithmic kernels find their live set (the open band
 3 < t < 5, cut to the comb's teeth) on the whole batch and evaluate
@@ -48,6 +51,7 @@ the power and logarithm on the live offsets only.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -510,14 +514,14 @@ def _lattice_points(axes) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _shell_bounds(axes, centers: np.ndarray, side: float):
-    """(lo, hi, J) for the (k, n) ``centers`` of cubes of one side: per
-    axis and cube the index ranges of the boxes B_j = center +- 2^(j-1)
+def _shell_bounds(axes, centers: np.ndarray, sides: np.ndarray):
+    """(lo, hi, J) for the (k, n) ``centers`` of cubes of the k ``sides``:
+    per axis and cube the index ranges of the boxes B_j = center +- 2^(j-1)
     side until B_j passes twice the farthest lattice point, from one
     binary search per axis by the same half-open comparison as testing
     coordinates; (n, k, j) arrays, and each cube's J, the first j whose B_j holds the lattice."""
     span = max(float(np.max(np.abs(c[:, None] - ax[[0, -1]]))) for ax, c in zip(axes, centers.T))
-    halves = np.ldexp(side, np.arange(-1, math.ceil(math.log2(max(span / side, 1.0))) + 3))
+    halves = np.ldexp(sides[:, None], np.arange(-1, math.ceil(math.log2(max(span / sides.min(), 1.0))) + 3))
     lo = np.stack([np.searchsorted(ax, c[:, None] - halves) for ax, c in zip(axes, centers.T)])
     hi = np.stack([np.searchsorted(ax, c[:, None] + halves) for ax, c in zip(axes, centers.T)])
     whole = np.logical_and.reduce([(a == 0) & (b == len(ax)) for a, b, ax in zip(lo, hi, axes)])
@@ -526,28 +530,41 @@ def _shell_bounds(axes, centers: np.ndarray, side: float):
     return lo, hi, np.argmax(whole, axis=1).tolist()
 
 
-def _shell_order(axes, lo, hi, k: int, J: int):
-    """Sort the lattice into the shells of cube k of ``_shell_bounds``:
-    shell 0 is B_0 = Q and shell j >= 1 is B_j minus B_{j-1}.  Returns
-    (perm, starts): lattice indices sorted by shell, ascending within a
-    shell, and the J + 2 offsets of the shells in that order.  In one
-    dimension shell j >= 1 is two runs, left then right of B_{j-1}; in
-    two it is a stable sort of per-point shell labels."""
-    lo, hi = lo[:, k, : J + 1], hi[:, k, : J + 1]
-    if len(axes) == 1:
-        lo, hi = lo[0].tolist(), hi[0].tolist()
-        index = np.arange(hi[J])
-        runs = [index[lo[0] : hi[0]]]
-        for j in range(1, J + 1):
-            runs += [index[lo[j] : lo[j - 1]], index[hi[j - 1] : hi[j]]]
-        return np.concatenate(runs), np.array([0] + [b - a for a, b in zip(lo, hi)], dtype=np.intp)
-    label = np.full(tuple(len(ax) for ax in axes), J)
-    for j in range(J - 1, -1, -1):
-        label[tuple(slice(a[j], b[j]) for a, b in zip(lo, hi))] = j
-    label = label.ravel()
-    starts = np.zeros(J + 2, dtype=np.intp)
-    np.cumsum(np.bincount(label, minlength=J + 1), out=starts[1:])
-    return np.argsort(label, kind="stable"), starts
+def _shell_order(axes, lo, hi, J: list):
+    """Lay the lattice out by the shells of the cubes of ``_shell_bounds``:
+    shell 0 is B_0 = Q and shell j >= 1 is B_j minus B_{j-1}.  Returns a
+    function of a list of cube indices giving per cube (lay, heads): the
+    lattice indices by shell, ascending within a shell, each shell led by
+    a placeholder 0, and the J + 1 placeholders' positions.  In one
+    dimension shell j >= 1 is two runs, left then right of B_{j-1}, found
+    here for every cube: one ``np.repeat`` and one add of a per-call index
+    lay out a run of cubes.  In two it is a stable sort of shell labels."""
+    if len(axes) == 1:  # per shell: its head, then its left and right runs
+        l, h = lo[0].astype(np.int32), hi[0].astype(np.int32)  # lattices stay under 2^24 points
+        start = np.stack((np.zeros_like(l), l, np.concatenate((h[:, :1], h[:, :-1]), axis=1)), axis=2).reshape(len(l), -1)
+        size = np.stack((np.ones_like(l), np.concatenate((h[:, :1], l[:, :-1]), axis=1), h), axis=2).reshape(len(l), -1) - start
+        at = np.cumsum(size, axis=1, dtype=np.int32) - size
+        start -= at
+        heads, index = at[:, ::3].copy(), np.arange(len(axes[0]) + l.shape[1])
+
+        def order(ks):
+            lay = np.repeat(start[ks].ravel(), size[ks].ravel()).reshape(len(ks), -1)
+            lay += index
+            return [(lay[i, : len(axes[0]) + J[k] + 1], heads[k, : J[k] + 1]) for i, k in enumerate(ks)]
+
+        return order
+
+    def order(ks):
+        return [one(k) for k in ks]
+
+    def one(k):
+        label = np.full(tuple(len(ax) for ax in axes), J[k])
+        for j in range(J[k] - 1, -1, -1):
+            label[tuple(slice(a[k, j], b[k, j]) for a, b in zip(lo, hi))] = j
+        starts = np.concatenate(([0], np.cumsum(np.bincount(label.ravel(), minlength=J[k] + 1))[:-1]))
+        return np.insert(np.argsort(label.ravel(), kind="stable"), starts, 0), starts + np.arange(J[k] + 1)
+
+    return order
 
 
 def offset_table(spec: KernelSpec, grid: GridSpec, points: np.ndarray, cells: np.ndarray, every: bool = False):
@@ -570,12 +587,16 @@ def offset_table(spec: KernelSpec, grid: GridSpec, points: np.ndarray, cells: np
     Point p is s = rint((p - p0) / h) cells from p0, and is served when,
     along every axis, its difference p - y to every cell coordinate y is
     bitwise p0 - y', with y' = y - s h as the table spells it; the
-    kernel then sees the same numbers.  The check runs per axis, against
-    the distinct cell coordinates, ``_CHECK_BLOCK`` point-cell pairs at
-    a time, never as a points x cells matrix.  The table is evaluated
-    with overflow, division by zero and invalid operations raising: a
-    table that raises may hold a value that some row meets and warns
-    about, so None leaves every row, and its warnings, to ``eval_batch``.
+    kernel then sees the same numbers.  When the origin, h / 2 and the
+    points are multiples of one 2^q, no point is -0.0 and every
+    coordinate is below 2^(51 + q) in size, these differences are exact,
+    and p is served exactly when p - p0 is s h.  Else the check runs per
+    axis, against the distinct cell coordinates, ``_CHECK_BLOCK``
+    point-cell pairs at a time, never as a points x cells matrix.  The
+    table is evaluated with overflow, division by zero and invalid
+    operations raising: a table that raises may hold a value that some
+    row meets and warns about, so None leaves every row, and its
+    warnings, to ``eval_batch``.
     """
     if spec.m != 1 or spec.variant not in _CONVOLUTION or len(points) == 0 or len(cells) == 0:
         return None
@@ -590,25 +611,28 @@ def offset_table(spec: KernelSpec, grid: GridSpec, points: np.ndarray, cells: np
     if math.prod(shape.tolist()) > _MAX_TABLE:
         return None
     first = lo - top  # the lattice index of each axis' first table point
-    served = np.ones(len(points), dtype=bool)
-    axes = []
+    axes = [grid.origin[a] + h * (np.arange(first[a], first[a] + shape[a]) + 0.5) for a in range(grid.n)]
+    q = min([_two_adic(o) for o in grid.origin if o] + [_two_adic(h) - 1])
     with np.errstate(all="ignore"):
-        for a in range(grid.n):
-            axes.append(grid.origin[a] + h * (np.arange(first[a], first[a] + shape[a]) + 0.5))
-            # the distinct cell indices less lo, ascending.  np.unique
-            # would import numpy.ma or sort, which no other step of an
-            # estimate does: 0.2 to 0.9 MiB more resident numpy, which is
-            # also why the points are not deduplicated
-            span = np.bincount(cells[:, a] - lo[a])
-            C = np.flatnonzero(span)
-            y = grid.origin[a] + h * (C + lo[a] + 0.5)
-            # window i: p0 - y' over the cells lo .. hi at shift top - i
-            window = sliding_window_view((p0[a] - axes[a]).view(np.int64), span.size)
-            cols = C if C.size < span.size else slice(None)
-            step = max(1, _CHECK_BLOCK // C.size)
-            for b in range(0, len(points), step):
-                d = (points[b : b + step, a, None] - y).view(np.int64)
-                served[b : b + step] &= (d == window[top[a] - shifts[b : b + step, a]][:, cols]).all(axis=1)
+        w = np.ldexp(points, -q)  # the points in units of 2^q
+        reach = np.max(np.abs(w)) + np.ldexp(max(map(abs, grid.origin)) + h * (np.max(np.abs(first)) + shape.max() + 1.0), -q)
+        if reach < 2.0**51 and np.all(np.ldexp(np.floor(w), q) == points) and not np.signbit(points[points == 0.0]).any():
+            served = np.all(points - p0 == shifts * h, axis=1)
+        else:
+            served = np.ones(len(points), dtype=bool)
+            for a in range(grid.n):
+                # the distinct cell indices less lo, ascending: np.unique would import
+                # numpy.ma, 0.2 to 0.9 MiB more resident, as deduplicating the points would
+                span = np.bincount(cells[:, a] - lo[a])
+                C = np.flatnonzero(span)
+                y = grid.origin[a] + h * (C + lo[a] + 0.5)
+                # window i: p0 - y' over the cells lo .. hi at shift top - i
+                window = sliding_window_view((p0[a] - axes[a]).view(np.int64), span.size)
+                cols = C if C.size < span.size else slice(None)
+                step = max(1, _CHECK_BLOCK // C.size)
+                for b in range(0, len(points), step):
+                    d = (points[b : b + step, a, None] - y).view(np.int64)
+                    served[b : b + step] &= (d == window[top[a] - shifts[b : b + step, a]][:, cols]).all(axis=1)
     if every and not served.all():
         return None
     try:
@@ -621,11 +645,17 @@ def offset_table(spec: KernelSpec, grid: GridSpec, points: np.ndarray, cells: np
     return vals.ravel(), valid.ravel(), row, ((cells - lo) * strides).sum(axis=1)
 
 
+def _two_adic(v: float) -> int:
+    """The largest q for which the nonzero float v is a multiple of 2^q."""
+    k = int(math.frexp(v)[0] * (1 << 53))
+    return math.frexp(v)[1] - 54 + (k & -k).bit_length()
+
+
 def _pair_tables(vals: np.ndarray, valid: np.ndarray, deltas: list, r: float):
-    """(F, B, index): F[index[d], u] is |T[u] - T[u + d]|^{r'} (power 1 at
-    r = 1) on the offset table T = ``vals``, 0 where B marks either entry
-    invalid (B is None when it marks none): bitwise what the pair
-    (x, z), d = row[z] - row[x], forms from its rows at u = row[x] + col."""
+    """(F, B): F[k, u] is |T[u] - T[u + d]|^{r'} (power 1 at r = 1) on the
+    offset table T = ``vals`` for the k-th ``deltas`` d, 0 where B marks
+    either entry invalid (B is None when it marks none): bitwise what the
+    pair (x, z), d = row[z] - row[x], forms from its rows at row[x] + col."""
     F, B = np.zeros((len(deltas), len(vals))), np.zeros((len(deltas), len(vals)), dtype=bool)
     for k, d in enumerate(deltas):
         u, w = slice(max(0, -d), len(vals) - max(0, d)), slice(max(0, d), len(vals) + min(0, d))
@@ -635,7 +665,7 @@ def _pair_tables(vals: np.ndarray, valid: np.ndarray, deltas: list, r: float):
     np.abs(F, out=F)
     if r > 1:
         F **= r / (r - 1.0)  # in place, with the scalar fast paths (square, sqrt) of ``a ** e``
-    return F, B if B.any() else None, {d: k for k, d in enumerate(deltas)}
+    return F, B if B.any() else None
 
 
 def _cube_tables(spec: KernelSpec, order, pts: np.ndarray, r: float, center, side, pairs, table) -> list:
@@ -646,68 +676,65 @@ def _cube_tables(spec: KernelSpec, order, pts: np.ndarray, r: float, center, sid
     the largest |K(x,.) - K(z,.)| at r = 1.  ``order`` is the cube's
     ``_shell_order``; ``table`` is None or an ``offset_table`` over the
     lattice ``pts``, its row offsets keyed by the bytes of the points it
-    serves, and its ``_pair_tables`` or None.  A pair's row is one gather
-    from the pair tables when they serve every point of the cube, else a
-    difference of point rows, each gathered or an ``eval_batch`` call; at
-    m = 2 in blocks of at most ``_CHUNK`` tuples, first-slot rows of the
-    shell-sorted lattice against the whole lattice.  Returns (table,
-    skipped) per pair, in the order given, with skipped counting the
-    singular tuples outside Q^m.
-    """
-    m = spec.m
-    perm, starts = order
-    N, J = len(perm), len(starts) - 1
-    points = {}
-    for x, z in pairs:
-        points.setdefault(x.tobytes(), x)
-        points.setdefault(z.tobytes(), z)
+    serves, and the ``_pair_tables`` (F, B) with each pair's row offset
+    in F when they serve every point of the cube.  A pair's row over the
+    laid-out lattice is then one gather from F, a block of pairs at a
+    time; else the difference of its points' rows, each gathered or an
+    ``eval_batch`` call, at m = 2 in blocks of first-slot rows of the
+    shell-sorted lattice.  With the heads set to 0, one ``reduceat``
+    gives each shell's np.add.reduce (the 0 is its initial value) or
+    maximum.  Returns (table, skipped) per pair, in the order given,
+    with skipped counting the singular tuples outside Q^m."""
+    m, (lay, heads) = spec.m, order
+    J, inside = len(heads), (heads.tolist() + [len(lay)])[1]  # Q: the layout up to the head of shell 1
     table_vals, table_valid, row, col, pair = table if table is not None else (None, None, {}, None, None)
-    reduce = np.add.reduce if r > 1 else np.maximum.reduce
-    shells = [(j, starts[j], starts[j + 1]) for j in range(J) if starts[j + 1] > starts[j]]
-    R, step = N ** (m - 1), max(1, _CHUNK // N)
-    acc = np.zeros((len(pairs), R, J))
-    skipped = np.zeros(len(pairs), dtype=np.int64)
-    q = starts[1]  # Q^m is the leading q rows and columns
-    for i0 in range(0, R, step):
-        i1 = min(R, i0 + step)
-        if pair is not None and all(key in row for key in points):  # one slot: a single block
-            (F, B, index), cp, a = pair, col[perm], np.empty((len(pairs), 1, N))
-            for k, (x, z) in enumerate(pairs):  # from a view at x's row: no index array per pair
-                ux, d = row[x.tobytes()], index[row[z.tobytes()] - row[x.tobytes()]]
-                F[d, ux:].take(cp, out=a[k, 0])
-                skipped[k] = 0 if B is None else np.count_nonzero(B[d, ux:].take(cp[q:]))
+    ufunc, R = np.add if r > 1 else np.maximum, (len(lay) - J) ** (m - 1)  # R first-slot rows
+    acc, skipped = np.zeros((len(pairs), R, J)), np.zeros(len(pairs), dtype=np.int64)
+    if pair is not None:  # one slot; gathers under 1 MiB
+        (F, B, base), at, step = pair, lay if pts.shape[1] == 1 else col[lay], max(1, _CHUNK // 2 // len(lay))
+        blocks = [(slice(k, k + step), 0, 1) for k in range(0, len(pairs), step)]
+    else:
+        points = {p.tobytes(): p for xz in pairs for p in xz}
+        keys = sorted(points, key=lambda key: key not in row)  # gathered rows first
+        H = sum(key in row for key in keys)
+        xi, zi = (np.array([keys.index(p.tobytes()) for p in ps]) for ps in zip(*pairs))
+        perm, starts = np.delete(lay, heads), np.append(heads - np.arange(J), len(lay) - J)  # shell j starts at starts[j]
+        lattice, step = pts[lay], max(1, _CHUNK // len(lay))
+        blocks = [(slice(None), i0, min(R, i0 + step)) for i0 in range(0, R, step)]
+    for ks, i0, i1 in blocks:
+        if pair is not None:
+            idx = at + base[ks, None]
+            a, bad = F.take(idx)[:, None], None if B is None else B.take(idx)[:, None]
         else:
-            keys = sorted(points, key=lambda key: key not in row)  # gathered rows first
-            H = sum(key in row for key in keys)
-            lattice = pts[perm] if H < len(keys) else None
-            xi, zi = (np.array([keys.index(p.tobytes()) for p in ps]) for ps in zip(*pairs))
-            vals = np.empty((len(keys), i1 - i0, N))
+            vals = np.empty((len(keys), i1 - i0, len(lay)))
             valid = np.empty(vals.shape, dtype=bool)
             if H:  # one slot: a single block of one row per point
-                at = col[perm] + np.array([row[key] for key in keys[:H]])[:, None]
+                at = col[lay] + np.array([row[key] for key in keys[:H]])[:, None]
                 vals[:H, 0] = table_vals[at]
                 valid[:H, 0] = table_valid[at]
             for k in range(H, len(keys)):
-                ys = (lattice[i0:i1, None], lattice) if m == 2 else (lattice,)
+                ys = (pts[perm[i0:i1], None], lattice) if m == 2 else (lattice,)
                 vals[k], valid[k] = eval_batch(spec, points[keys[k]], *ys)
             bad = ~(valid[xi] & valid[zi])
-            a = np.empty((len(pairs), i1 - i0, N))
+            a = np.empty((len(pairs), i1 - i0, len(lay)))
             for k in range(len(pairs)):
                 np.subtract(vals[xi[k]], vals[zi[k]], out=a[k])
             if bad.any():
                 a[bad] = 0.0
-                top = max(0, min(i1, q ** (m - 1)) - i0)
-                skipped += np.count_nonzero(bad, axis=(1, 2)) - np.count_nonzero(bad[:, :top, :q], axis=(1, 2))
             np.abs(a, out=a)
             if r > 1:
                 a **= r / (r - 1.0)  # in place, with the scalar fast paths (square, sqrt) of ``a ** e``
-        for j, s, e in shells:
-            acc[:, i0:i1, j] = reduce(a[..., s:e], axis=-1)
-    if m == 2:
-        # fold the rows of each shell: cell (j1, j2) of the product shells
+        a[..., heads] = 0.0
+        acc[ks, i0:i1] = ufunc.reduceat(a, heads, axis=-1)
+        if bad is not None and bad.any():
+            bad[..., heads] = False
+            top = max(0, min(i1, (inside - 1) ** (m - 1)) - i0)  # the rows of Q^m
+            skipped[ks] += np.count_nonzero(bad, axis=(1, 2)) - np.count_nonzero(bad[:, :top, :inside], axis=(1, 2))
+    if m == 2:  # fold the rows of each shell: cell (j1, j2) of the product shells
         rows_acc, acc = acc, np.zeros((len(pairs), J, J))
-        for j, s, e in shells:
-            acc[:, j] = reduce(rows_acc[:, s:e], axis=1)
+        for j in range(J):
+            if starts[j + 1] > starts[j]:
+                acc[:, j] = ufunc.reduce(rows_acc[:, starts[j] : starts[j + 1]], axis=1)
     else:
         acc = acc[:, 0]
     finite = np.isfinite(acc).reshape(len(pairs), -1).all(axis=1)
@@ -722,16 +749,14 @@ def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan)
 
     Expands the plan, drops degenerate x = z pairs, builds the offset
     table of the distinct sample points and its pair tables, finds the
-    shell bounds of all cubes of a side at once, and runs the shell
-    engine on runs of consecutive cubes of about ``_CHUNK`` lattice
-    entries of pair rows, one parallel task each.  A plan whose kept
-    samples skip every slot tuple outside their cubes measures nothing,
-    and raises FloatingPointError naming the first.  Returns (rows,
-    skipped_pairs, samples, covers_all), where ``rows`` holds (config,
-    table, skipped) for every kept sample in plan order, so that ties
-    between samples resolve by plan position.  The tables live only for
-    this call.
-    """
+    shell bounds of all cubes at once, and runs the shell engine on runs
+    of consecutive cubes of about ``_CHUNK`` lattice entries of pair rows
+    (int32 layouts under 1 MiB), one parallel task each.  A plan whose
+    kept samples skip every slot tuple outside their cubes measures
+    nothing, and raises FloatingPointError naming the first.  Returns (rows, skipped_pairs,
+    samples, covers_all), ``rows`` holding (config, table, skipped) for
+    every kept sample in plan order, so that ties between samples resolve
+    by plan position.  The tables live only for this call."""
     problem = plan_error(plan, grid) or grid_error(spec, grid) or lattice_error(spec, grid)
     if problem:
         raise ValueError(problem)
@@ -739,98 +764,46 @@ def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan)
     kept = [cfg for cfg in configs if cfg[2].tolist() != cfg[3].tolist()]
     axes, bounded = _quad_lattice(spec, grid)
     pts = _lattice_points(axes)
-    cubes, distinct, bounds = {}, {}, {}
+    cubes, distinct, ends, pair = {}, {}, [], None  # ends: each sample's points, as positions in distinct
     for pos, (center, side, x, z) in enumerate(kept):
         cubes.setdefault((tuple(center.tolist()), side), []).append(pos)
-        distinct.update({x.tobytes(): x, z.tobytes(): z})
-    for side in {side for _, side in cubes}:
-        same = [key for key in cubes if key[1] == side]
-        lo, hi, J = _shell_bounds(axes, np.array([key[0] for key in same]), side)
-        bounds.update((key, (lo, hi, k, J[k])) for k, key in enumerate(same))
-    table = offset_table(spec, grid, np.array(list(distinct.values())), _lattice_points(_lattice_indices(spec, grid)))
+        ends.append([distinct.setdefault(p.tobytes(), (len(distinct), p))[0] for p in (x, z)])
+    lo, hi, J = _shell_bounds(axes, np.array([c for c, _ in cubes]), np.array([s for _, s in cubes]))
+    order = _shell_order(axes, lo, hi, J)
+    table = offset_table(spec, grid, np.array([p for _, p in distinct.values()]), _lattice_points(_lattice_indices(spec, grid)))
     if table is not None:
         vals, valid, row, col = table
-        row = {key: k for key, k in zip(distinct, row.tolist()) if k >= 0}
-        ends = ((row.get(x.tobytes()), row.get(z.tobytes())) for _, _, x, z in kept)
-        deltas = sorted({b - a for a, b in ends if a is not None and b is not None})
-        fits = len(deltas) * len(vals) <= _CHUNK // 2  # F under 1 MiB
-        table = vals, valid, row, col, _pair_tables(vals, valid, deltas, r) if fits else None
-    tasks = [[]]
-    for key, positions in cubes.items():
-        if tasks[-1] and (len(positions) + sum(len(p) for _, p in tasks[-1])) * len(pts) ** spec.m > _CHUNK:
+        ends = row[np.array(ends)]  # each sample's row offsets
+        served, d = (ends >= 0).all(axis=1), ends[:, 1] - ends[:, 0]
+        deltas = sorted(set(d[served].tolist()))
+        if len(deltas) * len(vals) <= _CHUNK // 2:  # F under 1 MiB
+            pair = *_pair_tables(vals, valid, deltas, r), np.searchsorted(deltas, d) * len(vals) + ends[:, 0]
+        table = vals, valid, {key: k for key, k in zip(distinct, row.tolist()) if k >= 0}, col
+    tasks, size = [[]], 0
+    for k, positions in enumerate(cubes.values()):
+        if tasks[-1] and size + len(positions) * (len(pts) ** spec.m + lo.shape[2]) > _CHUNK:
             tasks.append([])
-        tasks[-1].append((key, positions))
+            size = 0
+        tasks[-1].append((k, positions))
+        size += len(positions) * (len(pts) ** spec.m + lo.shape[2])
 
-    def task(chunk):
+    def task(chunk):  # the pair tables go with a cube when they serve all its points
+        tables = [table and (*table, (*pair[:2], pair[2][p]) if pair and served[p].all() else None) for _, p in chunk]
         return [
-            _cube_tables(spec, _shell_order(axes, *bounds[k]), pts, r, *kept[p[0]][:2], [kept[i][2:] for i in p], table)
-            for k, p in chunk
+            _cube_tables(spec, o, pts, r, *kept[p[0]][:2], [kept[i][2:] for i in p], t)
+            for o, (_, p), t in zip(order([k for k, _ in chunk]), chunk, tables)
         ]
 
     rows = [None] * len(kept)
     for (_, positions), tables in zip(itertools.chain(*tasks), itertools.chain(*parallel_map(task, tasks))):
         for pos, (cells, skipped) in zip(positions, tables):
             rows[pos] = (kept[pos], cells, skipped)
-
-    def blind(cfg, skipped):  # every tuple off Q^m, the only ones either estimate reads, skipped
-        lo, hi, k, _ = bounds[tuple(cfg[0].tolist()), cfg[1]]
-        return skipped > 0 and skipped == len(pts) ** spec.m - math.prod((hi[:, k, 0] - lo[:, k, 0]).tolist()) ** spec.m
-
-    if rows and all(blind(cfg, skipped) for cfg, _, skipped in rows):
+    inside = (np.prod(hi[:, :, 0] - lo[:, :, 0], axis=0) ** spec.m).tolist()  # the slot tuples in Q^m
+    # blind: every tuple off Q^m, the only ones either estimate reads, skipped
+    if rows and all(0 < rows[i][2] == len(pts) ** spec.m - inside[k] for k, p in itertools.chain(*tasks) for i in p):
         raise _sample_failure(rows[0][0], "every slot tuple outside the cube is singular")
     samples = {"cubes": len({(tuple(c.tolist()), s) for c, s, _, _ in configs}), "pairs": len(configs)}
     return rows, len(configs) - len(kept), samples, bounded
-
-
-def _annulus_series(table: np.ndarray, side: float, r: float, grid: GridSpec, memo: dict | None = None) -> list:
-    """The annulus series of one sample from its shell table: scale k
-    takes the cells whose deepest shell is k.  Trailing zeros are cut.
-    ``memo`` keeps each side's powers |2^k Q|^{m/r} across a report."""
-    m = table.ndim
-    if m == 1:
-        cells = table.tolist()
-    else:
-        reduce = np.sum if r > 1 else np.max
-        cells = [float(reduce(np.concatenate((table[k, : k + 1], table[:k, k])))) for k in range(len(table))]
-    hvol = grid.cell_volume() ** m
-    memo = {} if memo is None else memo
-    if len(memo.get(side, ())) < len(cells) - 1:  # increasing in k: one overflows only if the last does
-        memo[side] = [((2.0 ** k * side) ** grid.n) ** (m / r) for k in range(1, len(cells))]
-    e = 1.0 / (r / (r - 1.0)) if r > 1 else None
-    terms = [p * (c * hvol) ** e if e else p * c for p, c in zip(memo.get(side, ()), cells[1:])]
-    while terms and terms[-1] == 0.0:
-        terms.pop()
-    return terms
-
-
-def _shell_peak(table: np.ndarray, cfg, r: float, delta: float, grid: GridSpec, memo: dict | None = None):
-    """(largest normalized shell value, its deepest shell j0) of one
-    sample from its shell table, (0.0, 0) when no shell carries mass;
-    ``memo`` keeps |Q|^{m delta/n} and 2^{m delta j} across a report."""
-    _, side, x, z = cfg
-    m, n, J = table.ndim, grid.n, len(table)
-    hvol = grid.cell_volume() ** m
-    memo = {} if memo is None else memo
-    scale = memo[side] = memo.get(side) or (side ** n) ** (m * delta / n)
-    dist = math.sqrt(sum(d * d for d in (x - z).tolist()))  # np.sum of the squares, at n <= 2
-    decay = dist ** (m * (delta - n / r))
-    if not 0.0 < decay < math.inf:
-        what = "|x - z| underflows" if dist == 0.0 else f"the decay factor |x - z|^{m * (delta - n / r):g} is {decay!r}"
-        raise _sample_failure(cfg, what)
-    best, best_j0 = 0.0, 0
-    for i, s in enumerate(table.ravel().tolist()):
-        if i == 0 or s == 0.0:  # Q^m itself is left out; an empty cell's quotient is 0 and never wins
-            continue
-        j0 = max(divmod(i, J)) if m == 2 else i
-        if len(memo.get("2^j", ())) <= j0:  # increasing in j, like the measure powers
-            memo["2^j"] = [2.0 ** (m * delta * j) for j in range(j0 + 1)]
-        lhs = (s * hvol) ** (1.0 / (r / (r - 1.0))) if r > 1 else s
-        val = lhs * scale * memo["2^j"][j0] / decay
-        if not math.isfinite(val):
-            raise _sample_failure(cfg, f"the shell quotient is {val!r}")
-        if val > best:
-            best, best_j0 = val, j0
-    return best, best_j0
 
 
 def _check_exponents(grid: GridSpec, r: float, delta: float | None = None) -> None:
@@ -865,29 +838,53 @@ def _sample_failure(cfg, what: str) -> FloatingPointError:
     return FloatingPointError(f"{what} at cube centre {center.tolist()}, pair x = {x.tolist()}, z = {z.tolist()}")
 
 
+def _report_groups(rows) -> list:
+    """(side, plan positions ascending, stacked tables) per side and shape."""
+    groups = {}
+    for pos, (cfg, table, _) in enumerate(rows):
+        groups.setdefault((cfg[1], len(table)), []).append(pos)  # one m per call
+    return [(side, pos, np.array([rows[i][1] for i in pos])) for (side, _), pos in groups.items()]
+
+
+def _until_overflow(values) -> list:
+    """The values up to the first whose (Python, libm) power overflows."""
+    out = []
+    with contextlib.suppress(OverflowError):
+        out.extend(values)
+    return out
+
+
 def _kr_report(sampled, r: float, grid: GridSpec) -> EstimateReport:
-    """The annulus-sum report read off ``_sample_tables``' result."""
+    """The annulus-sum report off ``_sample_tables``' result: scale k >= 1
+    takes the cells whose deepest shell is k; trailing zero terms are cut."""
     rows, skipped, samples, bounded = sampled
-    best_terms, best_v, memo = (), -1.0, {}
-    for cfg, table, sk in rows:
-        skipped += sk
+    e = 1.0 / (r / (r - 1.0)) if r > 1 else None
+    fail, best = (len(rows), None), (-1.0, 0, ())  # (position, what); (value, -position, terms)
+    for side, pos, T in _report_groups(rows):
+        m, S = T.ndim - 1, T.shape[1]
+        if m == 2:  # scale k: row k up to the diagonal, then column k above it
+            T = np.stack([(np.sum if r > 1 else np.max)(np.concatenate((T[:, k, : k + 1], T[:, :k, k]), axis=1), axis=1) for k in range(S)], 1)
         try:
-            terms = _annulus_series(table, cfg[1], r, grid, memo)
+            hvol, p = grid.cell_volume() ** m, [((2.0**k * side) ** grid.n) ** (m / r) for k in range(1, S)]
         except OverflowError:
-            raise _sample_failure(cfg, "an annulus term overflows") from None
-        v = float(np.sum(np.array(terms))) if terms else 0.0
-        if not math.isfinite(v):  # a term is: a measure that overflows times an empty cell, say
-            raise _sample_failure(cfg, f"the annulus sum is {v!r}")
-        if v > best_v:
-            best_terms, best_v = tuple(terms), v
-    return EstimateReport(
-        value=max(best_v, 0.0),
-        terms=best_terms,
-        k_max=len(best_terms),
-        tail_flag=not bounded,
-        skipped=skipped,
-        samples=samples,
-    )
+            fail = min(fail, (pos[0], "an annulus term overflows"))
+            continue
+        with np.errstate(all="ignore"):
+            c = T[:, 1:] if not e else np.fromiter(map(pow, (T[:, 1:] * hvol).ravel().tolist(), itertools.repeat(e)), float)
+            terms = np.array(p) * c.reshape(len(pos), S - 1)
+        size = np.max(np.where(terms != 0.0, np.arange(1, S), 0), axis=1, initial=0)
+        v = np.zeros(len(pos))
+        for k in range(1, S):  # warns where finite terms overflow, as np.sum does
+            if np.any(size == k):
+                v[size == k] = np.sum(terms[size == k, :k], axis=1)
+        i = int(np.argmax(~np.isfinite(v)))
+        if not math.isfinite(v[i]):  # a term is: a measure that overflows times an empty cell, say
+            fail = min(fail, (pos[i], f"the annulus sum is {float(v[i])!r}"))
+        i = int(np.argmax(v))
+        best = max(best, (float(v[i]), -pos[i], tuple(terms[i, : size[i]].tolist())))
+    if fail[1]:
+        raise _sample_failure(rows[fail[0]][0], fail[1])
+    return EstimateReport(max(best[0], 0.0), best[2], len(best[2]), not bounded, skipped + sum(sk for *_, sk in rows), samples)
 
 
 def h2_constant(spec: KernelSpec, grid: GridSpec, r: float, delta: float, plan: SamplePlan) -> EstimateReport:
@@ -907,25 +904,49 @@ def h2_constant(spec: KernelSpec, grid: GridSpec, r: float, delta: float, plan: 
 
 
 def _h2_report(sampled, r: float, delta: float, grid: GridSpec) -> EstimateReport:
-    """The shell-decay report read off ``_sample_tables``' result."""
+    """The shell-decay report off ``_sample_tables``' result: a nonzero cell
+    but Q^m's gives ((norm * |Q|^{m delta/n}) * 2^{m delta j0}) / |x - z|^{m(delta - n/r)}.
+    A sample fails on its |Q| power, its decay factor, then its first cell."""
     rows, skipped, samples, bounded = sampled
-    best, best_j0, memo = 0.0, 0, {}
-    for cfg, table, sk in rows:
-        skipped += sk
+    fail, best, n = (len(rows), None), (0.0, 0, 0), grid.n  # (position, what); (value, -position, j0)
+    for side, pos, T in _report_groups(rows):
+        m, J, ex = T.ndim - 1, T.shape[1], (T.ndim - 1) * (delta - n / r)
         try:
-            v, j0 = _shell_peak(table, cfg, r, delta, grid, memo)
+            hvol, scale = grid.cell_volume() ** m, (side**n) ** (m * delta / n)
         except OverflowError:
-            raise _sample_failure(cfg, "a shell quotient overflows") from None
-        if v > best:
-            best, best_j0 = v, j0
-    return EstimateReport(
-        value=best,
-        terms=(best,),
-        k_max=best_j0,
-        tail_flag=not bounded,
-        skipped=skipped,
-        samples=samples,
-    )
+            fail = min(fail, (pos[0], "a shell quotient overflows"))
+            continue
+        d = np.array([rows[i][0][2] for i in pos]) - np.array([rows[i][0][3] for i in pos])
+        with np.errstate(all="ignore"):
+            dist = np.sqrt(sum(d[:, a] * d[:, a] for a in range(n)))  # Python's sum of the squares, from 0
+        decay = _until_overflow(t**ex for t in dist.tolist())
+        k = len(decay)  # the decay factor of sample k overflows
+        decay = np.array(decay + [1.0] * (len(pos) - k))
+        j0 = np.arange(J) if m == 1 else np.maximum(*divmod(np.arange(J * J), J))
+        p2j = _until_overflow(2.0 ** (m * delta * j) for j in range(J))
+        cells = T.reshape(len(pos), -1)
+        live = cells != 0.0
+        live[:, 0] = False  # Q^m itself is left out; an empty cell's quotient is 0 and never wins
+        g, c = live.nonzero()
+        with np.errstate(all="ignore"):
+            lhs = np.fromiter(map(pow, (cells[live] * hvol).tolist(), itertools.repeat(1.0 / (r / (r - 1.0)))), float) if r > 1 else cells[live]
+            val = np.zeros(cells.shape)
+            val[live] = lhs * scale * np.array(p2j + [1.0] * (J - len(p2j)))[j0[c]] / decay[g]
+        over = j0 >= len(p2j)
+        bad = live & (over | ~np.isfinite(val))
+        failed = (np.arange(len(pos)) >= k) | ~((0.0 < decay) & (decay < math.inf)) | bad.any(axis=1)
+        i = int(np.argmax(failed))
+        if failed[i]:
+            c, fine = int(np.argmax(bad[i])), 0.0 < decay[i] < math.inf
+            what = "|x - z| underflows" if dist[i] == 0.0 else f"the decay factor |x - z|^{ex:g} is {float(decay[i])!r}"
+            what = "a shell quotient overflows" if i >= k or fine and over[c] else f"the shell quotient is {float(val[i, c])!r}" if fine else what
+            fail = min(fail, (pos[i], what))
+        i, c = divmod(int(np.argmax(val)), val.shape[1])
+        if val[i, c] > 0.0:
+            best = max(best, (float(val[i, c]), -pos[i], int(j0[c])))
+    if fail[1]:
+        raise _sample_failure(rows[fail[0]][0], fail[1])
+    return EstimateReport(best[0], (best[0],), best[2], not bounded, skipped + sum(sk for *_, sk in rows), samples)
 
 
 def regularity(spec: KernelSpec, grid: GridSpec, r: float, delta: float, plan: SamplePlan):

@@ -46,7 +46,7 @@ from .grid import (
     triple_boxes,
     triple_cube,
 )
-from .operators import OperatorSpec, apply, check_inputs, kernel_rows, x_blocks
+from .operators import OperatorSpec, check_inputs, kernel_rows, x_blocks
 from .parallel import parallel_map
 
 
@@ -357,12 +357,11 @@ def mt_pointwise_bound_check(op: OperatorSpec, fs, r: float, kr_value: float) ->
         raise ValueError("r must satisfy r >= 1")
     fs = check_inputs(op, fs)
     grid = op.grid
-    gap = grand_maximal(op, fs).values
-    tf = apply(op, fs)
-    md = m_delta(tf, r / 4.0).values
+    gap, tf = _truncation_gap(op, fs, DYADIC, None)  # T f on every cell, as ``apply`` gives it
+    md = m_delta(GridFunction(grid, tf), r / 4.0).values
     powered = [GridFunction(grid, np.abs(f.values) ** r) for f in fs]
     denom = multilinear_maximal(powered).values ** (1.0 / r)
-    num = np.maximum(gap - md, 0.0)
+    num = np.maximum(gap.values - md, 0.0)
     pos = denom > 0.0
     flag = bool(np.any(~pos & (num > 0.0)))
     if np.any(pos):

@@ -14,8 +14,14 @@ expansion must give its configs byte for byte and in order.
 rows came from offset tables: each distinct sample point's row is one
 ``eval_batch`` call over the shell-sorted lattice, and the shells come
 from a stable argsort of per-point shell labels.  The engine must
-reproduce its tables and skip counts bit for bit.  Only public
-`sdom.kernels` names are used.
+reproduce its tables and skip counts bit for bit.
+
+``kr_report`` and ``h2_report`` are the reports as they were read off
+the shell tables before they went onto whole-call arrays: one sample at
+a time, with ``annulus_series`` and ``shell_peak`` per sample and
+Python scalar arithmetic.  The array reports must give their fields,
+and their errors, bit for bit.  Only public `sdom.kernels` names are
+used.
 """
 
 import math
@@ -325,3 +331,106 @@ def reference_h2(spec, grid, r, delta, plan):
             best, best_j0 = v, j0
     _, bounded = quad_points(spec, grid)
     return EstimateReport(best, (best,), best_j0, not bounded, skipped, samples)
+
+
+def sample_failure(cfg, what):
+    center, _, x, z = cfg
+    return FloatingPointError(f"{what} at cube centre {center.tolist()}, pair x = {x.tolist()}, z = {z.tolist()}")
+
+
+def annulus_series(table, side, r, grid, memo=None):
+    """The annulus series of one sample from its shell table: scale k
+    takes the cells whose deepest shell is k.  Trailing zeros are cut.
+    ``memo`` keeps each side's powers |2^k Q|^{m/r} across a report."""
+    m = table.ndim
+    if m == 1:
+        cells = table.tolist()
+    else:
+        reduce = np.sum if r > 1 else np.max
+        cells = [float(reduce(np.concatenate((table[k, : k + 1], table[:k, k])))) for k in range(len(table))]
+    hvol = grid.cell_volume() ** m
+    memo = {} if memo is None else memo
+    if len(memo.get(side, ())) < len(cells) - 1:  # increasing in k: one overflows only if the last does
+        memo[side] = [((2.0 ** k * side) ** grid.n) ** (m / r) for k in range(1, len(cells))]
+    e = 1.0 / (r / (r - 1.0)) if r > 1 else None
+    terms = [p * (c * hvol) ** e if e else p * c for p, c in zip(memo.get(side, ()), cells[1:])]
+    while terms and terms[-1] == 0.0:
+        terms.pop()
+    return terms
+
+
+def shell_peak(table, cfg, r, delta, grid, memo=None):
+    """(largest normalized shell value, its deepest shell j0) of one
+    sample from its shell table, (0.0, 0) when no shell carries mass;
+    ``memo`` keeps |Q|^{m delta/n} and 2^{m delta j} across a report."""
+    _, side, x, z = cfg
+    m, n, J = table.ndim, grid.n, len(table)
+    hvol = grid.cell_volume() ** m
+    memo = {} if memo is None else memo
+    scale = memo[side] = memo.get(side) or (side ** n) ** (m * delta / n)
+    dist = math.sqrt(sum(d * d for d in (x - z).tolist()))  # np.sum of the squares, at n <= 2
+    decay = dist ** (m * (delta - n / r))
+    if not 0.0 < decay < math.inf:
+        what = "|x - z| underflows" if dist == 0.0 else f"the decay factor |x - z|^{m * (delta - n / r):g} is {decay!r}"
+        raise sample_failure(cfg, what)
+    best, best_j0 = 0.0, 0
+    for i, s in enumerate(table.ravel().tolist()):
+        if i == 0 or s == 0.0:  # Q^m itself is left out; an empty cell's quotient is 0 and never wins
+            continue
+        j0 = max(divmod(i, J)) if m == 2 else i
+        if len(memo.get("2^j", ())) <= j0:  # increasing in j, like the measure powers
+            memo["2^j"] = [2.0 ** (m * delta * j) for j in range(j0 + 1)]
+        lhs = (s * hvol) ** (1.0 / (r / (r - 1.0))) if r > 1 else s
+        val = lhs * scale * memo["2^j"][j0] / decay
+        if not math.isfinite(val):
+            raise sample_failure(cfg, f"the shell quotient is {val!r}")
+        if val > best:
+            best, best_j0 = val, j0
+    return best, best_j0
+
+
+def kr_report(sampled, r, grid):
+    """The annulus-sum report read off ``_sample_tables``' result."""
+    rows, skipped, samples, bounded = sampled
+    best_terms, best_v, memo = (), -1.0, {}
+    for cfg, table, sk in rows:
+        skipped += sk
+        try:
+            terms = annulus_series(table, cfg[1], r, grid, memo)
+        except OverflowError:
+            raise sample_failure(cfg, "an annulus term overflows") from None
+        v = float(np.sum(np.array(terms))) if terms else 0.0
+        if not math.isfinite(v):  # a term is: a measure that overflows times an empty cell, say
+            raise sample_failure(cfg, f"the annulus sum is {v!r}")
+        if v > best_v:
+            best_terms, best_v = tuple(terms), v
+    return EstimateReport(
+        value=max(best_v, 0.0),
+        terms=best_terms,
+        k_max=len(best_terms),
+        tail_flag=not bounded,
+        skipped=skipped,
+        samples=samples,
+    )
+
+
+def h2_report(sampled, r, delta, grid):
+    """The shell-decay report read off ``_sample_tables``' result."""
+    rows, skipped, samples, bounded = sampled
+    best, best_j0, memo = 0.0, 0, {}
+    for cfg, table, sk in rows:
+        skipped += sk
+        try:
+            v, j0 = shell_peak(table, cfg, r, delta, grid, memo)
+        except OverflowError:
+            raise sample_failure(cfg, "a shell quotient overflows") from None
+        if v > best:
+            best, best_j0 = v, j0
+    return EstimateReport(
+        value=best,
+        terms=(best,),
+        k_max=best_j0,
+        tail_flag=not bounded,
+        skipped=skipped,
+        samples=samples,
+    )

@@ -18,6 +18,12 @@ entries), the offset-table gather and the per-row fallback all run.
 The plan expansion must give the configs of
 ``reference_estimators.plan_configs``, the cube-by-cube loop, byte for
 byte and in order.
+
+The reports read off the shell tables must be those of
+``reference_estimators.kr_report`` and ``h2_report``, the per-sample
+loops, bit for bit, errors included: on drawn tables (ties, all-zero
+tables, huge entries, measure powers and decay factors that overflow)
+and on the tables of the engine.
 """
 
 import math
@@ -29,7 +35,10 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from reference_estimators import (
+    annulus_series,
     cube_tables,
+    h2_report,
+    kr_report,
     plan_configs,
     quad_axes,
     reference_h2,
@@ -37,18 +46,19 @@ from reference_estimators import (
     reference_series,
     reference_shells,
     shell_order,
+    shell_peak,
 )
 from sdom import kernels
 from sdom.grid import GridSpec
 from sdom.kernels import (
     Modulus,
     SamplePlan,
-    _annulus_series,
+    _h2_report,
+    _kr_report,
     _lattice_indices,
     _lattice_points,
     _quad_lattice,
     _sample_tables,
-    _shell_peak,
     bilinear_odd_kernel,
     dini_synthetic_kernel,
     enumerate_plan,
@@ -133,10 +143,10 @@ def test_engine_matches_reference(case):
     assert len(rows) == len(series) == len(shells)
     for (cfg, table, skipped), (ref_terms, ref_sk), (ref_v, ref_j0, ref_sk2) in zip(rows, series, shells):
         assert skipped == ref_sk == ref_sk2
-        terms = _annulus_series(table, cfg[1], r, grid)
+        terms = annulus_series(table, cfg[1], r, grid)
         assert len(terms) == len(ref_terms)
         assert all(_close(a, b) for a, b in zip(terms, ref_terms))
-        v, j0 = _shell_peak(table, cfg, r, delta, grid)
+        v, j0 = shell_peak(table, cfg, r, delta, grid)
         assert _close(v, ref_v)
         assert j0 == ref_j0
     _same_report(hormander_constant(kernel, grid, r, plan), reference_hormander(kernel, grid, r, plan))
@@ -157,8 +167,8 @@ def test_repeated_cube_keeps_plan_positions():
     ref = reference_series(kernel, grid, 2.0, plan)
     for (cfg, table, skipped), (ref_terms, ref_sk) in zip(rows, ref):
         assert skipped == ref_sk
-        assert np.allclose(_annulus_series(table, cfg[1], 2.0, grid), ref_terms, rtol=REL_TOL, atol=0.0)
-    assert len({tuple(_annulus_series(t, c[1], 2.0, grid)) for c, t, _ in rows}) == 3
+        assert np.allclose(annulus_series(table, cfg[1], 2.0, grid), ref_terms, rtol=REL_TOL, atol=0.0)
+    assert len({tuple(annulus_series(t, c[1], 2.0, grid)) for c, t, _ in rows}) == 3
 
 
 FIELDS = ("value", "terms", "k_max", "tail_flag", "skipped", "samples")
@@ -351,6 +361,71 @@ def test_offset_table_serves_the_lattice_class_of_its_reference():
         assert offset_table(other, grid, points, cells) is None
 
 
+def _served_by_brute_force(grid, points, cells):
+    """Which points the all-pairs bitwise check serves: along every axis,
+    p - y for every cell coordinate y is bitwise p0 - y', y' spelt at the
+    cell s = rint((p - p0) / h) cells over, as the table spells it."""
+    p0, served = points[0], []
+    for p in points:
+        s = np.rint((p - p0) / grid.h).astype(np.int64)
+        ok = True
+        for a in range(grid.n):
+            y = grid.origin[a] + grid.h * (cells[:, a] + 0.5)
+            spelt = grid.origin[a] + grid.h * ((cells[:, a] - s[a]) + 0.5)
+            ok &= (p[a] - y).tobytes() == (p0[a] - spelt).tobytes()
+        served.append(ok)
+    return served
+
+
+@st.composite
+def served_cases(draw):
+    n = draw(st.sampled_from([1, 2]))
+    exact = draw(st.booleans())
+    origins, sides = ((0.0, 0.375, -0.375), (8.0, 14.0)) if exact else ((0.1, 0.375, 0.7, 1.1), (1e-3, 8.0, 10.0))
+    grid = GridSpec(n=n, L=draw(st.integers(1, 5 if n == 1 else 3)), origin=tuple(draw(st.sampled_from(origins)) for _ in range(n)), side=draw(st.sampled_from(sides)))
+    kernel = draw(st.sampled_from([dini_synthetic_kernel(DINI, 1)] + ([mpt_kernel(1.0, 2.0)] if n == 1 else [])))
+    cells = _lattice_points(_lattice_indices(kernel, grid)).astype(np.int64)
+    if draw(st.booleans()):  # a subset of the lattice, as the operators ask for
+        cells = cells[sorted(set(draw(st.lists(st.integers(0, len(cells) - 1), min_size=1, max_size=6))))]
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = [draw(st.integers(-3, grid.cells_per_side + 3)) for _ in range(n)]
+        frac = draw(st.sampled_from([0.0, 0.5, 0.25, 0.1, 1 / 3]))
+        p = np.array([o + grid.h * (i + frac) for o, i in zip(grid.origin, k)])
+        nudge = draw(st.sampled_from([0, 0, 0, 1, -1]))  # one ulp off
+        points.append(np.nextafter(p, p + nudge) if nudge else p)
+    if exact and draw(st.integers(0, 3)) == 0:
+        points.append(np.full(n, draw(st.sampled_from([0.0, -0.0]))))
+    return kernel, grid, np.array(points), cells
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(served_cases())
+# a cell centre at 0.0 and a point at -0.0: the differences to it differ in sign only
+@example(
+    case=(
+        mpt_kernel(1.0, 2.0),
+        GridSpec(n=1, L=5, origin=(-0.375,), side=8.0),
+        np.array([[0.5], [-0.0], [0.0]]),
+        _lattice_points(_lattice_indices(mpt_kernel(1.0, 2.0), GridSpec(n=1, L=5, origin=(-0.375,), side=8.0))),
+    )
+)
+# an inexact grid, where p - p0 = s h does not decide which points are served
+@example(
+    case=(
+        dini_synthetic_kernel(DINI, 1),
+        GridSpec(n=1, L=4, origin=(1.1,), side=10.0),
+        np.array([[7.50625], [6.25625], [6.725], [12.0375], [3.13125]]),
+        _lattice_points(_lattice_indices(dini_synthetic_kernel(DINI, 1), GridSpec(n=1, L=4, origin=(1.1,), side=10.0))),
+    )
+)
+def test_offset_table_serves_what_the_all_pairs_check_serves(case):
+    kernel, grid, points, cells = case
+    table = offset_table(kernel, grid, points, cells)
+    assume(table is not None)  # a table past the size limit, or one whose evaluation raises
+    assert [k >= 0 for k in table[2].tolist()] == _served_by_brute_force(grid, points, cells)
+
+
 def test_separation_evaluates_one_table_row_per_ell(monkeypatch):
     # at L >= ell + 8 every sample point of a separation plan lies an
     # integer number of cells from the first, in one lattice class, so
@@ -398,3 +473,88 @@ def test_plan_expansion_is_the_cube_by_cube_reference(case):
         assert type(g[1]) is type(w[1]) is float and g[1] == w[1]
         for a, b in zip(g[::2] + g[3:], w[::2] + w[3:]):  # center, x, z
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+# table entries: finite and nonnegative, as the engine gives them, mostly zero
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 1e-300, 5e-324, 1e300, 1.7e308]), st.floats(0.0, 10.0)
+)
+
+
+@st.composite
+def report_cases(draw):
+    """(grid, r, delta, rows) with drawn shell tables; sides and pairs
+    span scales whose measure powers, |Q| powers, decay factors and
+    2^{m delta j} overflow or underflow."""
+    m, n = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    r = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    delta = n / r + draw(st.sampled_from([0.25, 1.0, 1.0, 3.0, 150.0]))
+    grid = GridSpec(n=n, L=draw(st.integers(1, 4)), origin=(0.0,) * n, side=draw(st.sampled_from([8.0] * 4 + [1e-3, 1e-200, 1e160])))
+    sides = [grid.side / (1 << lam) for lam in range(grid.L + 1)]
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        if rows and draw(st.integers(0, 3)) == 0:  # a tie with an earlier sample
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+            continue
+        side = draw(st.sampled_from(sides))
+        J = draw(st.integers(1, 5))
+        if draw(st.integers(0, 4)) == 0:
+            table = np.zeros((J,) * m)
+        else:
+            table = np.array(draw(st.lists(ENTRIES, min_size=J**m, max_size=J**m))).reshape((J,) * m)
+        center = np.full(n, side / 2)
+        x = center + side / 4 * np.array([draw(OFFSETS) for _ in range(n)])
+        z = x + side * draw(st.sampled_from([0.25] * 8 + [1e-3, 1e-210, 1e150, 1e300])) * (1 + np.arange(n))
+        rows.append(((center, side, x, z), table, draw(st.integers(0, 3))))
+    return grid, r, delta, rows
+
+
+def _tie_rows(*tables):
+    """One sample per table, all of one cube and one pair."""
+    cfg = (np.array([4.0]), 8.0, np.array([3.0]), np.array([5.0]))
+    return [(cfg, np.array(t), 0) for t in tables]
+
+
+def _report_or_error(fn, *args):
+    try:
+        with np.errstate(over="ignore"):  # sums of finite terms that overflow warn on both sides
+            report = fn(*args)
+    except Exception as error:  # noqa: BLE001 - the type and message are compared
+        return type(error), str(error)
+    return tuple(repr(getattr(report, field)) for field in FIELDS)
+
+
+# regularity-1d at seed 0: separation of the truncated kernel, beta 0.8796, L = 12
+SEPARATION = [
+    (mpt_truncated_kernel(0.8796, 2.0, ell), SamplePlan(levels=(ell + 2, ell + 3, ell + 4), pair_depth=2, max_pairs=6))
+    for ell in (2, 3, 4)
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(report_cases())
+@example(case=(GridSpec(n=1, L=12, origin=(0.0,), side=8.0), 2.0, 1.0, SEPARATION))
+# the m = 2 and 2-D plans of the mixed benchmark workload, at r = 1 and 2.5
+@example(case=(GridSpec(n=1, L=6, origin=(0.0,), side=8.0), 1.0, 1.5, [(bilinear_odd_kernel(), SamplePlan(levels=(2, 3), max_pairs=3))]))
+@example(case=(GridSpec(n=1, L=6, origin=(0.0,), side=8.0), 2.5, 1.0, [(bilinear_odd_kernel(), SamplePlan(levels=(2, 3), max_pairs=3))]))
+@example(
+    case=(
+        GridSpec(n=2, L=4, origin=(0.0, 0.0), side=8.0),
+        2.0,
+        1.5,
+        [(dini_synthetic_kernel(DINI, 1), SamplePlan(levels=(1, 2), pair_depth=1, max_pairs=3))],
+    )
+)
+# ties between samples whose series (kr: 4 side both, terms (4 side,) against
+# (0, 4 side)) or deepest shells (h2: j0 1 against 2) differ: the first wins
+@example(case=(GridSpec(n=1, L=3, origin=(0.0,), side=8.0), 1.0, 2.0, _tie_rows([0.0, 2.0, 0.0], [0.0, 0.0, 1.0])))
+@example(case=(GridSpec(n=1, L=3, origin=(0.0,), side=8.0), 1.0, 2.0, _tie_rows([0.0, 4.0, 0.0], [0.0, 0.0, 1.0])))
+def test_reports_are_the_per_sample_reference_bit_for_bit(case):
+    grid, r, delta, source = case
+    if isinstance(source[0][1], SamplePlan):  # the engine's tables, one run per (kernel, plan)
+        sampled = [_sample_tables(kernel, grid, r, plan) for kernel, plan in source]
+    else:
+        sampled = [(source, 1, {"cubes": 1, "pairs": len(source) + 1}, True)]
+    for tables in sampled:
+        assert _report_or_error(_kr_report, tables, r, grid) == _report_or_error(kr_report, tables, r, grid)
+        assert _report_or_error(_h2_report, tables, r, delta, grid) == _report_or_error(h2_report, tables, r, delta, grid)

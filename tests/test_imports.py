@@ -1,12 +1,15 @@
 """Modules of the package use only each other's public names, the
 package root re-exports none, no function or class name is defined in
-two modules, and every public function and method is reached by a
-command or the acceptance gate."""
+two modules, every public function and method is reached by a command
+or the acceptance gate, and the commands load neither ``numpy.ma`` nor
+scipy."""
 
 import ast
 import collections
 import importlib
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 
@@ -119,3 +122,26 @@ def test_every_public_function_is_reached():
                     if _code(vars(obj)[sub.name]) not in ran and sub.name not in acceptance:
                         unreached[f"{stmt.name}.{sub.name}"] = mod
     assert sorted(unreached) == sorted(KEPT), unreached
+
+
+# Runs in a fresh interpreter: the README examples, then the names of the
+# modules loaded that the set-up cost and the resident set would pay for.
+_FOOTPRINT = """
+import sys, tempfile
+from sdom import cli
+for name in ("dominate", "separation", "weights", "maximal"):
+    with tempfile.TemporaryDirectory() as out:
+        assert cli.main([name, "--config", f"examples/{name}.json", "--out", out]) == 0, name
+print("loaded:", *(m for m in sys.modules if m == "numpy.ma" or m.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_load_neither_numpy_ma_nor_scipy():
+    """numpy.ma costs 0.2 to 0.9 MiB resident and scipy far more; no
+    command needs either (``np.unique`` would load numpy.ma)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT], cwd=SRC.parents[1], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded:"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sdom.grid import DyadicCube, GridFunction, GridSpec, cube_flat_indices
-from sdom.kernels import bilinear_odd_kernel, mpt_kernel, zero_kernel
+from sdom.kernels import Modulus, bilinear_odd_kernel, dini_synthetic_kernel, mpt_kernel, zero_kernel
 from sdom.maximal import (
     ALL_GRID_CUBES,
     DYADIC,
@@ -11,6 +11,7 @@ from sdom.maximal import (
     family_boxes,
     grand_maximal,
     local_grand_maximal,
+    MTBoundReport,
     m_delta,
     mt_pointwise_bound_check,
     multilinear_maximal,
@@ -230,3 +231,46 @@ def test_mt_bound_finite_on_generic_case():
     assert not rep.infinite_flag
     assert rep.kr_value == 1.0
     assert 0 <= rep.argmax_cell < g.num_cells
+
+
+def _two_pass_bound_check(op, fs, r, kr_value):
+    """``mt_pointwise_bound_check`` with T f from a separate ``apply``,
+    as it was computed before the grand maximal's reference was reused."""
+    gap = grand_maximal(op, fs).values
+    md = m_delta(apply(op, fs), r / 4.0).values
+    denom = multilinear_maximal([GridFunction(op.grid, np.abs(f.values) ** r) for f in fs]).values ** (1.0 / r)
+    num = np.maximum(gap - md, 0.0)
+    pos = denom > 0.0
+    flag = bool(np.any(~pos & (num > 0.0)))
+    if not np.any(pos):
+        return MTBoundReport(c_emp=0.0, infinite_flag=flag, kr_value=kr_value, argmax_cell=-1)
+    ratios = np.where(pos, num / np.where(pos, denom, 1.0), 0.0)
+    arg = int(np.argmax(ratios))
+    return MTBoundReport(c_emp=float(ratios[arg]), infinite_flag=flag, kr_value=kr_value, argmax_cell=arg)
+
+
+def _outcome(fn, *args):
+    try:
+        rep = fn(*args)
+    except ArithmeticError as error:
+        return type(error), str(error)
+    return repr((rep.c_emp, rep.infinite_flag, rep.kr_value, rep.argmax_cell))
+
+
+@pytest.mark.parametrize(
+    "op, scale",
+    [
+        (OperatorSpec(bilinear_odd_kernel(), GridSpec(n=1, L=5, origin=(0.0,), side=8.0)), 1.0),
+        (OperatorSpec(dini_synthetic_kernel(Modulus("log", 1.5, 0.4), 2), GridSpec(n=2, L=3, origin=(0.0, 0.0), side=8.0)), 1.0),
+        (OperatorSpec(mpt_kernel(1.0, 2.0), GridSpec(n=1, L=5, origin=(0.0,), side=14.0)), 1.0),
+        # T f overflows: both forms refuse it with the same error
+        (OperatorSpec(bilinear_odd_kernel(), GridSpec(n=1, L=4, origin=(0.0,), side=8.0)), 1e200),
+    ],
+    ids=["bilinear_odd", "dini_m2_n2", "mpt", "overflow"],
+)
+def test_mt_bound_reads_t_f_off_the_grand_maximal(op, scale):
+    rng = np.random.default_rng(7)
+    fs = tuple(GridFunction(op.grid, scale * rng.normal(size=op.grid.num_cells)) for _ in range(op.kernel.m))
+    for r in (1.0, 2.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _outcome(mt_pointwise_bound_check, op, fs, r, 0.5) == _outcome(_two_pass_bound_check, op, fs, r, 0.5)
