@@ -28,7 +28,7 @@ from .grid import (
     support_in,
     triple_cube,
 )
-from .maximal import DYADIC, CubeFamilyMode, family_boxes, local_grand_maximal
+from .maximal import DYADIC, CubeFamilyMode, family_boxes, local_grand_maximal, sub_grand_maximal
 from .operators import OperatorSpec, check_inputs, operator_values
 from .sparse import InvariantViolation, SparseEntry, SparseFamily, sparse_eval
 
@@ -128,12 +128,19 @@ def build_sparse_family(
     boundary.  The family's entries come out sorted by (level, index);
     the stats keep traversal (parent before child) order.
 
+    The root node evaluates the kernel rows of its cells once, in its
+    ``local_grand_maximal`` pass.  For the dyadic family no other node
+    evaluates a row or a truncation sum: each reads its gaps off the
+    root's truncation sums (``sub_grand_maximal``), bit for bit what its
+    own pass would give.  The shifted and all-cubes families take cubes
+    off x's dyadic chain, so there every node of more than one cell runs
+    its own pass.
+
     The root values are the reference sums T(f restricted to 3 root) of
-    the root node's ``local_grand_maximal``, in ``cube_flat_indices``
-    order.  The inputs live in the root, so they are bitwise what
-    ``operator_values`` gives there.  They are None when the root node
-    applies no T: a one-cell root, or an input whose r-average over the
-    tripled root vanishes.
+    the root node's pass, in ``cube_flat_indices`` order.  The inputs
+    live in the root, so they are bitwise what ``operator_values`` gives
+    there.  They are None when the root node applies no T: a one-cell
+    root, or an input whose r-average over the tripled root vanishes.
     """
     fs = check_inputs(op, fs)
     grid = op.grid
@@ -154,10 +161,13 @@ def build_sparse_family(
     entries = []
     stats = []
     depth_cap = 2 * grid.L  # recursion strictly shrinks cubes, so hitting this means a bug
+    sums = None  # the root's truncation sums, once its pass has run on the dyadic family
 
     def visit(q0: DyadicCube, depth: int = 0):
-        """Emit the node of ``q0`` and recurse; returns its reference
-        T(f restricted to 3 q0) on its cells, or None when it has none."""
+        """Emit the node of ``q0`` and recurse; returns, when the node
+        runs its own pass, its reference T(f restricted to 3 q0) on its
+        cells, else None."""
+        nonlocal sums
         if depth > depth_cap:
             raise InvariantViolation("builder recursion exceeded its depth cap")
         tq = triple_cube(grid, q0)
@@ -170,7 +180,10 @@ def build_sparse_family(
         s = prod_vals[idx].copy()
         tf = None
         if idx.size > 1:
-            lgm, tf = local_grand_maximal(op, fs, q0, mode)
+            if sums is None:
+                lgm, tf, sums = local_grand_maximal(op, fs, q0, mode)
+            else:
+                lgm = sub_grand_maximal(grid, root, sums, q0)
             np.maximum(s, lgm.values[idx], out=s)
         s /= scale
         if not np.all(np.isfinite(s)):

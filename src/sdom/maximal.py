@@ -25,6 +25,9 @@ over a sub-box of those rows.  Kernel evaluations drop from one row per
 cube and cell to one row per cell, and sums from one per cell and cube
 to one per block and cube, while every cell's sum stays the exact
 array, in the exact order, that a separate truncation to 3Q would sum.
+For the dyadic family the pass keeps these sums as a table, one column
+per level of x's dyadic chain, and the gaps of every dyadic cube inside
+it can be read off that table (``sub_grand_maximal``).
 """
 
 from __future__ import annotations
@@ -218,16 +221,43 @@ def local_grand_maximal(op: OperatorSpec, fs, q0: DyadicCube, mode: CubeFamilyMo
     """Localized variant: cubes range inside ``q0`` only and the
     reference truncation is at ``q0`` itself, T(f restricted to 3 q0).
 
-    Returns (gaps, reference).  The gaps are a full grid function that
-    vanishes outside ``q0``; for a single-cell ``q0`` the only
+    Returns (gaps, reference, sums).  The gaps are a full grid function
+    that vanishes outside ``q0``; for a single-cell ``q0`` the only
     competitor is ``q0`` and the gap is identically zero.  The reference
     holds T(f restricted to 3 q0) on ``q0``'s cells, in
     ``cube_flat_indices`` order: for inputs supported in 3 q0 it is
     bitwise ``operator_values`` there.  The kernel rows span the slot
-    tuples in 3 q0 only.
+    tuples in 3 q0 only, one row per cell of ``q0``.
+
+    For the dyadic family, ``sums`` is the table S[x, l] =
+    T(f 1_{3 Q_l(x)})(x), one row per cell x of ``q0`` in the
+    reference's order and one column per level l from ``q0``'s down to
+    the grid's, where Q_l(x) is the dyadic cube of level l holding x;
+    its first column is the reference.  ``sub_grand_maximal`` reads the
+    gaps of any dyadic cube inside ``q0`` off it.  For the other
+    families ``sums`` is None.
     """
     fs = check_inputs(op, fs)
     return _truncation_gap(op, fs, mode, q0)
+
+
+def sub_grand_maximal(grid: GridSpec, root: DyadicCube, sums: np.ndarray, q0: DyadicCube) -> GridFunction:
+    """``local_grand_maximal(op, fs, q0)[0]``, dyadic family, bit for
+    bit, for a dyadic ``q0`` inside ``root``, read off the truncation
+    sums of ``local_grand_maximal(op, fs, root)``; no kernel row and no
+    truncation sum is evaluated.
+
+    The gap of a dyadic Q inside ``q0`` is the largest of
+    |S[x, lev q0] - S[x, lev Q]| over the cells x of Q.  Each entry is
+    the sum over the nonzero slot cells of 3Q_l(x), in the order in which
+    the pass of ``q0`` itself would sum it, so the bits are that pass's.
+    Raises ArithmeticError as that pass does when a gap is not finite.
+    """
+    (rlo, rhi), (qlo, qhi) = cell_box(grid, root), cell_box(grid, q0)
+    table = sums.reshape((rhi[0] - rlo[0],) * grid.n + (-1,))
+    table = table[(*(slice(a - r, b - r) for a, b, r in zip(qlo, qhi, rlo)), slice(q0.level - root.level, None))]
+    blocks = list(family_boxes(grid, DYADIC, q0))
+    return _scattered(grid, blocks, _dyadic_scores(blocks, table.reshape(-1, len(blocks))))
 
 
 def _sub_boxes(grid: GridSpec, ranks, lo: np.ndarray, hi: np.ndarray) -> list:
@@ -259,7 +289,9 @@ def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | N
     """Pointwise sup, over family cubes Q inside ``within``, of the
     largest gap |T(f 1_R)(x) - T(f 1_3Q)(x)| over the cells x of Q,
     where R is 3 ``within``, or the whole domain when ``within`` is None;
-    returned with the reference T(f 1_R) on the cells of ``within``.
+    returned with the reference T(f 1_R) on the cells of ``within`` and,
+    for the dyadic family, the table of truncation sums that
+    ``local_grand_maximal`` describes (None for the other families).
 
     One pass over blocks of consecutive x.  Each block is a stack of
     kernel rows over the nonzero slot tuples in R (``kernel_rows``); one
@@ -273,50 +305,108 @@ def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | N
     scores are bitwise those of a direct truncation per cube.  The
     parallel tasks are blocks of x (``x_blocks``), and each box keeps the
     max over its cells, which no schedule can change.
+
+    A dyadic cube of side w holds the block's x in runs of w consecutive
+    cells along the last axis, found by index arithmetic; each run's sums
+    fill the table at the cube's level, and the gaps are read off the
+    table.  The other families find the block's cells in each cube with
+    a cubes x rows mask and keep only each cube's largest gap.
     """
     grid = op.grid
-    N = grid.cells_per_side
+    n, N = grid.n, grid.cells_per_side
     hm = grid.cell_volume() ** op.kernel.m
     xs, rbox = cube_flat_indices(grid, within), triple_cube(grid, within)
     blocks = list(family_boxes(grid, mode, within))
     lo = np.concatenate([b[0] for b in blocks])
     hi = np.concatenate([b[1] for b in blocks])
     lo3, hi3 = triple_boxes(grid, lo, hi)
+    dyadic = mode.kind == "dyadic"
+    side = int(hi[0, 0] - lo[0, 0])  # of ``within``, the first dyadic cube
+    first = np.cumsum([0] + [len(b) for b, _ in blocks]).tolist()  # each block's first cube
 
-    def block(xb):
+    def cube_at(c, p):
+        """The dyadic cube of block c holding the cell at row-major
+        position p of ``within``."""
+        w, q, scale = side >> c, first[c], 1
+        for _ in range(n):
+            p, d = divmod(p, side)
+            q += d // w * scale
+            scale *= side // w
+        return q
+
+    def block(task):
+        start, xb = task
         idx, W, row_blocks = kernel_rows(op, fs, xb, rbox)
         ranks = [np.cumsum(np.bincount(i + 1, minlength=grid.num_cells + 1)) for i in idx]
         subs = _sub_boxes(grid, ranks, lo3, hi3)
         axes = tuple(range(1, W.ndim + 1))
-        cells = np.stack(np.unravel_index(xb, (N,) * grid.n))
-        ref, gaps, at = np.empty(xb.size), np.zeros(len(lo)), 0
-        for V in row_blocks:
-            t_r = ref[at : at + len(V)] = np.sum(V * W, axis=axes) * hm
-            inside = np.ones((len(lo), len(V)), dtype=bool)  # cube q holds the block's row k
-            for l, h, c in zip(lo.T, hi.T, cells[:, at : at + len(V)]):
-                inside &= (l[:, None] <= c) & (c < h[:, None])
-            for q in inside.any(axis=1).nonzero()[0]:
-                j = inside[q].nonzero()[0]
-                rows = slice(j[0], j[-1] + 1) if j[-1] - j[0] < j.size else j  # a view when it can be
-                Wq, t_q = W[subs[q]], t_r[rows]
-                if Wq.size < W.size:
-                    t_q = np.multiply(V[rows][(slice(None), *subs[q])], Wq, order="C").sum(axis=axes) * hm
-                gaps[q] = np.maximum(gaps[q], np.abs(t_r[rows] - t_q).max())  # NaN stays NaN
-            at += len(V)
-        return ref, gaps
 
-    parts = parallel_map(block, x_blocks(op, fs, xs, rbox))
-    ref = np.concatenate([ref for ref, _ in parts])
+        def truncated(q, V, rows, t_r):
+            """T(f 1_3Q)(x) for the rows of V in cube q."""
+            Wq = W[subs[q]]
+            if Wq.size < W.size:
+                return np.multiply(V[rows][(slice(None), *subs[q])], Wq, order="C").sum(axis=axes) * hm
+            return t_r[rows]
+
+        sums = np.empty((xb.size, len(blocks) if dyadic else 1))
+        gaps, at = np.zeros(len(lo)), 0
+        for V in row_blocks:
+            t_r = sums[at : at + len(V), 0] = np.sum(V * W, axis=axes) * hm
+            p0, p1 = start + at, start + at + len(V)
+            if dyadic:
+                for c in range(1, len(blocks)):
+                    w = side >> c
+                    for p in range(p0 - p0 % w, p1, w):  # a run of w cells along the last axis
+                        rows = slice(max(p, p0) - p0, min(p + w, p1) - p0)
+                        sums[at + rows.start : at + rows.stop, c] = truncated(cube_at(c, p), V, rows, t_r)
+            else:
+                inside = np.ones((len(lo), len(V)), dtype=bool)  # cube q holds the block's row k
+                for l, h, c in zip(lo.T, hi.T, np.unravel_index(xb[at : at + len(V)], (N,) * n)):
+                    inside &= (l[:, None] <= c) & (c < h[:, None])
+                for q in inside.any(axis=1).nonzero()[0]:
+                    j = inside[q].nonzero()[0]
+                    rows = slice(j[0], j[-1] + 1) if j[-1] - j[0] < j.size else j  # a view when it can be
+                    gaps[q] = np.maximum(gaps[q], np.abs(t_r[rows] - truncated(q, V, rows, t_r)).max())  # NaN stays NaN
+            at += len(V)
+        return sums, gaps
+
+    tasks = x_blocks(op, fs, xs, rbox)
+    parts = parallel_map(block, zip(np.cumsum([0] + [t.size for t in tasks]).tolist(), tasks))
+    sums = np.concatenate([sums for sums, _ in parts])
+    ref = sums[:, 0].copy()
     if within is None and not np.all(np.isfinite(ref)):
         raise ArithmeticError("operator output is not finite")  # T(f) itself, as ``apply`` reports it
-    scores = functools.reduce(np.maximum, [gaps for _, gaps in parts])
-    out = np.zeros((N,) * grid.n)
+    if dyadic:
+        return _scattered(grid, blocks, _dyadic_scores(blocks, sums)), ref, sums
+    return _scattered(grid, blocks, functools.reduce(np.maximum, [gaps for _, gaps in parts])), ref, None
+
+
+def _dyadic_scores(blocks, sums: np.ndarray) -> np.ndarray:
+    """The score of every dyadic cube of ``blocks``, in block order: the
+    largest |S[x, 0] - S[x, c]| over its cells x, for the cubes of block
+    c.  ``sums`` holds S with its rows in row-major order over the first
+    block's cube; NaN stays NaN."""
+    n = blocks[0][0].shape[1]
+    side = int(blocks[0][1][0, 0] - blocks[0][0][0, 0])
+    d = np.abs(sums[:, :1] - sums)
+    out = []
+    for c, (lo, hi) in enumerate(blocks):
+        w = int(hi[0, 0] - lo[0, 0])
+        out.append(d[:, c].reshape((side // w, w) * n).max(axis=tuple(range(1, 2 * n, 2))).reshape(-1))
+    return np.concatenate(out)
+
+
+def _scattered(grid: GridSpec, blocks, scores: np.ndarray) -> GridFunction:
+    """Each cell's largest score over the family cubes of ``blocks``
+    holding it, with the scores in block order; ArithmeticError when one
+    is not finite."""
+    out = np.zeros((grid.cells_per_side,) * grid.n)
     ends = np.cumsum([len(b) for b, _ in blocks])
     for (blo, bhi), sc in zip(blocks, np.split(scores, ends[:-1])):
         _scatter_block(out, blo, bhi, sc)
     if not np.all(np.isfinite(out)):
         raise ArithmeticError("truncation gap is not finite")
-    return GridFunction(grid, out.reshape(-1)), ref
+    return GridFunction(grid, out.reshape(-1))
 
 
 def best_of_shifted(compute, grid: GridSpec) -> GridFunction:
@@ -357,7 +447,7 @@ def mt_pointwise_bound_check(op: OperatorSpec, fs, r: float, kr_value: float) ->
         raise ValueError("r must satisfy r >= 1")
     fs = check_inputs(op, fs)
     grid = op.grid
-    gap, tf = _truncation_gap(op, fs, DYADIC, None)  # T f on every cell, as ``apply`` gives it
+    gap, tf, _ = _truncation_gap(op, fs, DYADIC, None)  # T f on every cell, as ``apply`` gives it
     md = m_delta(GridFunction(grid, tf), r / 4.0).values
     powered = [GridFunction(grid, np.abs(f.values) ** r) for f in fs]
     denom = multilinear_maximal(powered).values ** (1.0 / r)

@@ -113,7 +113,7 @@ def row_failure(op, fs, xs):
     return None if np.all(np.isfinite(tf)) else (ArithmeticError, "operator output is not finite")
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(cfg=configs(), r=st.sampled_from([1.0, 2.0]), block=st.sampled_from([1, 3, 1 << 16]))
 @example(cfg=golden(BILINEAR, 1e-200), r=1.0, block=1 << 16)
 @example(cfg=golden(DINI_2, 1e-200), r=1.0, block=1 << 16)
@@ -130,11 +130,11 @@ def test_domination_constant_is_the_full_domain_reference(cfg, r, block):
     except SingularPointError:
         cells = tuple(cube_flat_indices(op.grid, root).tolist())
         family = SparseFamily(op.grid, root, 0.5, (SparseEntry(root, cells, 0.0),))
-    # the reference's off-root rows may divide by zero or overflow
+    # the reference's off-root rows, and the root's rows, may divide by zero or overflow
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         expected = outcome(lambda: ref.domination_constant(op, fs, family, r))
-    with mock.patch.object(operators, "_PAIR_BLOCK", block):
-        got = outcome(lambda: domination_constant(op, fs, family, r))
+        with mock.patch.object(operators, "_PAIR_BLOCK", block):
+            got = outcome(lambda: domination_constant(op, fs, family, r))
     if got != expected and expected[0] in (SingularPointError, ArithmeticError):
         idx = cube_flat_indices(op.grid, root)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

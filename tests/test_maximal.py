@@ -204,7 +204,7 @@ def test_local_grand_single_cell_is_zero():
     op = OperatorSpec(mpt_kernel(1.0, 2.0), g)
     f = GridFunction(g, np.ones(g.num_cells))
     q0 = DyadicCube(g.L, (5,))
-    out, _ = local_grand_maximal(op, (f,), q0, DYADIC)
+    out = local_grand_maximal(op, (f,), q0, DYADIC)[0]
     assert np.array_equal(out.values, np.zeros(g.num_cells))
 
 

@@ -66,7 +66,7 @@ def outcome(fn):
 
 
 def local_gaps_and_reference(op, fs, q0, mode):
-    gaps, tf = local_grand_maximal(op, fs, q0, mode)
+    gaps, tf, _ = local_grand_maximal(op, fs, q0, mode)
     return np.concatenate([gaps.values, tf])
 
 
