@@ -20,19 +20,21 @@ approximate.
 The grand maximal truncation gaps run in one pass over blocks of x.
 Each block is a stack of kernel rows K(x, .) over the slot tuples of
 the reference truncation, and every family cube meeting the block reads
-its truncation at 3Q, for the block's cells in Q, as one batched sum
-over a sub-box of those rows.  Kernel evaluations drop from one row per
-cube and cell to one row per cell, and sums from one per cell and cube
-to one per block and cube, while every cell's sum stays the exact
-array, in the exact order, that a separate truncation to 3Q would sum.
-For the dyadic family the pass keeps these sums as a table, one column
-per level of x's dyadic chain, and the gaps of every dyadic cube inside
-it can be read off that table (``sub_grand_maximal``).
+its truncation at 3Q as one batched sum over a sub-box of those rows,
+per run: the block's cells of Q on one grid row, found by one integer
+lookup for every family.  Kernel evaluations drop from one row per cube
+and cell to one row per cell, and sums from one per cell and cube to one
+per run, while every cell's sum stays the exact array, in the exact
+order, that a separate truncation to 3Q would sum.  For the dyadic
+family the pass keeps these sums as a table, one column per level of
+x's dyadic chain, and the gaps of every dyadic cube inside it can be
+read off that table (``sub_grand_maximal``).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -92,11 +94,7 @@ ALL_GRID_CUBES = CubeFamilyMode("all")
 
 def shifted_modes(n: int) -> list:
     """All nonzero per-axis shift combinations for dimension n."""
-    out = []
-    for combo in np.ndindex(*(3,) * n):
-        if any(combo):
-            out.append(CubeFamilyMode("shifted", tuple(combo)))
-    return out
+    return [CubeFamilyMode("shifted", combo) for combo in itertools.product(range(3), repeat=n) if any(combo)]
 
 
 def family_error(mode: CubeFamilyMode, grid: GridSpec) -> str | None:
@@ -274,8 +272,7 @@ def _sub_boxes(grid: GridSpec, ranks, lo: np.ndarray, hi: np.ndarray) -> list:
         return [tuple(slice(r[a], r[b]) for r in ranks) for a, b in zip(lo[:, 0].tolist(), hi[:, 0].tolist())]
     nrows = hi[:, 0] - lo[:, 0]
     first = np.cumsum(nrows) - nrows  # where each box's rows begin among all rows
-    rows = np.arange(nrows.sum()) - np.repeat(first - lo[:, 0], nrows)
-    heads = rows * grid.cells_per_side
+    heads = (np.arange(nrows.sum()) - np.repeat(first - lo[:, 0], nrows)) * grid.cells_per_side  # each row's first cell
     per_slot = []
     for r in ranks:
         start = r[heads + np.repeat(lo[:, 1], nrows)]
@@ -306,33 +303,19 @@ def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | N
     parallel tasks are blocks of x (``x_blocks``), and each box keeps the
     max over its cells, which no schedule can change.
 
-    A dyadic cube of side w holds the block's x in runs of w consecutive
-    cells along the last axis, found by index arithmetic; each run's sums
-    fill the table at the cube's level, and the gaps are read off the
-    table.  The other families find the block's cells in each cube with
-    a cubes x rows mask and keep only each cube's largest gap.
+    Every family finds the cubes holding a block's x with ``_runs``: per
+    grid row of ``within``, each cube and the run of rows it holds.  The
+    dyadic family writes each run's sums into the table at the cube's
+    level (column 0 is its first block, ``within``) and reads the gaps
+    off it; the others keep each cube's largest gap.
     """
     grid = op.grid
-    n, N = grid.n, grid.cells_per_side
     hm = grid.cell_volume() ** op.kernel.m
     xs, rbox = cube_flat_indices(grid, within), triple_cube(grid, within)
     blocks = list(family_boxes(grid, mode, within))
-    lo = np.concatenate([b[0] for b in blocks])
-    hi = np.concatenate([b[1] for b in blocks])
-    lo3, hi3 = triple_boxes(grid, lo, hi)
+    lo3, hi3 = triple_boxes(grid, *(np.concatenate(corners) for corners in zip(*blocks)))
     dyadic = mode.kind == "dyadic"
-    side = int(hi[0, 0] - lo[0, 0])  # of ``within``, the first dyadic cube
-    first = np.cumsum([0] + [len(b) for b, _ in blocks]).tolist()  # each block's first cube
-
-    def cube_at(c, p):
-        """The dyadic cube of block c holding the cell at row-major
-        position p of ``within``."""
-        w, q, scale = side >> c, first[c], 1
-        for _ in range(n):
-            p, d = divmod(p, side)
-            q += d // w * scale
-            scale *= side // w
-        return q
+    runs = _runs(blocks, int(dyadic), *cell_box(grid, within))
 
     def block(task):
         start, xb = task
@@ -340,33 +323,19 @@ def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | N
         ranks = [np.cumsum(np.bincount(i + 1, minlength=grid.num_cells + 1)) for i in idx]
         subs = _sub_boxes(grid, ranks, lo3, hi3)
         axes = tuple(range(1, W.ndim + 1))
-
-        def truncated(q, V, rows, t_r):
-            """T(f 1_3Q)(x) for the rows of V in cube q."""
-            Wq = W[subs[q]]
-            if Wq.size < W.size:
-                return np.multiply(V[rows][(slice(None), *subs[q])], Wq, order="C").sum(axis=axes) * hm
-            return t_r[rows]
-
         sums = np.empty((xb.size, len(blocks) if dyadic else 1))
-        gaps, at = np.zeros(len(lo)), 0
+        gaps, at = np.zeros(len(lo3)), 0
         for V in row_blocks:
             t_r = sums[at : at + len(V), 0] = np.sum(V * W, axis=axes) * hm
-            p0, p1 = start + at, start + at + len(V)
-            if dyadic:
-                for c in range(1, len(blocks)):
-                    w = side >> c
-                    for p in range(p0 - p0 % w, p1, w):  # a run of w cells along the last axis
-                        rows = slice(max(p, p0) - p0, min(p + w, p1) - p0)
-                        sums[at + rows.start : at + rows.stop, c] = truncated(cube_at(c, p), V, rows, t_r)
-            else:
-                inside = np.ones((len(lo), len(V)), dtype=bool)  # cube q holds the block's row k
-                for l, h, c in zip(lo.T, hi.T, np.unravel_index(xb[at : at + len(V)], (N,) * n)):
-                    inside &= (l[:, None] <= c) & (c < h[:, None])
-                for q in inside.any(axis=1).nonzero()[0]:
-                    j = inside[q].nonzero()[0]
-                    rows = slice(j[0], j[-1] + 1) if j[-1] - j[0] < j.size else j  # a view when it can be
-                    gaps[q] = np.maximum(gaps[q], np.abs(t_r[rows] - truncated(q, V, rows, t_r)).max())  # NaN stays NaN
+            for c, q, k0, k1 in runs(start + at, start + at + len(V)):
+                Wq = W[subs[q]]  # T(f 1_3Q)(x) for the rows k0 <= k < k1 of V, in cube q
+                t_q = t_r[k0:k1]
+                if Wq.size < W.size:
+                    t_q = np.multiply(V[k0:k1][(slice(None), *subs[q])], Wq, order="C").sum(axis=axes) * hm
+                if dyadic:
+                    sums[at + k0 : at + k1, c] = t_q
+                else:
+                    gaps[q] = np.maximum(gaps[q], np.abs(t_r[k0:k1] - t_q).max())  # NaN stays NaN
             at += len(V)
         return sums, gaps
 
@@ -381,19 +350,53 @@ def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | N
     return _scattered(grid, blocks, functools.reduce(np.maximum, [gaps for _, gaps in parts])), ref, None
 
 
+def _runs(blocks, skip: int, wlo, whi):
+    """The run enumerator: a function of (p0, p1) yielding (c, q, k0, k1)
+    for each grid row of the cube [wlo, whi) hit by its row-major positions
+    [p0, p1) and each cube q of block c >= ``skip`` holding cells of that
+    row, at positions p0 + k, k0 <= k < k1.  A block's corners along an
+    axis are a + step * i; its cubes of side w holding cells l..h have
+    ceil((l - a - w + 1) / step) <= i <= floor((h - a) / step)."""
+    n, side, geometry, first = len(wlo), whi[0] - wlo[0], [], 0
+    for c, (lo, hi) in enumerate(blocks):  # a block's corners are a row-major grid, per axis (a, step, count)
+        axes = [(v[0], v[1] - v[0] if len(v) > 1 else 1, len(v)) for v in (sorted(set(v.tolist())) for v in lo.T)]
+        geometry.append((c, first, int(hi[0, 0] - lo[0, 0]), axes))
+        first += len(lo)
+
+    @functools.lru_cache(maxsize=None)
+    def row(r: int) -> list:  # per block, its cubes holding row r's leading coordinates, at last index 0
+        x, out = [wlo[a] + r // side ** (n - 2 - a) % side for a in range(n - 1)], []
+        for c, first, w, axes in geometry[skip:]:
+            qs = [0]
+            for (a, step, cnt), l in zip(axes, x):
+                span = range(max(0, -((a + w - 1 - l) // step)), min(cnt, (l - a) // step + 1))
+                qs = [q * cnt + i for q in qs for i in span]
+            a, step, cnt = axes[-1]
+            out.append((c, [first + q * cnt for q in qs], w, a, a + w - 1, step, cnt))
+        return out
+
+    def runs(p0: int, p1: int):
+        for r in range(p0 // side, (p1 - 1) // side + 1):
+            u0, u1 = wlo[-1] + max(p0 - r * side, 0), wlo[-1] + min(p1 - r * side, side)
+            k = r * side - wlo[-1] - p0  # cell u of row r is at position p0 + k + u
+            for c, qs, w, a, aw, step, cnt in row(r):
+                for j in range(max(0, -((aw - u0) // step)), min(cnt, (u1 - 1 - a) // step + 1)):
+                    e = a + step * j
+                    for q in qs:
+                        yield c, q + j, k + max(e, u0), k + min(e + w, u1)
+
+    return runs
+
+
 def _dyadic_scores(blocks, sums: np.ndarray) -> np.ndarray:
     """The score of every dyadic cube of ``blocks``, in block order: the
     largest |S[x, 0] - S[x, c]| over its cells x, for the cubes of block
     c.  ``sums`` holds S with its rows in row-major order over the first
     block's cube; NaN stays NaN."""
-    n = blocks[0][0].shape[1]
-    side = int(blocks[0][1][0, 0] - blocks[0][0][0, 0])
+    n, side = blocks[0][0].shape[1], int(blocks[0][1][0, 0] - blocks[0][0][0, 0])
     d = np.abs(sums[:, :1] - sums)
-    out = []
-    for c, (lo, hi) in enumerate(blocks):
-        w = int(hi[0, 0] - lo[0, 0])
-        out.append(d[:, c].reshape((side // w, w) * n).max(axis=tuple(range(1, 2 * n, 2))).reshape(-1))
-    return np.concatenate(out)
+    cells = tuple(range(1, 2 * n, 2))  # the cells of each cube of block c, of side side >> c
+    return np.concatenate([d[:, c].reshape((1 << c, side >> c) * n).max(axis=cells).reshape(-1) for c in range(len(blocks))])
 
 
 def _scattered(grid: GridSpec, blocks, scores: np.ndarray) -> GridFunction:
@@ -401,8 +404,7 @@ def _scattered(grid: GridSpec, blocks, scores: np.ndarray) -> GridFunction:
     holding it, with the scores in block order; ArithmeticError when one
     is not finite."""
     out = np.zeros((grid.cells_per_side,) * grid.n)
-    ends = np.cumsum([len(b) for b, _ in blocks])
-    for (blo, bhi), sc in zip(blocks, np.split(scores, ends[:-1])):
+    for (blo, bhi), sc in zip(blocks, np.split(scores, np.cumsum([len(b) for b, _ in blocks])[:-1])):
         _scatter_block(out, blo, bhi, sc)
     if not np.all(np.isfinite(out)):
         raise ArithmeticError("truncation gap is not finite")
@@ -454,10 +456,7 @@ def mt_pointwise_bound_check(op: OperatorSpec, fs, r: float, kr_value: float) ->
     num = np.maximum(gap.values - md, 0.0)
     pos = denom > 0.0
     flag = bool(np.any(~pos & (num > 0.0)))
-    if np.any(pos):
-        ratios = np.where(pos, num / np.where(pos, denom, 1.0), 0.0)
-        arg = int(np.argmax(ratios))
-        c_emp = float(ratios[arg])
-    else:
-        arg, c_emp = -1, 0.0
+    ratios = np.where(pos, num / np.where(pos, denom, 1.0), 0.0)
+    arg = int(np.argmax(ratios)) if np.any(pos) else -1
+    c_emp = float(ratios[arg]) if arg >= 0 else 0.0
     return MTBoundReport(c_emp=c_emp, infinite_flag=flag, kr_value=kr_value, argmax_cell=arg)
