@@ -118,10 +118,9 @@ def build_sparse_family(
     root: DyadicCube,
     r: float,
     mode: CubeFamilyMode = DYADIC,
-    root_values: bool = False,
 ) -> tuple:
-    """Run the stopping construction; returns (family, node stats), and
-    with ``root_values`` a third item: T f on the root's cells.
+    """Run the stopping construction; returns (family, node stats, T f on
+    the root's cells).
 
     Requires every input supported inside ``root`` and the tripled root
     contained in the domain, so no truncation is ever cut by the
@@ -219,7 +218,7 @@ def build_sparse_family(
     root_tf = visit(root)
     entries.sort(key=lambda e: e.cube.sort_key())
     family = SparseFamily(grid=grid, root=root, gamma=0.5, entries=tuple(entries))
-    return (family, stats, root_tf) if root_values else (family, stats)
+    return family, stats, root_tf
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,11 +240,11 @@ def domination_constant(
 
     T f is read on the root's cells only, where it equals what ``apply``
     gives, bit for bit; a value outside the root is never computed.
-    ``tf_root`` is T f there as ``build_sparse_family`` returns it with
-    ``root_values``, which is how the CLI's ``dominate`` reads it; a
-    non-finite one has already stopped the build as a non-finite
-    truncation gap.  When it is None, T f is evaluated through
-    ``operator_values``, and a non-finite value raises ArithmeticError.
+    ``tf_root`` is T f there as ``build_sparse_family`` returns it,
+    which is how the CLI's ``dominate`` reads it; a non-finite one has
+    already stopped the build as a non-finite truncation gap.  When it
+    is None, T f is evaluated through ``operator_values``, and a
+    non-finite value raises ArithmeticError.
 
     The support flag trips when the sparse form vanishes on a root cell
     where |T f| is not negligible (1e-12 of its largest value on the

@@ -333,7 +333,7 @@ def _build(c: Checker, dominate=False):
 
     def run():
         op = OperatorSpec(kernel, grid)
-        family, stats, tf_root = build_sparse_family(op, fs, root, r, mode, root_values=True)
+        family, stats, tf_root = build_sparse_family(op, fs, root, r, mode)
         rep = verify_witness_sparsity(family)
         if not rep.ok:
             raise InvariantViolation(f"sparseness verification failed: {rep.to_json_dict()}")

@@ -107,17 +107,16 @@ class SparsityReport:
         }
 
 
-def verify_witness_sparsity(family: SparseFamily, gamma: float | None = None) -> SparsityReport:
+def verify_witness_sparsity(family: SparseFamily) -> SparsityReport:
     """Check the three sparseness clauses on exact integer counts.
 
     Containment: every witness cell lies in its cube.  Disjointness:
     no cell appears in two witnesses.  Count: len(witness) >=
-    gamma * cells(cube), exact whenever gamma times the cell count is
-    an exact float, as it is for the standard gamma = 1/2 at any count.
+    ``family.gamma`` * cells(cube), exact whenever gamma times the cell
+    count is an exact float, as it is for the standard gamma = 1/2 at
+    any count.
     """
-    if gamma is None:
-        gamma = family.gamma
-    grid = family.grid
+    grid, gamma = family.grid, family.gamma
     containment_ok = True
     count_ok = True
     worst_index, worst_ratio = -1, float("inf")

@@ -73,10 +73,9 @@ def build_sparse_family(
     root: DyadicCube,
     r: float,
     mode: CubeFamilyMode = DYADIC,
-    root_values: bool = False,
 ) -> tuple:
-    """Run the stopping construction; returns (family, node stats), and
-    with ``root_values`` a third item: T f on the root's cells.
+    """Run the stopping construction; returns (family, node stats, T f on
+    the root's cells).
 
     Requires every input supported inside ``root`` and the tripled root
     contained in the domain, so no truncation is ever cut by the
@@ -161,7 +160,7 @@ def build_sparse_family(
     root_tf = visit(root)
     entries.sort(key=lambda e: e.cube.sort_key())
     family = SparseFamily(grid=grid, root=root, gamma=0.5, entries=tuple(entries))
-    return (family, stats, root_tf) if root_values else (family, stats)
+    return family, stats, root_tf
 
 
 def domination_constant(op, fs, family, r):

@@ -87,7 +87,7 @@ def _grid(n, L, side):
 def built_suite():
     out = []
     for case in cases():
-        family, stats = build_sparse_family(case.operator, case.inputs, case.root, case.r)
+        family, stats, _ = build_sparse_family(case.operator, case.inputs, case.root, case.r)
         out.append((case, family, stats))
     return tuple(out)
 
@@ -123,7 +123,8 @@ def test_criterion_1_cz_postconditions_exact():
 def test_criterion_2_half_sparseness_exact():
     assert len(built_suite()) >= SUITE_MIN_CASES
     for case, family, stats in built_suite():
-        rep = verify_witness_sparsity(family, gamma=GAMMA)
+        assert family.gamma == GAMMA, case.name
+        rep = verify_witness_sparsity(family)
         assert rep.ok, case.name
         for st in stats:
             assert st.sum_pj_ratio <= 0.5, case.name

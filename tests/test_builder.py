@@ -97,7 +97,7 @@ def test_build_zero_input_gives_empty_family():
     op = OperatorSpec(bilinear_odd_kernel(), g)
     root = DyadicCube(2, (1,))
     zero = GridFunction(g, np.zeros(g.num_cells))
-    family, stats = build_sparse_family(op, (zero, zero), root, 1.0)
+    family, stats, _ = build_sparse_family(op, (zero, zero), root, 1.0)
     assert family.entries == ()
     assert stats == []
     rep = verify_witness_sparsity(family)
@@ -112,7 +112,7 @@ def test_build_zero_kernel_indicator_single_entry():
     v = np.zeros(g.num_cells)
     v[idx] = 1.0
     f = GridFunction(g, v)
-    family, stats = build_sparse_family(op, (f, f), root, 2.0)
+    family, stats, _ = build_sparse_family(op, (f, f), root, 2.0)
     assert len(family.entries) == 1
     e = family.entries[0]
     assert e.cube == root
@@ -148,10 +148,11 @@ def test_build_generic_invariants():
     op = OperatorSpec(bilinear_odd_kernel(), g)
     root = DyadicCube(2, (1,))
     fs = single_input(g, 2, "gauss", seed=7, entry=0, support=root)
-    family, stats = build_sparse_family(op, fs, root, 1.0)
+    family, stats, _ = build_sparse_family(op, fs, root, 1.0)
     assert len(family.entries) >= 2
     assert len({e.cube.level for e in family.entries}) >= 2
-    rep = verify_witness_sparsity(family, gamma=0.5)
+    assert family.gamma == 0.5
+    rep = verify_witness_sparsity(family)
     assert rep.ok
     keys = [e.cube.sort_key() for e in family.entries]
     assert keys == sorted(keys)
@@ -171,9 +172,9 @@ def test_build_deterministic_across_threads():
     fs = single_input(g, 2, "gauss", seed=3, entry=1, support=root)
     try:
         set_thread_count(1)
-        fam1, _ = build_sparse_family(op, fs, root, 1.0)
+        fam1, _, _ = build_sparse_family(op, fs, root, 1.0)
         set_thread_count(4)
-        fam2, _ = build_sparse_family(op, fs, root, 1.0)
+        fam2, _, _ = build_sparse_family(op, fs, root, 1.0)
     finally:
         set_thread_count(1)
     assert fam1.to_json() == fam2.to_json()
@@ -233,7 +234,7 @@ def test_domination_hand_example(monkeypatch):
     v = np.zeros(g.num_cells)
     v[idx] = 1.0
     f = GridFunction(g, v)
-    family, _ = build_sparse_family(OperatorSpec(zero_kernel(1), g), (f,), root, 1.0)
+    family, _, _ = build_sparse_family(OperatorSpec(zero_kernel(1), g), (f,), root, 1.0)
     assert len(family.entries) == 1
     rep = domination_constant(op, (f,), family, 1.0)
     # T f = (|root cells| - 1) h on root cells, the sparse form is 1 there
@@ -250,7 +251,7 @@ def test_domination_zero_operator():
     v = np.zeros(g.num_cells)
     v[idx] = 1.0
     f = GridFunction(g, v)
-    family, _ = build_sparse_family(op, (f,), root, 1.0)
+    family, _, _ = build_sparse_family(op, (f,), root, 1.0)
     rep = domination_constant(op, (f,), family, 1.0)
     assert rep.c_emp == 0.0
     assert not rep.support_flag

@@ -118,8 +118,8 @@ def mpt_root_hit():
 @example(case=mpt_root_hit(), r=1.0, block=7, threads=2)
 def test_build_is_the_per_node_build(case, r, block, threads):
     op, fs, root, mode = case
-    want = outcome(lambda: ref.build_sparse_family(op, fs, root, r, mode, root_values=True))
+    want = outcome(lambda: ref.build_sparse_family(op, fs, root, r, mode))
     set_thread_count(threads)
     with mock.patch.multiple(operators, _PAIR_BLOCK=block, _XBLOCK=5, _PARALLEL_ROW=0):
-        got = outcome(lambda: build_sparse_family(op, fs, root, r, mode, root_values=True))
+        got = outcome(lambda: build_sparse_family(op, fs, root, r, mode))
     assert got == want

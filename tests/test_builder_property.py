@@ -58,7 +58,7 @@ def test_build_is_half_sparse_on_random_inputs_and_roots(case, r, zeros, seed):
         v = np.zeros(grid.num_cells)
         v[idx] = rng.standard_normal(idx.size) * (rng.random(idx.size) >= zeros)
         fs.append(GridFunction(grid, v))
-    family, stats = build_sparse_family(op, fs, root, r, mode)
+    family, stats, _ = build_sparse_family(op, fs, root, r, mode)
     assert verify_witness_sparsity(family).ok
     assert carleson_sum(family) <= 2.0
     keys = [e.cube.sort_key() for e in family.entries]

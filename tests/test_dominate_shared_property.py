@@ -1,7 +1,7 @@
 """`sdom dominate` against the standalone domination constant.
 
 The CLI's ``dominate`` reads T f on the root's cells from the build's
-root node (``build_sparse_family(..., root_values=True)``), where
+root node (the third item of ``build_sparse_family``), where
 ``domination_constant`` called on its own evaluates it through
 ``operators.operator_values``.  Over n and m in {1, 2}, the dyadic,
 shifted and all-cubes families, roots of one cell and larger, and bank
@@ -132,7 +132,7 @@ def test_cli_dominate_is_the_standalone_domination_constant(cfg, tmp_path_factor
     op = OperatorSpec(KernelSpec.from_json_dict(cfg["kernel"]), grid)
     fs = inputs_of(cfg, grid, op.kernel.m, root)
     mode = CubeFamilyMode.parse(cfg.get("mode", "dyadic"))
-    family, stats, tf_root = build_sparse_family(op, fs, root, cfg["r"], mode, root_values=True)
+    family, stats, tf_root = build_sparse_family(op, fs, root, cfg["r"], mode)
     want = domination_constant(op, fs, family, cfg["r"]).to_json_dict()
     # the root node applies T unless the root is one cell or an average vanishes
     assert (tf_root is None) == (cube_flat_indices(grid, root).size == 1 or not stats)

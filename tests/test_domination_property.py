@@ -126,7 +126,7 @@ def test_domination_constant_is_the_full_domain_reference(cfg, r, block):
     # left to the domination constant; where even that build stops
     # (centres that collide), the root alone
     try:
-        family, _ = build_sparse_family(OperatorSpec(zero_kernel(op.kernel.m), op.grid), fs, root, r)
+        family, _, _ = build_sparse_family(OperatorSpec(zero_kernel(op.kernel.m), op.grid), fs, root, r)
     except SingularPointError:
         cells = tuple(cube_flat_indices(op.grid, root).tolist())
         family = SparseFamily(op.grid, root, 0.5, (SparseEntry(root, cells, 0.0),))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -60,8 +61,8 @@ def test_nested_chain_half_sparse():
     assert rep.worst_index == 0
     assert rep.worst_ratio == 0.5
     # the count clause is an exact integer comparison at gamma = 1/2
-    assert not verify_witness_sparsity(fam, gamma=0.75).ok
-    assert verify_witness_sparsity(fam, gamma=0.25).ok
+    assert not verify_witness_sparsity(dataclasses.replace(fam, gamma=0.75)).ok
+    assert verify_witness_sparsity(dataclasses.replace(fam, gamma=0.25)).ok
 
 
 def test_every_cube_to_depth_two_cannot_be_half_sparse():
