@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sdom.grid import DyadicCube, GridFunction, GridSpec
+
+# Every property draws the same examples on every run: a failure seen
+# once is seen again, and no example database is read or written.  Each
+# test's own ``@settings`` still sets its example count.
+settings.register_profile("sdom", derandomize=True)
+settings.load_profile("sdom")
 
 
 @pytest.fixture

@@ -26,7 +26,15 @@ import reference_maximal as ref
 from sdom import operators
 from sdom.grid import DyadicCube, GridFunction, GridSpec, cube_flat_indices, triple_cube
 from sdom.kernels import Modulus, bilinear_odd_kernel, dini_synthetic_kernel, mpt_kernel
-from sdom.maximal import ALL_GRID_CUBES, DYADIC, family_boxes, grand_maximal, local_grand_maximal, shifted_modes
+from sdom.maximal import (
+    ALL_GRID_CUBES,
+    DYADIC,
+    CubeFamilyMode,
+    family_boxes,
+    grand_maximal,
+    local_grand_maximal,
+    shifted_modes,
+)
 from sdom.operators import OperatorSpec
 from sdom.parallel import set_thread_count
 
@@ -106,6 +114,20 @@ PARAMS = dict(
     case=(OperatorSpec(dini_synthetic_kernel(DINI, 2), GridSpec(n=2, L=3, origin=(-1.0, -1.0), side=SIDE)), DYADIC),
     seed=0, density=0.7, lone=True, threads=1,
 )
+# each run is one cube's cells on one grid row: all-cubes at L = 2, where
+# the side-4 cube holds runs on all four rows and 5-cell tasks cut rows,
+# and a shifted family at L = 3, where tasks cut rows of 8 mid-row
+@example(
+    case=(OperatorSpec(dini_synthetic_kernel(DINI, 1), GridSpec(n=2, L=2, origin=(-1.0, -1.0), side=SIDE)), ALL_GRID_CUBES),
+    seed=3, density=1.0, lone=False, threads=1,
+)
+@example(
+    case=(
+        OperatorSpec(dini_synthetic_kernel(DINI, 1), GridSpec(n=2, L=3, origin=(-1.0, -1.0), side=SIDE)),
+        CubeFamilyMode("shifted", (1, 2)),
+    ),
+    seed=5, density=1.0, lone=False, threads=1,
+)
 def test_grand_maximal_is_the_cube_major_reference(case, seed, density, lone, threads):
     op, mode = case
     fs = inputs(op, np.arange(op.grid.num_cells), seed, density, 0 if lone else None)
@@ -125,6 +147,11 @@ def test_grand_maximal_is_the_cube_major_reference(case, seed, density, lone, th
 @example(
     case=(OperatorSpec(dini_synthetic_kernel(DINI, 1), GridSpec(n=2, L=3, origin=(-1.0, -1.0), side=SIDE)), ALL_GRID_CUBES),
     seed=7, density=0.7, lone=False, threads=2, outside=True, pick=(1, 1, 0),
+)
+# all-cubes around an odd-index q0 in one dimension: runs start mid-block
+@example(
+    case=(OperatorSpec(bilinear_odd_kernel(), GridSpec(n=1, L=4, origin=(-1.0,), side=SIDE)), ALL_GRID_CUBES),
+    seed=11, density=1.0, lone=False, threads=1, outside=True, pick=(2, 1, 0),
 )
 def test_local_grand_maximal_is_the_cube_major_reference(case, seed, density, lone, threads, outside, pick):
     op, mode = case
