@@ -16,14 +16,13 @@ __version__ = "0.1.0"
 import numpy as _np
 
 # Freeing one large block raises glibc's dynamic mmap threshold
-# (mallopt(3), M_MMAP_THRESHOLD) to its size.  Below that threshold the
-# temporaries of `eval_batch` (one per elementwise step, each the size
-# of a kernel row) are reused from the heap; above it they are mapped
-# and unmapped on every call.  The dominate-1d benchmark's rows of
-# 16,384 slot tuples make them 128 KiB, glibc's default threshold.  Over
-# its 16 `dominate` configs, run once each in one process (2-core Xeon,
-# Python 3.11, numpy 2.4), the block keeps minor page faults near 370
-# where they are about 124,000 without it, and wall time at 2.1 s where
-# it is 2.3-2.8 s.  The block is never written, so it adds nothing to
-# the resident set.
+# (mallopt(3), M_MMAP_THRESHOLD) to its size.  Below that threshold large
+# temporaries are reused from the heap; above it they are mapped and
+# unmapped on every call, and their pages faulted in anew.  With each
+# benchmark workload's ops run once in a fresh process (2-core Xeon,
+# Python 3.11, numpy 2.4), the minor faults during the ops with and
+# without the block are 49 and 49 on dominate-1d, about 3,080 and
+# 8,500-10,200 on mixed-2d-t2, and 527 and about 97,070 on regularity-1d
+# (0.10-0.16 s and 0.22 s; in one run without it, 735).  The block is
+# never written, so it adds nothing to the resident set.
 _np.empty(16 << 20, dtype=_np.uint8)

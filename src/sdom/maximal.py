@@ -363,8 +363,8 @@ def _runs(blocks, skip: int, wlo, whi):
         geometry.append((c, first, int(hi[0, 0] - lo[0, 0]), axes))
         first += len(lo)
 
-    @functools.lru_cache(maxsize=None)
-    def row(r: int) -> list:  # per block, its cubes holding row r's leading coordinates, at last index 0
+    rows = []  # per grid row and block, the cubes holding the row's leading coordinates, at last index 0
+    for r in range(side ** (n - 1)):
         x, out = [wlo[a] + r // side ** (n - 2 - a) % side for a in range(n - 1)], []
         for c, first, w, axes in geometry[skip:]:
             qs = [0]
@@ -373,13 +373,13 @@ def _runs(blocks, skip: int, wlo, whi):
                 qs = [q * cnt + i for q in qs for i in span]
             a, step, cnt = axes[-1]
             out.append((c, [first + q * cnt for q in qs], w, a, a + w - 1, step, cnt))
-        return out
+        rows.append(out)
 
     def runs(p0: int, p1: int):
         for r in range(p0 // side, (p1 - 1) // side + 1):
             u0, u1 = wlo[-1] + max(p0 - r * side, 0), wlo[-1] + min(p1 - r * side, side)
             k = r * side - wlo[-1] - p0  # cell u of row r is at position p0 + k + u
-            for c, qs, w, a, aw, step, cnt in row(r):
+            for c, qs, w, a, aw, step, cnt in rows[r]:
                 for j in range(max(0, -((aw - u0) // step)), min(cnt, (u1 - 1 - a) // step + 1)):
                     e = a + step * j
                     for q in qs:
