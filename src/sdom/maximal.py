@@ -272,7 +272,8 @@ def _sub_boxes(grid: GridSpec, ranks, lo: np.ndarray, hi: np.ndarray) -> list:
         return [tuple(slice(r[a], r[b]) for r in ranks) for a, b in zip(lo[:, 0].tolist(), hi[:, 0].tolist())]
     nrows = hi[:, 0] - lo[:, 0]
     first = np.cumsum(nrows) - nrows  # where each box's rows begin among all rows
-    heads = (np.arange(nrows.sum()) - np.repeat(first - lo[:, 0], nrows)) * grid.cells_per_side  # each row's first cell
+    rows = np.arange(nrows.sum()) - np.repeat(first - lo[:, 0], nrows)
+    heads = rows * grid.cells_per_side
     per_slot = []
     for r in ranks:
         start = r[heads + np.repeat(lo[:, 1], nrows)]
@@ -357,30 +358,26 @@ def _runs(blocks, skip: int, wlo, whi):
     row, at positions p0 + k, k0 <= k < k1.  A block's corners along an
     axis are a + step * i; its cubes of side w holding cells l..h have
     ceil((l - a - w + 1) / step) <= i <= floor((h - a) / step)."""
-    n, side, geometry, first = len(wlo), whi[0] - wlo[0], [], 0
-    for c, (lo, hi) in enumerate(blocks):  # a block's corners are a row-major grid, per axis (a, step, count)
+    n, side = len(wlo), whi[0] - wlo[0]
+    lead = [[wlo[d] + r // side ** (n - 2 - d) % side for d in range(n - 1)] for r in range(side ** (n - 1))]
+    rows, first = [[] for _ in lead], sum(len(lo) for lo, _ in blocks[:skip])
+    for c, (lo, hi) in enumerate(blocks[skip:], skip):  # corners: a row-major grid, (a, step, count) per axis
+        w = int(hi[0, 0] - lo[0, 0])
         axes = [(v[0], v[1] - v[0] if len(v) > 1 else 1, len(v)) for v in (sorted(set(v.tolist())) for v in lo.T)]
-        geometry.append((c, first, int(hi[0, 0] - lo[0, 0]), axes))
-        first += len(lo)
-
-    rows = []  # per grid row and block, the cubes holding the row's leading coordinates, at last index 0
-    for r in range(side ** (n - 1)):
-        x, out = [wlo[a] + r // side ** (n - 2 - a) % side for a in range(n - 1)], []
-        for c, first, w, axes in geometry[skip:]:
+        for x, out in zip(lead, rows):  # the cubes holding the row's leading coordinates x, at last index 0
             qs = [0]
             for (a, step, cnt), l in zip(axes, x):
                 span = range(max(0, -((a + w - 1 - l) // step)), min(cnt, (l - a) // step + 1))
                 qs = [q * cnt + i for q in qs for i in span]
-            a, step, cnt = axes[-1]
-            out.append((c, [first + q * cnt for q in qs], w, a, a + w - 1, step, cnt))
-        rows.append(out)
+            out.append((c, [first + q * axes[-1][2] for q in qs], w, *axes[-1]))
+        first += len(lo)
 
     def runs(p0: int, p1: int):
         for r in range(p0 // side, (p1 - 1) // side + 1):
             u0, u1 = wlo[-1] + max(p0 - r * side, 0), wlo[-1] + min(p1 - r * side, side)
             k = r * side - wlo[-1] - p0  # cell u of row r is at position p0 + k + u
-            for c, qs, w, a, aw, step, cnt in rows[r]:
-                for j in range(max(0, -((aw - u0) // step)), min(cnt, (u1 - 1 - a) // step + 1)):
+            for c, qs, w, a, step, cnt in rows[r]:
+                for j in range(max(0, -((a + w - 1 - u0) // step)), min(cnt, (u1 - 1 - a) // step + 1)):
                     e = a + step * j
                     for q in qs:
                         yield c, q + j, k + max(e, u0), k + min(e + w, u1)
@@ -404,7 +401,8 @@ def _scattered(grid: GridSpec, blocks, scores: np.ndarray) -> GridFunction:
     holding it, with the scores in block order; ArithmeticError when one
     is not finite."""
     out = np.zeros((grid.cells_per_side,) * grid.n)
-    for (blo, bhi), sc in zip(blocks, np.split(scores, np.cumsum([len(b) for b, _ in blocks])[:-1])):
+    ends = np.cumsum([len(b) for b, _ in blocks])
+    for (blo, bhi), sc in zip(blocks, np.split(scores, ends[:-1])):
         _scatter_block(out, blo, bhi, sc)
     if not np.all(np.isfinite(out)):
         raise ArithmeticError("truncation gap is not finite")
