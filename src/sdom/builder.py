@@ -139,7 +139,8 @@ def build_sparse_family(
     the root node's pass, in ``cube_flat_indices`` order.  The inputs
     live in the root, so they are bitwise what ``operator_values`` gives
     there.  They are None when the root node applies no T: a one-cell
-    root, or an input whose r-average over the tripled root vanishes.
+    root, or an input whose r-average over the tripled root is 0 (the
+    input is zero there, or subnormal enough to underflow).
     """
     fs = check_inputs(op, fs)
     grid = op.grid

@@ -281,9 +281,17 @@ def local_average(f: GridFunction, cube: Cube, r: float) -> float:
     r : averaging exponent, must satisfy r >= 1.
 
     The cell sum runs in ascending cell order through ``numpy.sum`` so
-    repeated calls reduce in one fixed order.
+    repeated calls reduce in one fixed order.  When ``|f|^r`` under- or
+    overflows, so that the direct value is 0 for a nonzero input or is
+    not finite, it is taken again as ``max|f| * (avg of (|f|/max)^r)^(1/r)``.
     """
     if r < 1:
         raise ValueError("averaging exponent r must be >= 1")
     vals = np.abs(cube_values(f, cube))
-    return float(np.sum(vals ** r) / cube_cell_count(f.grid, cube)) ** (1.0 / r)
+    count = cube_cell_count(f.grid, cube)
+    with np.errstate(over="ignore"):
+        avg = float(np.sum(vals ** r) / count) ** (1.0 / r)
+    if (avg == 0.0 and vals.any()) or not np.isfinite(avg):
+        top = vals.max()
+        avg = float(top * (np.sum((vals / top) ** r) / count) ** (1.0 / r))
+    return avg

@@ -194,16 +194,3 @@ def power_weight(grid: GridSpec, exponent: float, center=None, floor: float = 1e
     d = np.sqrt(np.sum((cell_centers(grid) - center) ** 2, axis=1))
     vals = np.maximum(d, 0.0) ** exponent if exponent >= 0 else np.maximum(d, floor) ** exponent
     return GridFunction(grid, np.maximum(vals.ravel(), floor))
-
-
-def trend_correlation(characteristics, ratios) -> float:
-    """Spearman rank correlation between characteristic values and
-    empirical ratios across a sweep of weight tuples."""
-    chars = np.asarray(list(characteristics), dtype=float)
-    rats = np.asarray(list(ratios), dtype=float)
-    if chars.size != rats.size or chars.size < 3:
-        raise ValueError("need at least three paired observations")
-    from scipy.stats import spearmanr  # imported here: it dominates the package's import time
-
-    rho = spearmanr(chars, rats).statistic
-    return float(rho)

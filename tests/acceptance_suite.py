@@ -1,5 +1,7 @@
-"""Built-in experiment suite: operator/input cases for the domination
-and truncation-bound studies.
+"""Fixtures of the acceptance gate: the 14-case operator/input suite
+for the domination and truncation-bound studies, and the rank
+correlation of the weight-trend check.  No command uses either, so they
+live here rather than in the package.
 
 Cases pair a kernel with a grid, a root cube whose triple fits inside
 the domain, and deterministic inputs supported in the root.  The list
@@ -14,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import spearmanr
 
-from .bank import single_input
-from .grid import DyadicCube, GridFunction, GridSpec, cell_centers, cube_flat_indices
-from .kernels import (
+from sdom.bank import single_input
+from sdom.grid import DyadicCube, GridFunction, GridSpec, cell_centers, cube_flat_indices
+from sdom.kernels import (
     KernelSpec,
     Modulus,
     bilinear_odd_kernel,
@@ -26,7 +29,7 @@ from .kernels import (
     mpt_truncated_kernel,
     zero_kernel,
 )
-from .operators import OperatorSpec
+from sdom.operators import OperatorSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,3 +161,12 @@ def cases() -> list:
     ))
     return out
 
+
+def trend_correlation(characteristics, ratios) -> float:
+    """Spearman rank correlation between characteristic values and
+    empirical ratios across a sweep of weight tuples."""
+    chars = np.asarray(list(characteristics), dtype=float)
+    rats = np.asarray(list(ratios), dtype=float)
+    if chars.size != rats.size or chars.size < 3:
+        raise ValueError("need at least three paired observations")
+    return float(spearmanr(chars, rats).statistic)

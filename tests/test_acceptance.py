@@ -2,8 +2,8 @@
 
 Each test pins one advertised guarantee of the package at its stated
 tolerance and prints a single PASS line with the measured numbers; a
-failed assertion is the FAIL line.  The shared kernel/input suite is
-built once and reused by the sparsity, domination, and maximal-bound
+failed assertion is the FAIL line.  The shared kernel/input suite
+(``acceptance_suite.cases``) is built once and reused by the sparsity, domination, and maximal-bound
 checks.
 """
 
@@ -40,14 +40,14 @@ from sdom.maximal import (
 from sdom.operators import OperatorSpec
 from sdom.parallel import set_thread_count
 from sdom.sparse import verify_witness_sparsity
-from sdom.suite import cases
 from sdom.weights import (
     WeightTuple,
     power_weight,
-    trend_correlation,
     vec_ap_characteristic,
     weighted_norm_ratio,
 )
+
+from acceptance_suite import cases, trend_correlation
 
 CZ_TRIALS = 100
 CZ_GRIDS = ((1, 10), (2, 6))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -128,6 +129,31 @@ def test_dominate_zero_input(tmp_path):
     assert doc["results"]["family_size"] == 0
     fam = json.loads((out / "dominate_family.json").read_text())
     assert fam["entries"] == []
+
+
+def test_dominate_c_emp_does_not_depend_on_the_input_scale(tmp_path):
+    # at m = 1 every quantity is linear in f, so scaling the input by
+    # 1e-170 (|f|^2 underflows) or 1e200 (|f|^2 overflows) keeps c_emp
+    def c_emp(scale):
+        values = [0.0] * 16
+        values[5] = values[7] = scale
+        cfg = {
+            "grid": {"n": 1, "L": 4, "origin": [0.0], "side": 8.0},
+            "kernel": {"variant": "dini_synthetic", "m": 1, "modulus": {"kind": "power", "c": 1.0, "eps": 0.5}},
+            "root": {"level": 2, "index": [1]},
+            "r": 2.0,
+            "inputs": {"kind": "values", "values": [values]},
+        }
+        work = tmp_path / str(scale)
+        work.mkdir()
+        code, out = run(work, "dominate", cfg)
+        assert code == 0, scale
+        return json.loads((out / "dominate_report.json").read_text())["results"]["domination"]["c_emp"]
+
+    ref = c_emp(1.0)
+    assert ref > 0.0
+    for scale in (1e-170, 1e200):
+        assert abs(c_emp(scale) - ref) <= 2 * math.ulp(ref), scale
 
 
 THREADS_CFG = {

@@ -111,6 +111,18 @@ def test_local_average_examples(grid8):
     assert local_average(half, q, 2.0) == pytest.approx(0.5 ** 0.5, rel=0, abs=1e-15)
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_local_average_outside_the_power_range(grid8, scale):
+    # |f|^2 under- or overflows, yet the average itself is representable;
+    # ordinary inputs keep the bits of the direct formula
+    q = DyadicCube(level=1, index=(0,))
+    base = [0.5, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    direct = local_average(gf(grid8, base), q, 2.0)
+    assert direct == float(np.sum(np.array(base[:4]) ** 2.0) / 4) ** 0.5
+    got = local_average(gf(grid8, np.array(base) * scale), q, 2.0)
+    assert got == pytest.approx(direct * scale, rel=4e-16, abs=0)
+
+
 def test_local_average_rejects_small_r(grid8):
     f = gf(grid8, np.ones(8))
     with pytest.raises(ValueError):

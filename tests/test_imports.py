@@ -1,17 +1,20 @@
 """Modules of the package use only each other's public names, the
 package root re-exports none, no function or class name is defined in
 two modules, every public function and method is reached by a command
-or the acceptance gate, and the commands load neither ``numpy.ma`` nor
-scipy."""
+or the acceptance gate, and every command runs without scipy and loads
+no ``numpy.ma``."""
 
 import ast
 import collections
 import importlib
+import json
 import os
 import pathlib
 import subprocess
 import sys
 import tempfile
+
+from sdom import cli
 
 from test_cli_golden import CASES, _run_case
 
@@ -124,24 +127,39 @@ def test_every_public_function_is_reached():
     assert sorted(unreached) == sorted(KEPT), unreached
 
 
-# Runs in a fresh interpreter: the README examples, then the names of the
-# modules loaded that the set-up cost and the resident set would pay for.
+# Runs in a fresh interpreter with scipy unimportable: one config per
+# command (the README examples, then golden configs, as ``command=path``
+# arguments), then the names of the modules loaded that the set-up cost
+# and the resident set would pay for.
 _FOOTPRINT = """
 import sys, tempfile
+sys.modules["scipy"] = None
 from sdom import cli
-for name in ("dominate", "separation", "weights", "maximal"):
+for arg in sys.argv[1:]:
+    name, cfg = arg.split("=", 1)
     with tempfile.TemporaryDirectory() as out:
-        assert cli.main([name, "--config", f"examples/{name}.json", "--out", out]) == 0, name
-print("loaded:", *(m for m in sys.modules if m == "numpy.ma" or m.split(".")[0] == "scipy"))
+        assert cli.main([name, "--config", cfg, "--out", out]) == 0, name
+print("loaded:", *(m for m in sys.modules if m == "numpy.ma"))
 """
+_README_EXAMPLES = ("dominate", "separation", "weights", "maximal")
+_GOLDEN_RUNS = ("kr_mpt", "h2_mpt_truncated", "dini_power", "build_n2")
 
 
-def test_commands_load_neither_numpy_ma_nor_scipy():
-    """numpy.ma costs 0.2 to 0.9 MiB resident and scipy far more; no
-    command needs either (``np.unique`` would load numpy.ma)."""
+def test_commands_load_neither_numpy_ma_nor_scipy(tmp_path):
+    """numpy is the only runtime dependency: every command runs with
+    scipy unimportable.  numpy.ma costs 0.2 to 0.9 MiB resident; no
+    command needs it (``np.unique`` would load it)."""
+    args = [f"{name}=examples/{name}.json" for name in _README_EXAMPLES]
+    for case in CASES:
+        if case["name"] in _GOLDEN_RUNS:
+            cfg = tmp_path / f"{case['name']}.json"
+            cfg.write_text(json.dumps(case["config"]))
+            args.append(f"{case['command']}={cfg}")
+    assert sorted(a.split("=")[0] for a in args) == sorted(cli.COMMANDS)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT], cwd=SRC.parents[1], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", _FOOTPRINT, *args], cwd=SRC.parents[1], env=env, capture_output=True, text=True,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "loaded:"

@@ -23,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_maximal as ref
+from fake_kernels import fake_kernel
 from sdom import operators
 from sdom.grid import DyadicCube, GridFunction, GridSpec, cube_flat_indices, triple_cube
 from sdom.kernels import Modulus, bilinear_odd_kernel, dini_synthetic_kernel, mpt_kernel
@@ -181,3 +182,25 @@ def test_a_cube_whose_triple_misses_one_slot():
         assert_same(grand_maximal(op, fs, mode), ref.grand_maximal(op, fs, mode))
         q0 = DyadicCube(1, (0,))
         assert_same_local(local_grand_maximal(op, fs, q0, mode), ref.local_grand_maximal(op, fs, q0, mode))
+
+
+def test_a_nan_gap_is_not_overwritten_by_a_later_run(monkeypatch):
+    # K(x, y) is 1 on the row of cell 5 and 0 on every other row, and
+    # every cell is nonzero.  Row 5 over the whole domain sums to a finite
+    # value, but over 3Q = [1, 13) of the shifted cube Q = [5, 9) the
+    # pairwise sum adds 1e308 + 1e308 and -1e308 - 1e308 before the two
+    # meet, so T(f 1_3Q)(5) is inf - inf = NaN.  One row per block makes
+    # each cell of Q its own run: the first one's gap is NaN and the three
+    # after it are 0, which must not replace it.
+    grid = GridSpec(n=1, L=4, origin=(0.0,), side=16.0)
+    op = OperatorSpec(fake_kernel(monkeypatch, 1, lambda x, y: np.full(y.shape[:-1], float(5 < x[0] < 6))), grid)
+    v = np.ones(grid.num_cells)
+    v[[1, 2]] = 1e308
+    v[[7, 8]] = -1e308
+    fs = (GridFunction(grid, v),)
+    mode = CubeFamilyMode("shifted", (1,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ArithmeticError, match="truncation gap is not finite"):
+            ref.grand_maximal(op, fs, mode)
+        with mock.patch.object(operators, "_PAIR_BLOCK", grid.num_cells), pytest.raises(ArithmeticError):
+            grand_maximal(op, fs, mode)

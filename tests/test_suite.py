@@ -1,7 +1,8 @@
 import numpy as np
 
 from sdom.grid import cube_flat_indices
-from sdom.suite import cases
+
+from acceptance_suite import cases
 
 
 def test_suite_shape():

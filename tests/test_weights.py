@@ -9,10 +9,11 @@ from sdom.operators import OperatorSpec, apply
 from sdom.weights import (
     WeightTuple,
     power_weight,
-    trend_correlation,
     vec_ap_characteristic,
     weighted_norm_ratio,
 )
+
+from acceptance_suite import trend_correlation
 
 
 def ones_weight(g):
