@@ -29,7 +29,7 @@ from .grid import (
     triple_cube,
 )
 from .maximal import DYADIC, CubeFamilyMode, family_boxes, local_grand_maximal, sub_grand_maximal
-from .operators import OperatorSpec, check_inputs, operator_values
+from .operators import OperatorSpec, check_inputs
 from .sparse import InvariantViolation, SparseEntry, SparseFamily, sparse_eval
 
 
@@ -127,20 +127,17 @@ def build_sparse_family(
     boundary.  The family's entries come out sorted by (level, index);
     the stats keep traversal (parent before child) order.
 
-    The root node evaluates the kernel rows of its cells once, in its
-    ``local_grand_maximal`` pass.  For the dyadic family no other node
-    evaluates a row or a truncation sum: each reads its gaps off the
-    root's truncation sums (``sub_grand_maximal``), bit for bit what its
-    own pass would give.  The shifted and all-cubes families take cubes
-    off x's dyadic chain, so there every node of more than one cell runs
-    its own pass.
+    One ``local_grand_maximal`` pass at the root runs first, for every
+    family and every root, and the root node reads its gaps.  For the
+    dyadic family no other node evaluates a row or a truncation sum:
+    each reads its gaps off the root's truncation sums
+    (``sub_grand_maximal``), bit for bit what its own pass would give.
+    The shifted and all-cubes families take cubes off x's dyadic chain,
+    so there every other node of more than one cell runs its own pass.
 
-    The root values are the reference sums T(f restricted to 3 root) of
-    the root node's pass, in ``cube_flat_indices`` order.  The inputs
-    live in the root, so they are bitwise what ``operator_values`` gives
-    there.  They are None when the root node applies no T: a one-cell
-    root, or an input whose r-average over the tripled root is 0 (the
-    input is zero there, or subnormal enough to underflow).
+    The root values are that pass's reference sums T(f restricted to
+    3 root), in ``cube_flat_indices`` order.  The inputs live in the
+    root, so they are bitwise what ``apply_on_cells`` gives there.
     """
     fs = check_inputs(op, fs)
     grid = op.grid
@@ -161,13 +158,9 @@ def build_sparse_family(
     entries = []
     stats = []
     depth_cap = 2 * grid.L  # recursion strictly shrinks cubes, so hitting this means a bug
-    sums = None  # the root's truncation sums, once its pass has run on the dyadic family
+    root_gaps, root_tf, sums = local_grand_maximal(op, fs, root, mode)  # sums: dyadic family only
 
     def visit(q0: DyadicCube, depth: int = 0):
-        """Emit the node of ``q0`` and recurse; returns, when the node
-        runs its own pass, its reference T(f restricted to 3 q0) on its
-        cells, else None."""
-        nonlocal sums
         if depth > depth_cap:
             raise InvariantViolation("builder recursion exceeded its depth cap")
         tq = triple_cube(grid, q0)
@@ -175,16 +168,14 @@ def build_sparse_family(
         for f in fs:
             scale *= local_average(f, tq, r)
         if scale == 0.0:
-            return None
+            return
         idx = cube_flat_indices(grid, q0)
         s = prod_vals[idx].copy()
-        tf = None
-        if idx.size > 1:
-            if sums is None:
-                lgm, tf, sums = local_grand_maximal(op, fs, q0, mode)
-            else:
-                lgm = sub_grand_maximal(grid, root, sums, q0)
-            np.maximum(s, lgm.values[idx], out=s)
+        if depth == 0:
+            np.maximum(s, root_gaps.values[idx], out=s)
+        elif idx.size > 1:  # a one-cell node's only cube is itself, with gap 0
+            gaps = local_grand_maximal(op, fs, q0, mode)[0] if sums is None else sub_grand_maximal(grid, root, sums, q0)
+            np.maximum(s, gaps.values[idx], out=s)
         s /= scale
         if not np.all(np.isfinite(s)):
             where = f"level {q0.level} index {list(q0.index)}"
@@ -214,9 +205,8 @@ def build_sparse_family(
         )
         for p in selected:
             visit(p, depth + 1)
-        return tf
 
-    root_tf = visit(root)
+    visit(root)
     entries.sort(key=lambda e: e.cube.sort_key())
     family = SparseFamily(grid=grid, root=root, gamma=0.5, entries=tuple(entries))
     return family, stats, root_tf
@@ -234,18 +224,12 @@ class DominationReport:
         return {"c_emp": self.c_emp, "argmax_cell": self.argmax_cell, "support_flag": self.support_flag}
 
 
-def domination_constant(
-    op: OperatorSpec, fs, family: SparseFamily, r: float, tf_root: np.ndarray | None = None
-) -> DominationReport:
+def domination_constant(op: OperatorSpec, fs, family: SparseFamily, r: float, tf_root: np.ndarray) -> DominationReport:
     """Smallest constant with |T f| <= C * sparse form on the root cells.
 
-    T f is read on the root's cells only, where it equals what ``apply``
-    gives, bit for bit; a value outside the root is never computed.
-    ``tf_root`` is T f there as ``build_sparse_family`` returns it,
-    which is how the CLI's ``dominate`` reads it; a non-finite one has
-    already stopped the build as a non-finite truncation gap.  When it
-    is None, T f is evaluated through ``operator_values``, and a
-    non-finite value raises ArithmeticError.
+    ``tf_root`` is T f on the root's cells, in ``cube_flat_indices``
+    order, as ``build_sparse_family`` returns it; a non-finite value
+    has already stopped the build as a non-finite truncation gap.
 
     The support flag trips when the sparse form vanishes on a root cell
     where |T f| is not negligible (1e-12 of its largest value on the
@@ -255,8 +239,6 @@ def domination_constant(
     """
     fs = check_inputs(op, fs)
     idx = cube_flat_indices(op.grid, family.root)
-    if tf_root is None:
-        tf_root = operator_values(op, fs, idx)
     tf_root = np.abs(tf_root)
     sp_root = sparse_eval(family, fs, r).values[idx]
     scale = float(np.max(tf_root)) if idx.size else 0.0

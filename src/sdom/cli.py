@@ -26,6 +26,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import warnings
@@ -573,6 +574,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finite(text: str) -> float:
+    """A config number, refused when it is NaN, infinite or overflows."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -583,11 +592,11 @@ def main(argv=None) -> int:
         return 1
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         print(f"sdom: error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or a number no float holds
         print(f"sdom: error: config is not valid JSON: {exc}", file=sys.stderr)
         return 1
     # warnings raised during the run (numpy's overflow notices) are held

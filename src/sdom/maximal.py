@@ -224,7 +224,7 @@ def local_grand_maximal(op: OperatorSpec, fs, q0: DyadicCube, mode: CubeFamilyMo
     competitor is ``q0`` and the gap is identically zero.  The reference
     holds T(f restricted to 3 q0) on ``q0``'s cells, in
     ``cube_flat_indices`` order: for inputs supported in 3 q0 it is
-    bitwise ``operator_values`` there.  The kernel rows span the slot
+    bitwise ``apply_on_cells`` there.  The kernel rows span the slot
     tuples in 3 q0 only, one row per cell of ``q0``.
 
     For the dyadic family, ``sums`` is the table S[x, l] =
@@ -398,15 +398,16 @@ def _dyadic_scores(blocks, sums: np.ndarray) -> np.ndarray:
 
 def _scattered(grid: GridSpec, blocks, scores: np.ndarray) -> GridFunction:
     """Each cell's largest score over the family cubes of ``blocks``
-    holding it, with the scores in block order; ArithmeticError when one
-    is not finite."""
+    holding it, with the scores in block order; ArithmeticError, naming
+    the first cell, when one is not finite."""
     out = np.zeros((grid.cells_per_side,) * grid.n)
     ends = np.cumsum([len(b) for b, _ in blocks])
     for (blo, bhi), sc in zip(blocks, np.split(scores, ends[:-1])):
         _scatter_block(out, blo, bhi, sc)
+    out = out.reshape(-1)
     if not np.all(np.isfinite(out)):
-        raise ArithmeticError("truncation gap is not finite")
-    return GridFunction(grid, out.reshape(-1))
+        raise ArithmeticError(f"truncation gap is not finite at cell {int(np.argmin(np.isfinite(out)))}")
+    return GridFunction(grid, out)
 
 
 def best_of_shifted(compute, grid: GridSpec) -> GridFunction:
@@ -430,11 +431,10 @@ class MTBoundReport:
 
     c_emp: float
     infinite_flag: bool
-    kr_value: float
     argmax_cell: int
 
 
-def mt_pointwise_bound_check(op: OperatorSpec, fs, r: float, kr_value: float) -> MTBoundReport:
+def mt_pointwise_bound_check(op: OperatorSpec, fs, r: float) -> MTBoundReport:
     """Measure the constant in the pointwise bound on the grand maximal
     truncation: gap(x) <= c * (product maximal of |f_i|^r)^{1/r}(x)
     + (delta-average of T(f) at delta = r/4)(x), every maximal function
@@ -457,4 +457,4 @@ def mt_pointwise_bound_check(op: OperatorSpec, fs, r: float, kr_value: float) ->
     ratios = np.where(pos, num / np.where(pos, denom, 1.0), 0.0)
     arg = int(np.argmax(ratios)) if np.any(pos) else -1
     c_emp = float(ratios[arg]) if arg >= 0 else 0.0
-    return MTBoundReport(c_emp=c_emp, infinite_flag=flag, kr_value=kr_value, argmax_cell=arg)
+    return MTBoundReport(c_emp=c_emp, infinite_flag=flag, argmax_cell=arg)

@@ -213,18 +213,12 @@ def x_blocks(op: OperatorSpec, fs, xs: np.ndarray, ybox: Cube | None) -> list:
     return [xs[i : i + _XBLOCK] for i in range(0, xs.size, _XBLOCK)]
 
 
-def operator_values(op: OperatorSpec, fs, xs: np.ndarray) -> np.ndarray:
-    """Operator values on the cells ``xs``, every slot over the whole
-    domain, computed in ``x_blocks`` tasks; raises ArithmeticError when
-    one is not finite."""
-    blocks = x_blocks(op, fs, xs, None)
-    vals = np.concatenate(parallel_map(lambda b: apply_on_cells(op, fs, b), blocks))
+def apply(op: OperatorSpec, fs) -> GridFunction:
+    """Apply the operator to a tuple of m grid functions, in ``x_blocks``
+    tasks; raises ArithmeticError when a value is not finite."""
+    fs = check_inputs(op, fs)
+    xs = np.arange(op.grid.num_cells)
+    vals = np.concatenate(parallel_map(lambda b: apply_on_cells(op, fs, b), x_blocks(op, fs, xs, None)))
     if not np.all(np.isfinite(vals)):
         raise ArithmeticError("operator output is not finite")
-    return vals
-
-
-def apply(op: OperatorSpec, fs) -> GridFunction:
-    """Apply the operator to a tuple of m grid functions."""
-    fs = check_inputs(op, fs)
-    return GridFunction(op.grid, operator_values(op, fs, np.arange(op.grid.num_cells)))
+    return GridFunction(op.grid, vals)

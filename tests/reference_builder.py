@@ -7,18 +7,16 @@ whose exceptional count exceeds 2^-(n+1) of its cells and stops there,
 and otherwise descends.  The preconditions are the caller's; this
 reference does not check them.
 
-``build_sparse_family`` is the stopping construction as it was when
-every node ran its own ``local_grand_maximal`` pass: kernel rows over
-its tripled cube, its reference truncation and its sub-box sums.
-`sdom.builder.build_sparse_family` now runs that pass at the root alone
-and reads the other dyadic nodes off the root's truncation sums.  The
-copy is verbatim but for taking the first two items of what
-``local_grand_maximal`` returns.
+``build_sparse_family`` is the stopping construction in which every
+node runs its own ``local_grand_maximal`` pass: kernel rows over its
+tripled cube, its reference truncation and its sub-box sums.  The root's
+pass runs first, whatever the root, and gives T f on the root's cells.
+`sdom.builder.build_sparse_family` reads the other dyadic nodes off the
+root's truncation sums instead.
 
-``domination_constant`` applies T on every cell of the domain, with
-``apply``'s singular and finiteness checks over all of them, and reads
-the root's cells; `sdom.builder.domination_constant` evaluates the
-root's cells only.  Only public `sdom` names are used.
+``domination_constant`` reads the sparse form on every cell of the
+domain and compares it with the given T f on the root's cells (see
+``report_on_root``).  Only public `sdom` names are used.
 """
 
 import math
@@ -29,7 +27,7 @@ from sdom.builder import BuilderNodeStats, DominationReport, adaptive_threshold
 from sdom.builder import cz_select as block_cz_select
 from sdom.grid import DyadicCube, cell_box, cube_flat_indices, local_average, support_in, triple_cube
 from sdom.maximal import DYADIC, CubeFamilyMode, local_grand_maximal
-from sdom.operators import OperatorSpec, apply, check_inputs
+from sdom.operators import OperatorSpec, check_inputs
 from sdom.sparse import InvariantViolation, SparseEntry, SparseFamily, sparse_eval
 
 
@@ -83,11 +81,8 @@ def build_sparse_family(
     the stats keep traversal (parent before child) order.
 
     The root values are the reference sums T(f restricted to 3 root) of
-    the root node's ``local_grand_maximal``, in ``cube_flat_indices``
-    order.  The inputs live in the root, so they are bitwise what
-    ``operator_values`` gives there.  They are None when the root node
-    applies no T: a one-cell root, or an input whose r-average over the
-    tripled root vanishes.
+    the root's ``local_grand_maximal``, in ``cube_flat_indices`` order,
+    which runs before the root node for every root.
     """
     fs = check_inputs(op, fs)
     grid = op.grid
@@ -108,10 +103,9 @@ def build_sparse_family(
     entries = []
     stats = []
     depth_cap = 2 * grid.L  # recursion strictly shrinks cubes, so hitting this means a bug
+    root_gaps, root_tf = local_grand_maximal(op, fs, root, mode)[:2]
 
     def visit(q0: DyadicCube, depth: int = 0):
-        """Emit the node of ``q0`` and recurse; returns its reference
-        T(f restricted to 3 q0) on its cells, or None when it has none."""
         if depth > depth_cap:
             raise InvariantViolation("builder recursion exceeded its depth cap")
         tq = triple_cube(grid, q0)
@@ -119,12 +113,13 @@ def build_sparse_family(
         for f in fs:
             scale *= local_average(f, tq, r)
         if scale == 0.0:
-            return None
+            return
         idx = cube_flat_indices(grid, q0)
         s = prod_vals[idx].copy()
-        tf = None
-        if idx.size > 1:
-            lgm, tf = local_grand_maximal(op, fs, q0, mode)[:2]
+        if depth == 0:
+            np.maximum(s, root_gaps.values[idx], out=s)
+        elif idx.size > 1:
+            lgm = local_grand_maximal(op, fs, q0, mode)[0]
             np.maximum(s, lgm.values[idx], out=s)
         s /= scale
         if not np.all(np.isfinite(s)):
@@ -155,24 +150,22 @@ def build_sparse_family(
         )
         for p in selected:
             visit(p, depth + 1)
-        return tf
 
-    root_tf = visit(root)
+    visit(root)
     entries.sort(key=lambda e: e.cube.sort_key())
     family = SparseFamily(grid=grid, root=root, gamma=0.5, entries=tuple(entries))
     return family, stats, root_tf
 
 
-def domination_constant(op, fs, family, r):
+def domination_constant(op, fs, family, r, tf_root):
     fs = check_inputs(op, fs)
-    tf = np.abs(apply(op, fs).values)
-    return report_on_root(tf, sparse_eval(family, fs, r).values, cube_flat_indices(op.grid, family.root))
+    return report_on_root(np.abs(tf_root), sparse_eval(family, fs, r).values, cube_flat_indices(op.grid, family.root))
 
 
-def report_on_root(tf, sp, idx):
-    """The domination report of |T f| values ``tf`` and sparse form
-    values ``sp`` on the grid, read on the root cells ``idx``."""
-    tf_root, sp_root = tf[idx], sp[idx]
+def report_on_root(tf_root, sp, idx):
+    """The domination report of |T f| values ``tf_root`` on the root
+    cells ``idx`` and sparse form values ``sp`` on the grid."""
+    sp_root = sp[idx]
     scale = float(np.max(tf_root)) if idx.size else 0.0
     covered = sp_root > 0.0
     flag = bool(np.any(~covered & (tf_root > 1e-12 * scale) & (tf_root > 0.0)))

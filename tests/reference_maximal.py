@@ -178,7 +178,7 @@ def _gap(op, fs, reference, mode, within):
         sl = tuple(slice(lo[a], hi[a]) for a in range(grid.n))
         np.maximum(view[sl], score, out=view[sl])
     if not np.all(np.isfinite(out)):
-        raise ArithmeticError("truncation gap is not finite")
+        raise ArithmeticError(f"truncation gap is not finite at cell {int(np.argmin(np.isfinite(out)))}")
     return GridFunction(grid, out)
 
 

@@ -87,8 +87,8 @@ def _grid(n, L, side):
 def built_suite():
     out = []
     for case in cases():
-        family, stats, _ = build_sparse_family(case.operator, case.inputs, case.root, case.r)
-        out.append((case, family, stats))
+        family, stats, tf_root = build_sparse_family(case.operator, case.inputs, case.root, case.r)
+        out.append((case, family, stats, tf_root))
     return tuple(out)
 
 
@@ -122,7 +122,7 @@ def test_criterion_1_cz_postconditions_exact():
 
 def test_criterion_2_half_sparseness_exact():
     assert len(built_suite()) >= SUITE_MIN_CASES
-    for case, family, stats in built_suite():
+    for case, family, stats, _ in built_suite():
         assert family.gamma == GAMMA, case.name
         rep = verify_witness_sparsity(family)
         assert rep.ok, case.name
@@ -134,8 +134,8 @@ def test_criterion_2_half_sparseness_exact():
 def test_criterion_3_domination_and_stability():
     t0 = time.monotonic()
     doms = {}
-    for case, family, stats in built_suite():
-        dom = domination_constant(case.operator, case.inputs, family, case.r)
+    for case, family, _, tf_root in built_suite():
+        dom = domination_constant(case.operator, case.inputs, family, case.r, tf_root)
         assert math.isfinite(dom.c_emp), case.name
         assert not dom.support_flag, case.name
         doms[case.name] = dom.c_emp
@@ -215,7 +215,7 @@ def test_criterion_6_truncation_separation():
 def test_criterion_7_maximal_truncation_bound():
     vals = {}
     for case in cases():
-        rep = mt_pointwise_bound_check(case.operator, case.inputs, case.r, 0.0)
+        rep = mt_pointwise_bound_check(case.operator, case.inputs, case.r)
         assert math.isfinite(rep.c_emp), case.name
         assert not rep.infinite_flag, case.name
         vals[case.name] = rep.c_emp

@@ -18,7 +18,7 @@ from sdom.grid import (
 )
 from sdom.kernels import bilinear_odd_kernel, mpt_kernel, zero_kernel
 from sdom.maximal import local_grand_maximal
-from sdom.operators import OperatorSpec
+from sdom.operators import OperatorSpec, apply_on_cells
 from sdom.parallel import set_thread_count
 from sdom.sparse import verify_witness_sparsity
 
@@ -236,7 +236,7 @@ def test_domination_hand_example(monkeypatch):
     f = GridFunction(g, v)
     family, _, _ = build_sparse_family(OperatorSpec(zero_kernel(1), g), (f,), root, 1.0)
     assert len(family.entries) == 1
-    rep = domination_constant(op, (f,), family, 1.0)
+    rep = domination_constant(op, (f,), family, 1.0, apply_on_cells(op, (f,), idx))
     # T f = (|root cells| - 1) h on root cells, the sparse form is 1 there
     assert rep.c_emp == pytest.approx(15.0 / 64.0, rel=1e-14)
     assert rep.argmax_cell in idx.tolist()
@@ -252,7 +252,7 @@ def test_domination_zero_operator():
     v[idx] = 1.0
     f = GridFunction(g, v)
     family, _, _ = build_sparse_family(op, (f,), root, 1.0)
-    rep = domination_constant(op, (f,), family, 1.0)
+    rep = domination_constant(op, (f,), family, 1.0, apply_on_cells(op, (f,), idx))
     assert rep.c_emp == 0.0
     assert not rep.support_flag
 
@@ -272,5 +272,5 @@ def test_domination_support_flag(monkeypatch):
     family = SparseFamily(
         g, root, 0.5, (SparseEntry(child, tuple(cube_flat_indices(g, child).tolist()), 0.0),)
     )
-    rep = domination_constant(op, (f,), family, 1.0)
+    rep = domination_constant(op, (f,), family, 1.0, apply_on_cells(op, (f,), idx))
     assert rep.support_flag

@@ -1,3 +1,5 @@
+import copy
+import functools
 import hashlib
 import json
 import math
@@ -12,6 +14,8 @@ import pytest
 from sdom import cli, kernels, operators
 from sdom.parallel import set_thread_count
 from sdom.sparse import InvariantViolation
+
+from test_cli_golden import CASES
 
 
 @pytest.fixture(autouse=True)
@@ -108,10 +112,42 @@ def test_dini_default_out(tmp_path, monkeypatch):
 
 
 def test_reports_refuse_non_finite_numbers(tmp_path, capsys):
-    # a NaN the config carries into the report, which strict JSON cannot hold
+    # a NaN the config would carry into the report is refused on read
     cfg = {"modulus": {"kind": "power", "c": 2.0, "eps": 0.5}, "note": float("nan")}
     code, _ = run(tmp_path, "dini", cfg)
-    assert_one_line_failure(capsys, code, 2, "sdom: numerical failure: ", tmp_path, ["cfg.json"])
+    prefix = "sdom: error: config is not valid JSON: NaN is not a finite number"
+    assert_one_line_failure(capsys, code, 1, prefix, tmp_path, ["cfg.json"])
+    # strict JSON holds no NaN or infinity, so rendering a report refuses one
+    with pytest.raises(ArithmeticError, match="^a reported number is not finite$"):
+        cli._canonical({"value": float("inf")})
+
+
+# a number field of each config parser: Infinity there ended in a
+# traceback (r, delta) or a failed float-to-integer conversion (exit 2)
+NON_FINITE_FIELDS = [
+    ("dominate_bank", ("r",)),
+    ("build_shifted", ("r",)),
+    ("kr_mpt", ("r",)),
+    ("separation", ("r",)),
+    ("maximal_mdelta", ("delta",)),
+    ("kr_mpt", ("kernel", "m")),
+    ("h2_mpt_truncated", ("kernel", "ell")),
+    ("dominate_bank", ("root", "level")),
+    ("weights_power_n2", ("bank", "count_per_shape")),
+    ("kr_mpt", ("plan", "pair_depth")),
+]
+
+
+@pytest.mark.parametrize("case, path", NON_FINITE_FIELDS, ids=[f"{c}-{'.'.join(p)}" for c, p in NON_FINITE_FIELDS])
+def test_non_finite_config_numbers_are_refused_on_read(tmp_path, capsys, case, path):
+    golden = copy.deepcopy(next(c for c in CASES if c["name"] == case))
+    cfg = golden["config"]
+    holder = functools.reduce(lambda d, key: d[key], path[:-1], cfg)
+    assert isinstance(holder[path[-1]], (int, float))
+    holder[path[-1]] = math.inf
+    code, _ = run(tmp_path, golden["command"], cfg)
+    prefix = "sdom: error: config is not valid JSON: Infinity is not a finite number"
+    assert_one_line_failure(capsys, code, 1, prefix, tmp_path, ["cfg.json"])
 
 
 def test_dominate_zero_input(tmp_path):
@@ -458,8 +494,9 @@ def test_non_finite_truncation_gap(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["build", "dominate"])
 def test_overflowing_level_values_are_a_numerical_failure(tmp_path, capsys, command):
-    # the input product 1e400 overflows on a single-cell root, so the
-    # node's level values come out inf / inf
+    # the input product 1e400 overflows on a single-cell root, and the
+    # root pass, which runs first, sums it against the zeroed diagonal
+    # tuple: T f is 0 * inf, and the root's gap names the cell
     spike = [0.0, 0.0, 0.0, 1e200, 0.0, 0.0, 0.0, 0.0]
     cfg = {
         "grid": {"n": 1, "L": 3, "origin": [0.0], "side": 8.0},
@@ -469,7 +506,7 @@ def test_overflowing_level_values_are_a_numerical_failure(tmp_path, capsys, comm
         "inputs": {"kind": "values", "values": [spike, spike]},
     }
     code, _ = run(tmp_path, command, cfg)
-    prefix = "sdom: numerical failure: level values are not finite on node cube level 3 index [3]"
+    prefix = "sdom: numerical failure: truncation gap is not finite at cell 3"
     assert_one_line_failure(capsys, code, 2, prefix, tmp_path, ["cfg.json"])
 
 

@@ -6,8 +6,10 @@ config errors (an empty config and a multi-error config per command).
 For each case the directory of the same name holds ``outcome.json``
 (exit code, exact stderr, written file names in printed order) and the
 written files themselves.  A refactor of the CLI must leave all of it
-unchanged.  To re-record deliberately, run this file as a script,
-optionally naming the cases to record (default: all of them):
+unchanged, at one thread and at two: the CLI promises byte-identical
+outputs for any thread count.  To re-record deliberately, run this
+file as a script, optionally naming the cases to record (default: all
+of them); recording runs at one thread:
 
     PYTHONPATH=src python tests/test_cli_golden.py [case ...]
 
@@ -36,8 +38,9 @@ CASES = json.loads((GOLDEN / "cases.json").read_text())
 NUMPY_VERSION = GOLDEN / "numpy_version.txt"
 
 
-def _run_case(case, work_dir):
-    """Run one case in ``work_dir``; returns (outcome, {name: bytes})."""
+def _run_case(case, work_dir, threads=1):
+    """Run one case in ``work_dir`` on ``threads`` threads; returns
+    (outcome, {name: bytes})."""
     cfg_path = os.path.join(work_dir, "cfg.json")
     with open(cfg_path, "w", encoding="utf-8") as fh:
         json.dump(case["config"], fh)
@@ -45,7 +48,7 @@ def _run_case(case, work_dir):
     stdout, stderr = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main([case["command"], "--config", cfg_path, "--out", out_dir, "--threads", "1"])
+            code = cli.main([case["command"], "--config", cfg_path, "--out", out_dir, "--threads", str(threads)])
     finally:
         set_thread_count(1)
     names = [os.path.basename(p) for p in stdout.getvalue().splitlines()]
@@ -56,9 +59,12 @@ def _run_case(case, work_dir):
     return {"exit": code, "stderr": stderr.getvalue(), "files": names}, files
 
 
-@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
-def test_cli_golden(case, tmp_path):
-    outcome, files = _run_case(case, str(tmp_path))
+@pytest.mark.parametrize(
+    "case, threads",
+    [pytest.param(c, 1, id=c["name"]) for c in CASES] + [pytest.param(c, 2, id=f"{c['name']}-t2") for c in CASES],
+)
+def test_cli_golden(case, threads, tmp_path):
+    outcome, files = _run_case(case, str(tmp_path), threads)
     expected_dir = GOLDEN / case["name"]
     versions = f"recorded with numpy {NUMPY_VERSION.read_text().strip()}, running numpy {np.__version__}"
     assert outcome == json.loads((expected_dir / "outcome.json").read_text()), versions

@@ -1,16 +1,15 @@
 """`sdom dominate` against the standalone domination constant.
 
 The CLI's ``dominate`` reads T f on the root's cells from the build's
-root node (the third item of ``build_sparse_family``), where
-``domination_constant`` called on its own evaluates it through
-``operators.operator_values``.  Over n and m in {1, 2}, the dyadic,
-shifted and all-cubes families, roots of one cell and larger, and bank
-or hand-set inputs, the CLI's report must be the standalone report bit
-for bit.  That includes the two configs where the root node applies no
-T and the CLI falls back to ``operator_values`` too: a one-cell root,
-and an input whose r-average over the tripled root vanishes.  Where the
-root node runs, an m = 2 ``dominate`` makes no more ``eval_batch`` calls
-than ``build`` on the same config.
+root pass (the third item of ``build_sparse_family``).  Over n and m in
+{1, 2}, the dyadic, shifted and all-cubes families, roots of one cell
+and larger, and bank or hand-set inputs, that T f must be
+``apply_on_cells`` on the root's cells bit for bit, and the CLI's report
+must be ``domination_constant`` given that T f.  That includes a
+one-cell root and an input whose r-average over the tripled root
+vanishes, where the root node emits nothing but the pass still runs.
+``dominate`` makes exactly the ``eval_batch`` calls of ``build`` on the
+same config: the domination constant evaluates no kernel.
 """
 
 import itertools
@@ -28,7 +27,7 @@ from sdom.builder import build_sparse_family, domination_constant
 from sdom.grid import DyadicCube, GridFunction, GridSpec, cube_flat_indices
 from sdom.kernels import KernelSpec
 from sdom.maximal import CubeFamilyMode
-from sdom.operators import OperatorSpec
+from sdom.operators import OperatorSpec, apply_on_cells
 from sdom.parallel import set_thread_count
 
 DINI = {"kind": "power", "c": 1.0, "eps": 0.7}
@@ -123,7 +122,7 @@ ZERO_SECOND_INPUT = golden(
 @example(cfg=golden("dominate_n2"))
 @example(cfg=golden("dominate_shifted"))
 @example(cfg=golden("dominate_bank", mode="all", inputs={"kind": "bank", "shape": "gauss", "seed": 9, "entry": 0}))
-# the two fallbacks: a one-cell root, and an input that vanishes
+# a one-cell root, and an input that vanishes
 @example(cfg=ONE_CELL_ROOT)
 @example(cfg=ZERO_SECOND_INPUT)
 def test_cli_dominate_is_the_standalone_domination_constant(cfg, tmp_path_factory):
@@ -132,10 +131,10 @@ def test_cli_dominate_is_the_standalone_domination_constant(cfg, tmp_path_factor
     op = OperatorSpec(KernelSpec.from_json_dict(cfg["kernel"]), grid)
     fs = inputs_of(cfg, grid, op.kernel.m, root)
     mode = CubeFamilyMode.parse(cfg.get("mode", "dyadic"))
-    family, stats, tf_root = build_sparse_family(op, fs, root, cfg["r"], mode)
-    want = domination_constant(op, fs, family, cfg["r"]).to_json_dict()
-    # the root node applies T unless the root is one cell or an average vanishes
-    assert (tf_root is None) == (cube_flat_indices(grid, root).size == 1 or not stats)
+    family, _, tf_root = build_sparse_family(op, fs, root, cfg["r"], mode)
+    tf = apply_on_cells(op, fs, cube_flat_indices(grid, root))
+    assert tf_root.tobytes() == tf.tobytes()
+    want = domination_constant(op, fs, family, cfg["r"], tf).to_json_dict()
 
     calls = []
     inner = kernels.eval_batch
@@ -149,5 +148,4 @@ def test_cli_dominate_is_the_standalone_domination_constant(cfg, tmp_path_factor
         dominate_calls, got = run_cli(tmp_path, "dominate", cfg, calls)
     assert got["domination"] == want
     assert got["domination"]["c_emp"].hex() == want["c_emp"].hex()
-    if op.kernel.m == 2 and tf_root is not None:
-        assert dominate_calls <= build_calls
+    assert dominate_calls == build_calls

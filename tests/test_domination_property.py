@@ -1,5 +1,4 @@
-"""The domination constant on the root's cells against the full-domain
-reference.
+"""The domination constant on the root's cells against the reference.
 
 Configs draw m and n in {1, 2}, every kernel a config can name, roots
 of one cell and larger, inputs supported in the root with zeros among
@@ -8,14 +7,14 @@ underflow) and 8e-110 (where the odd bilinear kernel's denominator
 underflows to zero while the tuple stays valid), and an origin of 1e17,
 where distinct cells share a centre.
 
+Both sides get T f from ``apply_on_cells`` on the root's cells, and
 `sdom.builder.domination_constant` must give the report of
-``reference_builder.domination_constant`` bit for bit, or raise the same
-exception type with the same message.  The one allowed difference: the
-reference fails on a row outside the root, singular or with a
-non-finite T f, which the change no longer evaluates.  There the
-off-root rows alone must fail as the reference does, and the change
-must give what the root's rows give: their singular-point error, a
-non-finite T f, or the reference's reading of their values.
+``reference_builder.domination_constant`` bit for bit.  A root row that
+is singular or has a non-finite T f never reaches the domination
+constant: the build's root pass stops first, with the singular-point
+error of ``apply_on_cells`` or a non-finite gap on the root's first
+cell, and that is what is checked there.  Rows outside the root are
+never evaluated.
 """
 
 from unittest import mock
@@ -30,7 +29,7 @@ from sdom.builder import build_sparse_family, domination_constant
 from sdom.grid import DyadicCube, GridFunction, GridSpec, cube_flat_indices
 from sdom.kernels import KernelSpec, SingularPointError, zero_kernel
 from sdom.operators import OperatorSpec, apply_on_cells
-from sdom.sparse import SparseEntry, SparseFamily, sparse_eval
+from sdom.sparse import SparseEntry, SparseFamily
 
 MODULI = ({"kind": "power", "c": 1.0, "eps": 0.5}, {"kind": "log", "c": 2.0, "eps": 0.3})
 VALUES = (0.0, 1.0, -2.5, 3e-3)
@@ -93,24 +92,17 @@ MPT = {"variant": "mpt", "m": 1, "beta": 1.0, "r": 2.0}
 MPT_OFF_ROOT_HIT = {"n": 1, "L": 3, "side": 8.0, "origin": 0.0, "kernel": MPT, "root": (2, [1]), "values": [[1.0] * 2]}
 # singular at t = 4 in a root row: x cell 12 against y cell 8
 MPT_ROOT_HIT = {"n": 1, "L": 5, "side": 32.0, "origin": 0.0, "kernel": MPT, "root": (2, [1]), "values": [[1.0] * 8]}
+# input products of 1e400 overflow: T f is not finite on the root's rows
+OVERFLOW = {"n": 1, "L": 3, "side": 8.0, "origin": 0.0, "kernel": BILINEAR, "root": (2, [1]), "values": [[1e200] * 2] * 2}
 
 
 def outcome(fn):
+    """A domination report, floats as hex, or the error's type and text."""
     try:
         rep = fn()
     except (SingularPointError, ArithmeticError) as exc:
         return type(exc), str(exc)
     return rep.c_emp.hex(), rep.argmax_cell, rep.support_flag
-
-
-def row_failure(op, fs, xs):
-    """The error ``apply`` would raise on the rows of the cells ``xs``,
-    as ``outcome`` reads it, or None."""
-    try:
-        tf = apply_on_cells(op, fs, xs)
-    except SingularPointError as exc:
-        return SingularPointError, str(exc)
-    return None if np.all(np.isfinite(tf)) else (ArithmeticError, "operator output is not finite")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -120,28 +112,25 @@ def row_failure(op, fs, xs):
 @example(cfg=golden(BILINEAR, 8e-110), r=1.0, block=1 << 16)
 @example(cfg=MPT_OFF_ROOT_HIT, r=1.0, block=1 << 16)
 @example(cfg=MPT_ROOT_HIT, r=1.0, block=1 << 16)
+@example(cfg=OVERFLOW, r=1.0, block=1 << 16)
 def test_domination_constant_is_the_full_domain_reference(cfg, r, block):
     op, fs, root = objects(cfg)
-    # the zero kernel's family, so that the root rows' singular check is
-    # left to the domination constant; where even that build stops
-    # (centres that collide), the root alone
+    idx = cube_flat_indices(op.grid, root)
+    # the root's rows, and the build's root pass, may divide by zero or overflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"), mock.patch.object(operators, "_PAIR_BLOCK", block):
+        try:
+            tf = apply_on_cells(op, fs, idx)
+            failure = None if np.all(np.isfinite(tf)) else (ArithmeticError, f"truncation gap is not finite at cell {idx[0]}")
+        except SingularPointError as exc:
+            failure = SingularPointError, str(exc)
+        if failure is not None:  # the build's root pass stops on the same rows
+            assert outcome(lambda: build_sparse_family(op, fs, root, r)) == failure
+            return
+    # the zero kernel's family, whose build cannot stop on the kernel's
+    # rows; where even that build stops (centres that collide), the root alone
     try:
         family, _, _ = build_sparse_family(OperatorSpec(zero_kernel(op.kernel.m), op.grid), fs, root, r)
     except SingularPointError:
-        cells = tuple(cube_flat_indices(op.grid, root).tolist())
-        family = SparseFamily(op.grid, root, 0.5, (SparseEntry(root, cells, 0.0),))
-    # the reference's off-root rows, and the root's rows, may divide by zero or overflow
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        expected = outcome(lambda: ref.domination_constant(op, fs, family, r))
-        with mock.patch.object(operators, "_PAIR_BLOCK", block):
-            got = outcome(lambda: domination_constant(op, fs, family, r))
-    if got != expected and expected[0] in (SingularPointError, ArithmeticError):
-        idx = cube_flat_indices(op.grid, root)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            assert row_failure(op, fs, np.setdiff1d(np.arange(op.grid.num_cells), idx)) == expected
-        expected = row_failure(op, fs, idx)
-        if expected is None:
-            tf = np.zeros(op.grid.num_cells)
-            tf[idx] = np.abs(apply_on_cells(op, fs, idx))
-            expected = outcome(lambda: ref.report_on_root(tf, sparse_eval(family, fs, r).values, idx))
-    assert got == expected
+        family = SparseFamily(op.grid, root, 0.5, (SparseEntry(root, tuple(idx.tolist()), 0.0),))
+    want = outcome(lambda: ref.domination_constant(op, fs, family, r, tf))
+    assert outcome(lambda: domination_constant(op, fs, family, r, tf)) == want

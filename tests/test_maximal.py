@@ -211,14 +211,14 @@ def test_local_grand_single_cell_is_zero():
 def test_mt_bound_zero_cases():
     g = GridSpec(n=1, L=4, origin=(0.0,), side=1.0)
     f = GridFunction(g, np.ones(g.num_cells))
-    rep = mt_pointwise_bound_check(OperatorSpec(zero_kernel(1), g), (f,), 1.0, 0.0)
+    rep = mt_pointwise_bound_check(OperatorSpec(zero_kernel(1), g), (f,), 1.0)
     assert rep.c_emp == 0.0 and not rep.infinite_flag
     zero = GridFunction(g, np.zeros(g.num_cells))
     op = OperatorSpec(zero_kernel(1), g)
-    rep = mt_pointwise_bound_check(op, (zero,), 2.0, 0.0)
+    rep = mt_pointwise_bound_check(op, (zero,), 2.0)
     assert rep.c_emp == 0.0 and not rep.infinite_flag and rep.argmax_cell == -1
     with pytest.raises(ValueError):
-        mt_pointwise_bound_check(op, (f,), 0.5, 0.0)
+        mt_pointwise_bound_check(op, (f,), 0.5)
 
 
 def test_mt_bound_finite_on_generic_case():
@@ -226,14 +226,13 @@ def test_mt_bound_finite_on_generic_case():
     op = OperatorSpec(mpt_kernel(1.0, 2.0), g)
     rng = np.random.default_rng(12)
     f = GridFunction(g, np.abs(rng.normal(size=g.num_cells)) + 0.1)
-    rep = mt_pointwise_bound_check(op, (f,), 2.0, 1.0)
+    rep = mt_pointwise_bound_check(op, (f,), 2.0)
     assert np.isfinite(rep.c_emp) and rep.c_emp >= 0.0
     assert not rep.infinite_flag
-    assert rep.kr_value == 1.0
     assert 0 <= rep.argmax_cell < g.num_cells
 
 
-def _two_pass_bound_check(op, fs, r, kr_value):
+def _two_pass_bound_check(op, fs, r):
     """``mt_pointwise_bound_check`` with T f from a separate ``apply``,
     as it was computed before the grand maximal's reference was reused."""
     gap = grand_maximal(op, fs).values
@@ -243,10 +242,10 @@ def _two_pass_bound_check(op, fs, r, kr_value):
     pos = denom > 0.0
     flag = bool(np.any(~pos & (num > 0.0)))
     if not np.any(pos):
-        return MTBoundReport(c_emp=0.0, infinite_flag=flag, kr_value=kr_value, argmax_cell=-1)
+        return MTBoundReport(c_emp=0.0, infinite_flag=flag, argmax_cell=-1)
     ratios = np.where(pos, num / np.where(pos, denom, 1.0), 0.0)
     arg = int(np.argmax(ratios))
-    return MTBoundReport(c_emp=float(ratios[arg]), infinite_flag=flag, kr_value=kr_value, argmax_cell=arg)
+    return MTBoundReport(c_emp=float(ratios[arg]), infinite_flag=flag, argmax_cell=arg)
 
 
 def _outcome(fn, *args):
@@ -254,7 +253,7 @@ def _outcome(fn, *args):
         rep = fn(*args)
     except ArithmeticError as error:
         return type(error), str(error)
-    return repr((rep.c_emp, rep.infinite_flag, rep.kr_value, rep.argmax_cell))
+    return repr((rep.c_emp, rep.infinite_flag, rep.argmax_cell))
 
 
 @pytest.mark.parametrize(
@@ -273,4 +272,4 @@ def test_mt_bound_reads_t_f_off_the_grand_maximal(op, scale):
     fs = tuple(GridFunction(op.grid, scale * rng.normal(size=op.grid.num_cells)) for _ in range(op.kernel.m))
     for r in (1.0, 2.0):
         with np.errstate(over="ignore", invalid="ignore"):
-            assert _outcome(mt_pointwise_bound_check, op, fs, r, 0.5) == _outcome(_two_pass_bound_check, op, fs, r, 0.5)
+            assert _outcome(mt_pointwise_bound_check, op, fs, r) == _outcome(_two_pass_bound_check, op, fs, r)
