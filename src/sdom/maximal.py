@@ -114,25 +114,27 @@ def family_boxes(grid: GridSpec, mode: CubeFamilyMode, within: Cube | None = Non
     coarsest first, and ``all`` one block per side length, smallest
     first.  Every cube of a block has the same side, corners run in
     row-major order within a block, and empty blocks are skipped.
+    Blocks may be views of one array, so callers only read them.
     """
     problem = family_error(mode, grid)
     if problem:
         raise ValueError(problem)
     n = grid.n
     wlo, whi = cell_box(grid, within)
-    if mode.kind == "all":  # every corner, one cell apart
-        widths, shifts = range(1, min(h - l for l, h in zip(wlo, whi)) + 1), (0,) * n
-    else:
-        widths = [1 << (grid.L - lev) for lev in range(grid.L + 1)]
-        shifts = mode.shifts if mode.kind == "shifted" else (0,) * n
-    for w in widths:
-        step = 1 if mode.kind == "all" else w
+    if mode.kind == "all":  # side-w corners: the leading sub-box of the side-1 corners, built once
+        corners = np.stack(np.meshgrid(*map(np.arange, wlo, whi), indexing="ij"), axis=-1)
+        for w in range(1, min(h - l for l, h in zip(wlo, whi)) + 1):
+            lo = corners[tuple(slice(h - l - w + 1) for l, h in zip(wlo, whi))].reshape(-1, n)
+            yield lo, lo + w
+        return
+    shifts = mode.shifts if mode.kind == "shifted" else (0,) * n
+    for w in [1 << (grid.L - lev) for lev in range(grid.L + 1)]:
         axis_starts = []
         for a in range(n):
             off = (shifts[a] * w) // 3
-            i_min = -((off - wlo[a]) // step)  # ceil((wlo - off) / step)
-            i_max = (whi[a] - w - off) // step
-            axis_starts.append(off + step * np.arange(i_min, i_max + 1))
+            i_min = -((off - wlo[a]) // w)  # ceil((wlo - off) / w)
+            i_max = (whi[a] - w - off) // w
+            axis_starts.append(off + w * np.arange(i_min, i_max + 1))
         lo = np.stack(np.meshgrid(*axis_starts, indexing="ij"), axis=-1).reshape(-1, n)
         if lo.size:
             yield lo, lo + w

@@ -82,38 +82,64 @@ class WeightTuple:
 def vec_ap_characteristic(wt: WeightTuple, mode: CubeFamilyMode = DYADIC) -> float:
     """The joint characteristic over a cube family.
 
-    Averages come from prefix sums read a block of cubes at a time, so
-    the sup over any family is a max of exactly computed cube scores.
-    Each dual average is raised to its power by Python's float ``**``,
-    one cube at a time.  The all-ones tuple scores exactly one on every
-    cube.  A dual average that rounds below zero (prefix-sum cancellation
-    in two dimensions) has no real fractional power and raises
-    ArithmeticError.
+    Averages come from prefix sums read for groups of whole blocks of the
+    family (at most 2^13 cubes, or one larger block), so the sup over any
+    family is a max of exactly computed cube scores.  ``np.power`` scores
+    a group first; it is within one ulp of libm ``pow``, so a cube whose
+    powers and partial products are normal numbers below 2^1023 scores
+    within an ulp per factor of its exact score, and cannot win below
+    the top such score times 1 - 2^-20.  The other cubes (NaN, zero and
+    infinite scores among them) are scored again with Python's float
+    ``**``, block by block, so an error names the cube a per-block loop
+    would.  The all-ones tuple scores exactly one on every cube.  A dual
+    average that rounds below zero (prefix-sum cancellation in two
+    dimensions) has no real fractional power and raises ArithmeticError.
     """
-    grid = wt.grid
-    p = wt.p
+    grid, p, r = wt.grid, wt.p, wt.r
     v_table = BoxSums(grid, wt.joint_weight())
-    dual_tables = []
-    dual_pows = []
-    for w, pi in zip(wt.weights, wt.exponents):
-        dual_tables.append(BoxSums(grid, w.values ** (-wt.r / (pi - wt.r))))
-        dual_pows.append(p * (pi - wt.r) / (pi * wt.r))
+    dual_tables = [BoxSums(grid, w.values ** (-r / (pi - r))) for w, pi in zip(wt.weights, wt.exponents)]
+    dual_pows = [p * (pi - r) / (pi * r) for pi in wt.exponents]
     best = 0.0
-    for lo, hi in family_boxes(grid, mode):
+    for blocks in _groups(family_boxes(grid, mode)):
+        lo, hi = (np.concatenate(corners) for corners in zip(*blocks))
         cnt = np.prod(hi - lo, axis=1)
-        score = v_table.box_sum(lo, hi) / cnt
-        for i, (t, e) in enumerate(zip(dual_tables, dual_pows)):
-            avg = t.box_sum(lo, hi) / cnt
-            powered = np.array([a ** e for a in avg.tolist()])
-            if powered.dtype.kind == "c":  # a negative average under a fractional power
-                k = int(np.argmax(avg < 0.0))
-                raise ArithmeticError(
-                    f"weight {i}: dual average over cells {lo[k].tolist()} to {(hi[k] - 1).tolist()} "
-                    f"rounds below zero ({float(avg[k])!r})"
-                )
-            score *= powered
-        best = max(best, float(np.fmax.reduce(score)))  # NaN scores never win, as with ``>``
+        v_avg, avgs = v_table.box_sum(lo, hi) / cnt, [t.box_sum(lo, hi) / cnt for t in dual_tables]
+        approx, normal = v_avg.copy(), np.ones(len(lo), dtype=bool)
+        with np.errstate(all="ignore"):
+            for avg, e in zip(avgs, dual_pows):
+                powered = np.power(avg, e)
+                approx *= powered
+                for x in (np.abs(powered), np.abs(approx)):
+                    normal &= (x >= np.finfo(float).tiny) & (x < 2.0**1023)
+        top = np.max(approx, where=normal, initial=-np.inf)
+        idx = np.flatnonzero(~normal | (approx >= top * (1 - 2.0**-20)))  # the candidates
+        bounds = np.searchsorted(idx, np.cumsum([0] + [len(b) for b, _ in blocks])).tolist()
+        for k in (idx[k0:k1] for k0, k1 in zip(bounds, bounds[1:]) if k1 > k0):  # each block's candidates
+            score = v_avg[k]
+            for i, (group_avg, e) in enumerate(zip(avgs, dual_pows)):
+                avg = group_avg[k]
+                powered = np.array([a**e for a in avg.tolist()])
+                if powered.dtype.kind == "c":  # a negative average under a fractional power
+                    j = k[int(np.argmax(avg < 0.0))]
+                    raise ArithmeticError(
+                        f"weight {i}: dual average over cells {lo[j].tolist()} to {(hi[j] - 1).tolist()} "
+                        f"rounds below zero ({float(group_avg[j])!r})"
+                    )
+                score *= powered
+            best = max(best, float(np.fmax.reduce(score)))  # NaN scores never win, as with ``>``
     return best
+
+
+def _groups(blocks):
+    """Runs of consecutive blocks of at most 2^13 cubes in all, or one larger block."""
+    group, size = [], 0
+    for block in blocks:
+        if group and size + len(block[0]) > 1 << 13:
+            yield group
+            group, size = [], 0
+        group.append(block)
+        size += len(block[0])
+    yield group  # a family is never empty
 
 
 @dataclass(frozen=True, eq=False)

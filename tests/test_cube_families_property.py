@@ -5,8 +5,9 @@ cubes in the reference's order, for every family kind in one and two
 dimensions, over the whole domain or inside a dyadic cube.  (b) The
 block scorers (``multilinear_maximal``, ``m_delta`` and
 ``vec_ap_characteristic``) equal the per-cube scalar references bit for
-bit on random inputs with zeros.  (c) ``cz_select`` equals the
-recursive reference and meets the postconditions of acceptance
+bit on random inputs with zeros, and the characteristic also on weight
+shapes at the edges of its candidate rule.  (c) ``cz_select`` equals
+the recursive reference and meets the postconditions of acceptance
 criterion 1.  (d) The family inequalities of acceptance criterion 4
 hold on random one-dimensional inputs.  The acceptance seeds are kept
 as examples.
@@ -93,27 +94,59 @@ def test_maximal_scorers_are_the_per_cube_references(case, m, delta, zeros, seed
     assert same_bits(m_delta(fs[0], delta, mode).values, ref.m_delta(fs[0], delta, mode).values)
 
 
+def weight_values(rng, grid, shape):
+    """Positive cell weights: lognormal, or one of the shapes that the
+    examples below use, with the exponents their seeds draw, to reach the
+    edges of the candidate rule."""
+    if shape == "ones":  # every score is exactly one: every cube is a candidate
+        return np.ones(grid.num_cells)
+    if shape == "mirror":  # whole numbers, so a cube and its mirror image tie bit for bit
+        v = rng.integers(1, 100, (grid.cells_per_side,) * grid.n).astype(float)
+        return (v + np.flip(v)).ravel()
+    if shape == "flat":  # scores a few ulps apart, which a last-bit change in a power can reorder
+        return 1.0 + rng.random(grid.num_cells) * 1e-13
+    if shape == "underflow":  # every dual weight underflows to zero, and so does every score
+        return np.full(grid.num_cells, 1e300)
+    if shape == "overflow":  # finite averages and powers whose products overflow to inf
+        parity = np.indices((grid.cells_per_side,) * grid.n).sum(axis=0).ravel() % 2
+        return np.where(parity == 1, 1e300, 1e-300)
+    if shape == "nan":  # the joint weight's prefix sums overflow, so later box sums read inf - inf
+        v = rng.lognormal(0.0, 1.0, grid.num_cells)
+        v[:2] = 1e308
+        return v
+    return rng.lognormal(0.0, 1.0, grid.num_cells)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     case=grids_and_modes(),
     m=st.sampled_from([1, 2]),
     r=st.sampled_from([1.0, 1.5, 2.0]),
     seed=st.integers(0, 2**32 - 1),
+    shape=st.just("lognormal"),
 )
-@example(case=(GridSpec(n=2, L=2, origin=(0.0, 0.0), side=8.0), DYADIC), m=1, r=1.5, seed=2746)  # below zero
-def test_characteristic_is_the_per_cube_reference(case, m, r, seed):
+@example(case=(GridSpec(n=2, L=2, origin=(0.0, 0.0), side=8.0), DYADIC), m=1, r=1.5, seed=2746, shape="lognormal")  # below zero
+@example(case=(GridSpec(n=1, L=8, origin=(0.0,), side=8.0), ALL_GRID_CUBES), m=2, r=1.5, seed=1, shape="lognormal")  # 32,896 cubes: five groups
+@example(case=(GridSpec(n=2, L=3, origin=(0.0, 0.0), side=8.0), ALL_GRID_CUBES), m=2, r=2.0, seed=0, shape="ones")
+@example(case=(GridSpec(n=1, L=6, origin=(0.0,), side=8.0), ALL_GRID_CUBES), m=1, r=1.0, seed=0, shape="mirror")
+@example(case=(GridSpec(n=1, L=4, origin=(0.0,), side=8.0), ALL_GRID_CUBES), m=2, r=1.0, seed=27, shape="flat")
+@example(case=(GridSpec(n=1, L=3, origin=(0.0,), side=8.0), ALL_GRID_CUBES), m=1, r=1.0, seed=2, shape="underflow")
+@example(case=(GridSpec(n=1, L=3, origin=(0.0,), side=8.0), ALL_GRID_CUBES), m=1, r=1.0, seed=0, shape="overflow")
+@example(case=(GridSpec(n=1, L=3, origin=(0.0,), side=8.0), ALL_GRID_CUBES), m=1, r=1.0, seed=0, shape="nan")
+def test_characteristic_is_the_per_cube_reference(case, m, r, seed, shape):
     grid, mode = case
     rng = np.random.default_rng(seed)
-    weights = tuple(GridFunction(grid, rng.lognormal(0.0, 1.0, grid.num_cells)) for _ in range(m))
+    weights = tuple(GridFunction(grid, weight_values(rng, grid, shape)) for _ in range(m))
     exponents = tuple(r + float(e) for e in rng.uniform(0.1, 3.0, m))
     wt = WeightTuple(weights, exponents, r)
-    try:
-        want = ref.vec_ap_characteristic(wt, mode)
-    except TypeError:  # a 2-D dual sum rounds below zero: the reference compares a complex power
-        with pytest.raises(ArithmeticError, match="rounds below zero"):
-            vec_ap_characteristic(wt, mode)
-        return
-    assert same_bits(vec_ap_characteristic(wt, mode), want)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow and nan shapes warn on both sides
+        try:
+            want = ref.vec_ap_characteristic(wt, mode)
+        except TypeError:  # a 2-D dual sum rounds below zero: the reference compares a complex power
+            with pytest.raises(ArithmeticError, match="rounds below zero"):
+                vec_ap_characteristic(wt, mode)
+            return
+        assert same_bits(vec_ap_characteristic(wt, mode), want)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sdom.grid import DyadicCube, GridFunction, GridSpec, cube_flat_indices
+from sdom.grid import DyadicCube, GridCube, GridFunction, GridSpec, cube_flat_indices
 from sdom.kernels import Modulus, bilinear_odd_kernel, dini_synthetic_kernel, mpt_kernel, zero_kernel
 from sdom.maximal import (
     ALL_GRID_CUBES,
@@ -19,7 +19,7 @@ from sdom.maximal import (
 )
 from sdom.operators import OperatorSpec, apply
 
-from reference_maximal import apply_truncated
+from reference_maximal import apply_truncated, family_boxes as reference_family_boxes
 
 
 def brute_boxes_1d(num_cells, mode):
@@ -65,6 +65,18 @@ def test_family_boxes_counts():
     q = DyadicCube(1, (0,))
     inside = [(lo.tolist(), hi.tolist()) for lo, hi in family_boxes(g, DYADIC, within=q)]
     assert inside == [([[0]], [[2]]), ([[0], [1]], [[1], [2]])]
+    # the all-cubes corners, sliced from one array of side-1 corners, against the per-cube reference
+    g9 = GridSpec(n=1, L=9, origin=(0.0,), side=1.0)
+    g4 = GridSpec(n=2, L=4, origin=(0.0, 0.0), side=1.0)
+    for grid, within, sides in (
+        (g9, None, 512),
+        (g4, DyadicCube(2, (1, 2)), 4),  # cells [4, 8) x [8, 12)
+        (g4, GridCube((3, 5), (6, 4)), 4),  # a rectangle: sides up to its shorter extent
+    ):
+        blocks = list(family_boxes(grid, ALL_GRID_CUBES, within))
+        assert [int(hi[0, 0] - lo[0, 0]) for lo, hi in blocks] == list(range(1, sides + 1))
+        got = [(tuple(a), tuple(b)) for lo, hi in blocks for a, b in zip(lo.tolist(), hi.tolist())]
+        assert got == list(reference_family_boxes(grid, ALL_GRID_CUBES, within))
 
 
 def test_ones_give_one_everywhere():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from sdom.bank import BankSpec, make_bank
-from sdom.grid import GridFunction, GridSpec, cell_centers
+from sdom.grid import BoxSums, GridFunction, GridSpec, cell_centers
 from sdom.kernels import mpt_kernel, zero_kernel
-from sdom.maximal import ALL_GRID_CUBES, DYADIC, shifted_modes
+from sdom.maximal import ALL_GRID_CUBES, DYADIC, family_boxes, shifted_modes
 from sdom.operators import OperatorSpec, apply
 from sdom.weights import (
     WeightTuple,
@@ -13,6 +13,7 @@ from sdom.weights import (
     weighted_norm_ratio,
 )
 
+import reference_maximal
 from acceptance_suite import trend_correlation
 
 
@@ -86,6 +87,30 @@ def test_characteristic_mode_chain():
     # each of the two averages in a score loses at most a factor 6 when a
     # box is replaced by its containing shifted cube: 6^{1 + p(p-r)/(p r)}
     assert al <= 36.0 * best * (1.0 + 1e-12)
+
+
+def test_negative_average_under_an_integral_power_does_not_raise():
+    # A 2-D dual sum cancels below zero.  With p = 3 and r = 1 its power
+    # is 2, where Python's ``**`` gives a float, so the score is kept.
+    g = GridSpec(n=2, L=2, origin=(0.0, 0.0), side=8.0)
+    w = GridFunction(g, np.random.default_rng(13).lognormal(0.0, 20.0, g.num_cells))
+    wt = WeightTuple((w,), (3.0,), 1.0)
+    assert wt.p * (3.0 - 1.0) / 3.0 == 2.0
+    dual = BoxSums(g, w.values ** -0.5)
+    assert any(np.any(dual.box_sum(lo, hi) < 0.0) for lo, hi in family_boxes(g, DYADIC))
+    got = vec_ap_characteristic(wt, DYADIC)
+    assert got.hex() == reference_maximal.vec_ap_characteristic(wt, DYADIC).hex()
+
+
+def test_np_power_is_within_one_ulp_of_python_power():
+    # the characteristic's candidate rule rests on this, whatever loops numpy dispatches to
+    rng = np.random.default_rng(28)
+    u = rng.uniform(-300.0, 300.0, 100_000)
+    a = 10.0**u
+    e = rng.uniform(0.05, 1.0, u.size) * np.minimum(20.0, 300.0 / np.abs(u))  # results within 1e-300 to 1e300
+    exact = np.array([x**y for x, y in zip(a.tolist(), e.tolist())])
+    ulps = np.abs(np.power(a, e).view(np.int64) - exact.view(np.int64))
+    assert ulps.max() <= 1
 
 
 def test_power_weight_shapes():
