@@ -33,13 +33,15 @@ K(p, .), gathered or evaluated, so values, errors and warnings do not
 depend on the path.  ``sdom.operators`` reads its one-slot rows from the
 same offset table.  One ``reduceat`` over the shell heads sums each
 shell (maxima at r = 1) into a table with one cell per shell
-multi-index.  A parallel task handles a run of consecutive cubes.
+multi-index.  The samples are arrays from plan to report: they are
+grouped by cube, and their points by bit pattern, with no per-sample
+loop, a parallel task handles a run of consecutive cubes, and each
+cube's tables join one array per cube side and table shape.
 ``hormander_constant`` and ``h2_constant`` read the annulus series and
-the normalized shell values off all tables of a call at once, grouped
-by cube side and table shape: each product in the one-sample order,
-each power a scalar libm ``pow``, the series of one length summed by one
-``np.sum``, ties won by the first sample in plan order.  ``regularity``
-reads both off one pass of tables, which live only for that call.  A
+the normalized shell values off those arrays: each product in the
+one-sample order, each power a scalar libm ``pow``, the series of one
+length summed by one ``np.sum``, ties won by the first sample in plan
+order.  ``regularity`` reads both off one pass of tables.  A
 non-finite table or value, a power that overflows or a decay factor
 |x - z|^e that underflows refuses the first such sample in plan order
 with FloatingPointError naming its cube centre and pair.
@@ -444,31 +446,29 @@ def plan_error(plan: SamplePlan, grid: GridSpec) -> str | None:
     if plan.cubes is None:
         bad = [lam for lam in plan.levels if not 0 <= lam <= grid.L]
         return f"levels {bad} outside [0, {grid.L}]" if bad else None
-    configs = enumerate_plan(plan, grid)
-    for center, side, x, z in configs:
+    configs = [(*(np.atleast_1d(np.asarray(p, dtype=float)) for p in (c, x, z)), float(side)) for (c, side), (x, z) in zip(plan.cubes, plan.pairs)]
+    for center, x, z, side in configs:
         if not center.size == x.size == z.size == grid.n:
             return "explicit cube/pair dimension does not match the grid"
         if not side > 0:
             return "explicit cube side must be positive"
         if np.any(np.abs(np.stack((x, z)) - center) > side / 4 + 1e-12 * side):
             return "sample points must lie in the concentric half cube"
-    if all(np.array_equal(x, z) for _, _, x, z in configs):
+    if all(np.array_equal(x, z) for _, x, z, _ in configs):
         return "all sampled pairs were degenerate (x = z)"
     return None
 
 
-def enumerate_plan(plan: SamplePlan, grid: GridSpec) -> list:
-    """Expand a plan that ``plan_error`` accepts into (center, side, x, z)
-    sample configurations: a level's cubes in row-major order, each with
+def enumerate_plan(plan: SamplePlan, grid: GridSpec) -> tuple:
+    """Expand a plan that ``plan_error`` accepts into the arrays (centers,
+    sides, xs, zs) of its samples, (S, n), (S,), (S, n) and (S, n), one row
+    per sample in plan order: a level's cubes in row-major order, each with
     the first ``max_pairs`` pairs of its half cube's depth-d sublattice by
     (-|x - z|^2, x, z), computed for a block of cubes at a time."""
-    configs = []
     if plan.cubes is not None:
-        for (c, side), (x, z) in zip(plan.cubes, plan.pairs):
-            center, x, z = (np.atleast_1d(np.asarray(p, dtype=float)) for p in (c, x, z))
-            configs.append((center, float(side), x, z))
-        return configs
-    n, sub = grid.n, 1 << plan.pair_depth
+        centers, xs, zs = (np.array([np.ravel(np.asarray(p, float)) for p in ps]) for ps in zip(*((c, *xz) for (c, _), xz in zip(plan.cubes, plan.pairs))))
+        return centers, np.array([float(side) for _, side in plan.cubes]), xs, zs
+    n, sub, parts = grid.n, 1 << plan.pair_depth, []
     i, j = np.triu_indices(sub**n, 1)
     for lam in plan.levels:
         side = grid.side / (1 << lam)
@@ -479,12 +479,12 @@ def enumerate_plan(plan: SamplePlan, grid: GridSpec) -> list:
             d2 = np.sum((pts[:, i] - pts[:, j]) ** 2, axis=-1)
             pick = np.lexsort([pts[:, k, a] for k in (j, i) for a in reversed(range(n))] + [-d2])[:, : plan.max_pairs]
             x, z = (np.take_along_axis(pts, k[pick][..., None], axis=1).reshape(-1, n) for k in (i, j))
-            configs += zip([center for center in c for _ in range(pick.shape[1])], itertools.repeat(side), x, z)
-    return configs
+            parts.append((np.repeat(c, pick.shape[1], axis=0), np.full(len(x), side), x, z))
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def _lattice_indices(spec: KernelSpec, grid: GridSpec) -> list:
-    """Quadrature lattice as cell-index ranges, one per axis: the grid
+    """Quadrature lattice as cell-index aranges, one per axis: the grid
     domain, extended to the kernel's declared support box when there is
     one.  Lattice coordinates are origin + h (i + 1/2), and an axis keeps
     the i whose coordinate lies in [lo, hi) of the extended box."""
@@ -495,17 +495,14 @@ def _lattice_indices(spec: KernelSpec, grid: GridSpec) -> list:
         lo, hi = o, o + grid.side
         if sup is not None:
             lo, hi = min(lo, float(sup[0][a])), max(hi, float(sup[1][a]))
-        out.append(range(math.ceil((lo - o) / h - 0.5), math.ceil((hi - o) / h - 0.5)))
+        out.append(np.arange(math.ceil((lo - o) / h - 0.5), math.ceil((hi - o) / h - 0.5)))
     return out
 
 
 def _quad_lattice(spec: KernelSpec, grid: GridSpec):
     """Returns (axes, covers_all): the sorted lattice coordinates along
     each axis, and False for unbounded supports."""
-    axes = [
-        grid.origin[a] + grid.h * (np.arange(r.start, r.stop) + 0.5)
-        for a, r in enumerate(_lattice_indices(spec, grid))
-    ]
+    axes = [grid.origin[a] + grid.h * (r + 0.5) for a, r in enumerate(_lattice_indices(spec, grid))]
     return axes, y_support_box(spec, grid) is not None
 
 
@@ -518,12 +515,12 @@ def _shell_bounds(axes, centers: np.ndarray, sides: np.ndarray):
     """(lo, hi, J) for the (k, n) ``centers`` of cubes of the k ``sides``:
     per axis and cube the index ranges of the boxes B_j = center +- 2^(j-1)
     side until B_j passes twice the farthest lattice point, from one
-    binary search per axis by the same half-open comparison as testing
-    coordinates; (n, k, j) arrays, and each cube's J, the first j whose B_j holds the lattice."""
+    binary search per axis, j-major so each starts from the last, by the same half-open
+    comparison as testing coordinates; (n, k, j) arrays, and each cube's J, the first j whose B_j holds the lattice."""
     span = max(float(np.max(np.abs(c[:, None] - ax[[0, -1]]))) for ax, c in zip(axes, centers.T))
     halves = np.ldexp(sides[:, None], np.arange(-1, math.ceil(math.log2(max(span / sides.min(), 1.0))) + 3))
-    lo = np.stack([np.searchsorted(ax, c[:, None] - halves) for ax, c in zip(axes, centers.T)])
-    hi = np.stack([np.searchsorted(ax, c[:, None] + halves) for ax, c in zip(axes, centers.T)])
+    lo = np.stack([np.searchsorted(ax, c - halves.T).T for ax, c in zip(axes, centers.T)])
+    hi = np.stack([np.searchsorted(ax, c + halves.T).T for ax, c in zip(axes, centers.T)])
     whole = np.logical_and.reduce([(a == 0) & (b == len(ax)) for a, b, ax in zip(lo, hi, axes)])
     if not whole.any(axis=1).all():
         raise RuntimeError("shell enumeration failed to terminate")
@@ -545,7 +542,7 @@ def _shell_order(axes, lo, hi, J: list):
         size = np.stack((np.ones_like(l), np.concatenate((h[:, :1], l[:, :-1]), axis=1), h), axis=2).reshape(len(l), -1) - start
         at = np.cumsum(size, axis=1, dtype=np.int32) - size
         start -= at
-        heads, index = at[:, ::3].copy(), np.arange(len(axes[0]) + l.shape[1])
+        heads, index = at[:, ::3].copy(), np.arange(len(axes[0]) + l.shape[1], dtype=np.int32)
 
         def order(ks):
             lay = np.repeat(start[ks].ravel(), size[ks].ravel()).reshape(len(ks), -1)
@@ -668,8 +665,8 @@ def _pair_tables(vals: np.ndarray, valid: np.ndarray, deltas: list, r: float):
     return F, B if B.any() else None
 
 
-def _cube_tables(spec: KernelSpec, order, pts: np.ndarray, r: float, center, side, pairs, table) -> list:
-    """Shell tables of the sample pairs (x, z) that share one cube.
+def _cube_tables(spec: KernelSpec, order, pts: np.ndarray, r: float, center, side, pairs, table) -> tuple:
+    """Shell tables of the (k, 2, n) sample pairs (x, z) that share one cube.
 
     The table of a pair has one cell per shell multi-index (j_1 .. j_m):
     the sum of |K(x,.) - K(z,.)|^{r'} over that product of shells, or
@@ -683,8 +680,8 @@ def _cube_tables(spec: KernelSpec, order, pts: np.ndarray, r: float, center, sid
     ``eval_batch`` call, at m = 2 in blocks of first-slot rows of the
     shell-sorted lattice.  With the heads set to 0, one ``reduceat``
     gives each shell's np.add.reduce (the 0 is its initial value) or
-    maximum.  Returns (table, skipped) per pair, in the order given,
-    with skipped counting the singular tuples outside Q^m."""
+    maximum.  Returns the pairs' tables stacked in the order given, and
+    per pair the count of singular tuples outside Q^m."""
     m, (lay, heads) = spec.m, order
     J, inside = len(heads), (heads.tolist() + [len(lay)])[1]  # Q: the layout up to the head of shell 1
     table_vals, table_valid, row, col, pair = table if table is not None else (None, None, {}, None, None)
@@ -741,69 +738,88 @@ def _cube_tables(spec: KernelSpec, order, pts: np.ndarray, r: float, center, sid
     if not finite.all():
         x, z = pairs[int(np.argmin(finite))]
         raise _sample_failure((center, side, x, z), "non-finite shell table")
-    return [(acc[i], int(skipped[i])) for i in range(len(pairs))]
+    return acc, skipped
+
+
+def _first_seen(keys: np.ndarray):
+    """(labels, firsts): each row's label, numbered by first appearance, and
+    the first row of each label of the (k, w) array ``keys``, by one stable
+    lexsort (np.unique would import numpy.ma, 0.2 to 0.9 MiB more resident)."""
+    order = np.lexsort(keys.T)
+    new = np.append(True, (keys[order[1:]] != keys[order[:-1]]).any(axis=1))
+    firsts = order[new]  # each run's first row: the sort is stable
+    labels = np.empty(len(keys), dtype=np.intp)
+    labels[order] = np.argsort(np.argsort(firsts))[np.cumsum(new) - 1]
+    return labels, np.sort(firsts)
 
 
 def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan):
-    """The front end both estimators share.
-
-    Expands the plan, drops degenerate x = z pairs, builds the offset
-    table of the distinct sample points and its pair tables, finds the
-    shell bounds of all cubes at once, and runs the shell engine on runs
-    of consecutive cubes of about ``_CHUNK`` lattice entries of pair rows
-    (int32 layouts under 1 MiB), one parallel task each.  A plan whose
-    kept samples skip every slot tuple outside their cubes measures
-    nothing, and raises FloatingPointError naming the first.  Returns (rows, skipped_pairs,
-    samples, covers_all), ``rows`` holding (config, table, skipped) for
-    every kept sample in plan order, so that ties between samples resolve
-    by plan position.  The tables live only for this call."""
+    """The front end both estimators share, on arrays of samples: the
+    plan's less its x = z pairs, grouped by cube (first appearance,
+    positions ascending), their points by bit pattern, for the offset
+    and pair tables, and the shell engine run on the cubes that start in
+    one ``_CHUNK`` of lattice entries of pair rows, one parallel task
+    each.  A plan whose kept samples skip every slot tuple outside their
+    cubes measures nothing, and raises FloatingPointError naming the
+    first.  Returns (kept, groups, skipped, samples, covers_all): the
+    kept (centers, sides, xs, zs); per side and table shape, (side, kept
+    positions ascending, their tables); each kept sample's singular
+    tuples, to which the reports add the x = z pairs, the plan's pairs
+    less the kept.  Ties resolve by plan position.  Tables live for the call."""
     problem = plan_error(plan, grid) or grid_error(spec, grid) or lattice_error(spec, grid)
     if problem:
         raise ValueError(problem)
-    configs = enumerate_plan(plan, grid)
-    kept = [cfg for cfg in configs if cfg[2].tolist() != cfg[3].tolist()]
+    centers, sides, xs, zs = enumerate_plan(plan, grid)
+    keys = np.column_stack((centers + 0.0, sides)).view(np.int64)  # a cube by its bits, -0.0 as 0.0
+    samples = {"cubes": len(_first_seen(keys)[1]), "pairs": len(sides)}
+    live = (xs != zs).any(axis=1)
+    kept, keys = (centers[live], sides[live], xs[live], zs[live]), keys[live]
+    pairs = np.stack(kept[2:], axis=1)  # (K, 2, n): each kept sample's x and z
+    cube, firsts = _first_seen(keys)
+    by_cube, cuts = np.argsort(cube, kind="stable"), np.append(0, np.cumsum(np.bincount(cube))).tolist()
     axes, bounded = _quad_lattice(spec, grid)
     pts = _lattice_points(axes)
-    cubes, distinct, ends, pair = {}, {}, [], None  # ends: each sample's points, as positions in distinct
-    for pos, (center, side, x, z) in enumerate(kept):
-        cubes.setdefault((tuple(center.tolist()), side), []).append(pos)
-        ends.append([distinct.setdefault(p.tobytes(), (len(distinct), p))[0] for p in (x, z)])
-    lo, hi, J = _shell_bounds(axes, np.array([c for c, _ in cubes]), np.array([s for _, s in cubes]))
+    lo, hi, J = _shell_bounds(axes, kept[0][firsts], kept[1][firsts])
     order = _shell_order(axes, lo, hi, J)
-    table = offset_table(spec, grid, np.array([p for _, p in distinct.values()]), _lattice_points(_lattice_indices(spec, grid)))
+    point, distinct = _first_seen(pairs.reshape(-1, grid.n).view(np.int64))  # -0.0 is not 0.0 here
+    points, tables = pairs.reshape(-1, grid.n)[distinct], [None] * len(firsts)
+    table = offset_table(spec, grid, points, _lattice_points(_lattice_indices(spec, grid)))
     if table is not None:
         vals, valid, row, col = table
-        ends = row[np.array(ends)]  # each sample's row offsets
+        ends = row[point].reshape(-1, 2)[by_cube]  # each sample's row offsets, cube by cube
         served, d = (ends >= 0).all(axis=1), ends[:, 1] - ends[:, 0]
-        deltas = sorted(set(d[served].tolist()))
-        if len(deltas) * len(vals) <= _CHUNK // 2:  # F under 1 MiB
-            pair = *_pair_tables(vals, valid, deltas, r), np.searchsorted(deltas, d) * len(vals) + ends[:, 0]
-        table = vals, valid, {key: k for key, k in zip(distinct, row.tolist()) if k >= 0}, col
-    tasks, size = [[]], 0
-    for k, positions in enumerate(cubes.values()):
-        if tasks[-1] and size + len(positions) * (len(pts) ** spec.m + lo.shape[2]) > _CHUNK:
-            tasks.append([])
-            size = 0
-        tasks[-1].append((k, positions))
-        size += len(positions) * (len(pts) ** spec.m + lo.shape[2])
+        deltas = np.sort(d[served])
+        deltas = deltas[np.diff(deltas, prepend=deltas[:1] - 1) != 0].tolist()
+        # the pair tables, F under 1 MiB, go with a cube when they serve all its points
+        whole = np.logical_and.reduceat(served, cuts[:-1]) & (len(deltas) * len(vals) <= _CHUNK // 2)
+        if whole.any():
+            F, B = _pair_tables(vals, valid, deltas, r)
+            base = np.searchsorted(deltas, d) * len(vals) + ends[:, 0]
+        rows = {} if whole.all() else {p.tobytes(): k for p, k in zip(points, row.tolist()) if k >= 0}
+        tables = [(vals, valid, rows, col, (F, B, base[a:b]) if w else None) for a, b, w in zip(cuts, cuts[1:], whole.tolist())]
+    start = (np.array(cuts[:-1]) * (len(pts) ** spec.m + lo.shape[2]) // _CHUNK).tolist()  # each cube's chunk
+    tasks = [list(g) for _, g in itertools.groupby(range(len(firsts)), start.__getitem__)]
+    cube_centers, cube_sides, pairs = kept[0][firsts], kept[1][firsts].tolist(), pairs[by_cube]
 
-    def task(chunk):  # the pair tables go with a cube when they serve all its points
-        tables = [table and (*table, (*pair[:2], pair[2][p]) if pair and served[p].all() else None) for _, p in chunk]
+    def task(cubes):
         return [
-            _cube_tables(spec, o, pts, r, *kept[p[0]][:2], [kept[i][2:] for i in p], t)
-            for o, (_, p), t in zip(order([k for k, _ in chunk]), chunk, tables)
+            _cube_tables(spec, o, pts, r, cube_centers[c], cube_sides[c], pairs[cuts[c] : cuts[c + 1]], tables[c])
+            for c, o in zip(cubes, order(cubes))
         ]
 
-    rows = [None] * len(kept)
-    for (_, positions), tables in zip(itertools.chain(*tasks), itertools.chain(*parallel_map(task, tasks))):
-        for pos, (cells, skipped) in zip(positions, tables):
-            rows[pos] = (kept[pos], cells, skipped)
-    inside = (np.prod(hi[:, :, 0] - lo[:, :, 0], axis=0) ** spec.m).tolist()  # the slot tuples in Q^m
+    done = list(itertools.chain(*parallel_map(task, tasks)))  # (tables, skipped) per cube
+    skipped = np.empty(len(cube), dtype=np.int64)
+    skipped[by_cube] = np.concatenate([sk for _, sk in done])
+    inside = np.prod(hi[:, :, 0] - lo[:, :, 0], axis=0) ** spec.m  # the slot tuples in Q^m
     # blind: every tuple off Q^m, the only ones either estimate reads, skipped
-    if rows and all(0 < rows[i][2] == len(pts) ** spec.m - inside[k] for k, p in itertools.chain(*tasks) for i in p):
-        raise _sample_failure(rows[0][0], "every slot tuple outside the cube is singular")
-    samples = {"cubes": len({(tuple(c.tolist()), s) for c, s, _, _ in configs}), "pairs": len(configs)}
-    return rows, len(configs) - len(kept), samples, bounded
+    if np.all((0 < skipped) & (skipped == len(pts) ** spec.m - inside[cube])):
+        raise _sample_failure([a[0] for a in kept], "every slot tuple outside the cube is singular")
+    group, heads = _first_seen(np.column_stack((keys[firsts, -1], J)))  # per cube, its (side, J)
+    groups, of = [], group[cube[by_cube]]  # each sample's group, cube by cube
+    for g in range(len(heads)):
+        at, T = by_cube[of == g], np.concatenate([done[c][0] for c in np.flatnonzero(group == g).tolist()])
+        groups.append((float(kept[1][at[0]]), np.sort(at), T[np.argsort(at)]))
+    return kept, groups, skipped, samples, bounded
 
 
 def _check_exponents(grid: GridSpec, r: float, delta: float | None = None) -> None:
@@ -838,14 +854,6 @@ def _sample_failure(cfg, what: str) -> FloatingPointError:
     return FloatingPointError(f"{what} at cube centre {center.tolist()}, pair x = {x.tolist()}, z = {z.tolist()}")
 
 
-def _report_groups(rows) -> list:
-    """(side, plan positions ascending, stacked tables) per side and shape."""
-    groups = {}
-    for pos, (cfg, table, _) in enumerate(rows):
-        groups.setdefault((cfg[1], len(table)), []).append(pos)  # one m per call
-    return [(side, pos, np.array([rows[i][1] for i in pos])) for (side, _), pos in groups.items()]
-
-
 def _until_overflow(values) -> list:
     """The values up to the first whose (Python, libm) power overflows."""
     out = []
@@ -857,10 +865,10 @@ def _until_overflow(values) -> list:
 def _kr_report(sampled, r: float, grid: GridSpec) -> EstimateReport:
     """The annulus-sum report off ``_sample_tables``' result: scale k >= 1
     takes the cells whose deepest shell is k; trailing zero terms are cut."""
-    rows, skipped, samples, bounded = sampled
+    kept, groups, skipped, samples, bounded = sampled
     e = 1.0 / (r / (r - 1.0)) if r > 1 else None
-    fail, best = (len(rows), None), (-1.0, 0, ())  # (position, what); (value, -position, terms)
-    for side, pos, T in _report_groups(rows):
+    fail, best = (len(skipped), None), (-1.0, 0, ())  # (position, what); (value, -position, terms)
+    for side, pos, T in groups:
         m, S = T.ndim - 1, T.shape[1]
         if m == 2:  # scale k: row k up to the diagonal, then column k above it
             T = np.stack([(np.sum if r > 1 else np.max)(np.concatenate((T[:, k, : k + 1], T[:, :k, k]), axis=1), axis=1) for k in range(S)], 1)
@@ -870,8 +878,10 @@ def _kr_report(sampled, r: float, grid: GridSpec) -> EstimateReport:
             fail = min(fail, (pos[0], "an annulus term overflows"))
             continue
         with np.errstate(all="ignore"):
-            c = T[:, 1:] if not e else np.fromiter(map(pow, (T[:, 1:] * hvol).ravel().tolist(), itertools.repeat(e)), float)
-            terms = np.array(p) * c.reshape(len(pos), S - 1)
+            c = T[:, 1:] * hvol if e else T[:, 1:]
+            if e:  # libm pow on the nonzero cells: pow(0.0, e) is 0.0
+                c[c != 0.0] = np.fromiter(map(pow, c[c != 0.0].tolist(), itertools.repeat(e)), float)
+            terms = np.array(p) * c
         size = np.max(np.where(terms != 0.0, np.arange(1, S), 0), axis=1, initial=0)
         v = np.zeros(len(pos))
         for k in range(1, S):  # warns where finite terms overflow, as np.sum does
@@ -883,8 +893,8 @@ def _kr_report(sampled, r: float, grid: GridSpec) -> EstimateReport:
         i = int(np.argmax(v))
         best = max(best, (float(v[i]), -pos[i], tuple(terms[i, : size[i]].tolist())))
     if fail[1]:
-        raise _sample_failure(rows[fail[0]][0], fail[1])
-    return EstimateReport(max(best[0], 0.0), best[2], len(best[2]), not bounded, skipped + sum(sk for *_, sk in rows), samples)
+        raise _sample_failure([a[fail[0]] for a in kept], fail[1])
+    return EstimateReport(max(best[0], 0.0), best[2], len(best[2]), not bounded, samples["pairs"] - len(skipped) + int(skipped.sum()), samples)
 
 
 def h2_constant(spec: KernelSpec, grid: GridSpec, r: float, delta: float, plan: SamplePlan) -> EstimateReport:
@@ -907,19 +917,19 @@ def _h2_report(sampled, r: float, delta: float, grid: GridSpec) -> EstimateRepor
     """The shell-decay report off ``_sample_tables``' result: a nonzero cell
     but Q^m's gives ((norm * |Q|^{m delta/n}) * 2^{m delta j0}) / |x - z|^{m(delta - n/r)}.
     A sample fails on its |Q| power, its decay factor, then its first cell."""
-    rows, skipped, samples, bounded = sampled
-    fail, best, n = (len(rows), None), (0.0, 0, 0), grid.n  # (position, what); (value, -position, j0)
-    for side, pos, T in _report_groups(rows):
+    kept, groups, skipped, samples, bounded = sampled
+    fail, best, n = (len(skipped), None), (0.0, 0, 0), grid.n  # (position, what); (value, -position, j0)
+    for side, pos, T in groups:
         m, J, ex = T.ndim - 1, T.shape[1], (T.ndim - 1) * (delta - n / r)
         try:
             hvol, scale = grid.cell_volume() ** m, (side**n) ** (m * delta / n)
         except OverflowError:
             fail = min(fail, (pos[0], "a shell quotient overflows"))
             continue
-        d = np.array([rows[i][0][2] for i in pos]) - np.array([rows[i][0][3] for i in pos])
+        d = kept[2][pos] - kept[3][pos]
         with np.errstate(all="ignore"):
             dist = np.sqrt(sum(d[:, a] * d[:, a] for a in range(n)))  # Python's sum of the squares, from 0
-        decay = _until_overflow(t**ex for t in dist.tolist())
+        decay = _until_overflow(map(pow, dist.tolist(), itertools.repeat(ex)))
         k = len(decay)  # the decay factor of sample k overflows
         decay = np.array(decay + [1.0] * (len(pos) - k))
         j0 = np.arange(J) if m == 1 else np.maximum(*divmod(np.arange(J * J), J))
@@ -945,8 +955,8 @@ def _h2_report(sampled, r: float, delta: float, grid: GridSpec) -> EstimateRepor
         if val[i, c] > 0.0:
             best = max(best, (float(val[i, c]), -pos[i], int(j0[c])))
     if fail[1]:
-        raise _sample_failure(rows[fail[0]][0], fail[1])
-    return EstimateReport(best[0], (best[0],), best[2], not bounded, skipped + sum(sk for *_, sk in rows), samples)
+        raise _sample_failure([a[fail[0]] for a in kept], fail[1])
+    return EstimateReport(best[0], (best[0],), best[2], not bounded, samples["pairs"] - len(skipped) + int(skipped.sum()), samples)
 
 
 def regularity(spec: KernelSpec, grid: GridSpec, r: float, delta: float, plan: SamplePlan):

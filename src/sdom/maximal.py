@@ -346,8 +346,8 @@ def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | N
     parts = parallel_map(block, zip(np.cumsum([0] + [t.size for t in tasks]).tolist(), tasks))
     sums = np.concatenate([sums for sums, _ in parts])
     ref = sums[:, 0].copy()
-    if within is None and not np.all(np.isfinite(ref)):
-        raise ArithmeticError("operator output is not finite")  # T(f) itself, as ``apply`` reports it
+    if not np.all(np.isfinite(ref)):  # T(f) itself, as ``apply`` reports it, or the first cell whose own T(f 1_R) is not
+        raise ArithmeticError("operator output is not finite" if within is None else f"truncation gap is not finite at cell {xs[np.argmin(np.isfinite(ref))]}")
     if dyadic:
         return _scattered(grid, blocks, _dyadic_scores(blocks, sums)), ref, sums
     return _scattered(grid, blocks, functools.reduce(np.maximum, [gaps for _, gaps in parts])), ref, None

@@ -15,6 +15,7 @@ experiments can compare them.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -93,7 +94,8 @@ def vec_ap_characteristic(wt: WeightTuple, mode: CubeFamilyMode = DYADIC) -> flo
     ``**``, block by block, so an error names the cube a per-block loop
     would.  The all-ones tuple scores exactly one on every cube.  A dual
     average that rounds below zero (prefix-sum cancellation in two
-    dimensions) has no real fractional power and raises ArithmeticError.
+    dimensions) has no real fractional power and raises ArithmeticError,
+    one whose power overflows OverflowError; both name weight and cube.
     """
     grid, p, r = wt.grid, wt.p, wt.r
     v_table = BoxSums(grid, wt.joint_weight())
@@ -118,14 +120,17 @@ def vec_ap_characteristic(wt: WeightTuple, mode: CubeFamilyMode = DYADIC) -> flo
             score = v_avg[k]
             for i, (group_avg, e) in enumerate(zip(avgs, dual_pows)):
                 avg = group_avg[k]
-                powered = np.array([a**e for a in avg.tolist()])
-                if powered.dtype.kind == "c":  # a negative average under a fractional power
-                    j = k[int(np.argmax(avg < 0.0))]
-                    raise ArithmeticError(
-                        f"weight {i}: dual average over cells {lo[j].tolist()} to {(hi[j] - 1).tolist()} "
-                        f"rounds below zero ({float(group_avg[j])!r})"
+                powered = []
+                with contextlib.suppress(OverflowError):  # the powers up to the first that overflows
+                    powered += (a**e for a in avg.tolist())
+                over = len(powered) < len(avg)
+                if over or np.iscomplexobj(powered):  # else a negative average under a fractional power
+                    j = k[len(powered) if over else int(np.argmax(avg < 0.0))]
+                    what = f"overflows under the power {e!r}" if over else "rounds below zero"
+                    raise (OverflowError if over else ArithmeticError)(
+                        f"weight {i}: dual average over cells {lo[j].tolist()} to {(hi[j] - 1).tolist()} {what} ({float(group_avg[j])!r})"
                     )
-                score *= powered
+                score *= np.array(powered)
             best = max(best, float(np.fmax.reduce(score)))  # NaN scores never win, as with ``>``
     return best
 

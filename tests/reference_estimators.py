@@ -20,8 +20,9 @@ reproduce its tables and skip counts bit for bit.
 the shell tables before they went onto whole-call arrays: one sample at
 a time, with ``annulus_series`` and ``shell_peak`` per sample and
 Python scalar arithmetic.  The array reports must give their fields,
-and their errors, bit for bit.  Only public `sdom.kernels` names are
-used.
+and their errors, bit for bit.  ``reference_rows`` feeds them the
+tables of ``cube_tables`` for the configs of ``plan_configs``, sample by
+sample in plan order.  Only public `sdom.kernels` names are used.
 """
 
 import math
@@ -30,7 +31,6 @@ import numpy as np
 
 from sdom.kernels import (
     EstimateReport,
-    enumerate_plan,
     eval_batch,
     y_support_box,
 )
@@ -288,10 +288,26 @@ def shells_one_config(spec, grid, r, delta, cfg, pts):
 
 
 def _kept(plan, grid):
-    configs = enumerate_plan(plan, grid)
+    configs = plan_configs(plan, grid)
     kept = [cfg for cfg in configs if not np.array_equal(cfg[2], cfg[3])]
     samples = {"cubes": len({(tuple(c), s) for c, s, _, _ in configs}), "pairs": len(configs)}
     return kept, len(configs) - len(kept), samples
+
+
+def reference_rows(spec, grid, r, plan):
+    """(rows, degenerate pairs, samples, covers_all): the rows (config,
+    table, skipped) of the kept samples in plan order, each cube's tables
+    from one ``cube_tables`` call over its samples, a cube being a centre
+    and side that compare equal."""
+    kept, dropped, samples = _kept(plan, grid)
+    axes, cubes, rows = quad_axes(spec, grid), {}, [None] * len(kept)
+    for pos, (center, side, _, _) in enumerate(kept):
+        cubes.setdefault((tuple(center.tolist()), side), []).append(pos)
+    for (center, side), positions in cubes.items():
+        tables = cube_tables(spec, axes, r, np.array(center), side, [kept[i][2:] for i in positions])
+        for pos, (table, skipped) in zip(positions, tables):
+            rows[pos] = (kept[pos], table, skipped)
+    return rows, dropped, samples, quad_points(spec, grid)[1]
 
 
 def reference_series(spec, grid, r, plan):
@@ -390,7 +406,7 @@ def shell_peak(table, cfg, r, delta, grid, memo=None):
 
 
 def kr_report(sampled, r, grid):
-    """The annulus-sum report read off ``_sample_tables``' result."""
+    """The annulus-sum report read off ``reference_rows``' result."""
     rows, skipped, samples, bounded = sampled
     best_terms, best_v, memo = (), -1.0, {}
     for cfg, table, sk in rows:
@@ -415,7 +431,7 @@ def kr_report(sampled, r, grid):
 
 
 def h2_report(sampled, r, delta, grid):
-    """The shell-decay report read off ``_sample_tables``' result."""
+    """The shell-decay report read off ``reference_rows``' result."""
     rows, skipped, samples, bounded = sampled
     best, best_j0, memo = 0.0, 0, {}
     for cfg, table, sk in rows:

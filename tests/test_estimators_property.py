@@ -17,7 +17,12 @@ entries), the offset-table gather and the per-row fallback all run.
 
 The plan expansion must give the configs of
 ``reference_estimators.plan_configs``, the cube-by-cube loop, byte for
-byte and in order.
+byte and in order.  On explicit plans with a cube repeated out of
+order, points that differ only in the sign of zero, and a cube whose
+pairs are all degenerate, the array front end must give
+``reference_estimators.reference_rows``' tables, skip counts and sample
+counts, and the reports read off them, bit for bit, at one and two
+threads.
 
 The reports read off the shell tables must be those of
 ``reference_estimators.kr_report`` and ``h2_report``, the per-sample
@@ -43,6 +48,7 @@ from reference_estimators import (
     quad_axes,
     reference_h2,
     reference_hormander,
+    reference_rows,
     reference_series,
     reference_shells,
     shell_order,
@@ -50,6 +56,7 @@ from reference_estimators import (
 )
 from sdom import kernels
 from sdom.grid import GridSpec
+from sdom.parallel import set_thread_count
 from sdom.kernels import (
     Modulus,
     SamplePlan,
@@ -116,6 +123,34 @@ def cases(draw):
     return kernel, grid, r, n / r + 0.5, SamplePlan(cubes=tuple(cubes), pairs=tuple(pairs))
 
 
+def _rows(sampled):
+    """``_sample_tables``' result as the per-sample references read it:
+    (config, table, skipped) per kept sample in plan order, each config
+    (center, side, x, z) with a Python float side."""
+    kept, groups, skipped, _, _ = sampled
+    rows = [None] * len(skipped)
+    for _, pos, T in groups:
+        for i, table in zip(pos.tolist(), T):
+            rows[i] = ((kept[0][i], float(kept[1][i]), kept[2][i], kept[3][i]), table, int(skipped[i]))
+    return rows
+
+
+def _as_rows(sampled):
+    """(rows, degenerate pairs, samples, covers_all), as ``reference_rows`` returns them."""
+    _, _, skipped, samples, bounded = sampled
+    return _rows(sampled), samples["pairs"] - len(skipped), samples, bounded
+
+
+def _grouped(rows, samples, bounded):
+    """Rows of (config, table, skipped) in ``_sample_tables``' form: kept
+    arrays, and the tables stacked per side and shape."""
+    kept, groups = tuple(np.array([cfg[k] for cfg, _, _ in rows]) for k in range(4)), {}
+    for i, (cfg, table, _) in enumerate(rows):
+        groups.setdefault((cfg[1], table.shape), []).append(i)
+    stacked = [(side, np.array(pos), np.array([rows[i][1] for i in pos])) for (side, _), pos in groups.items()]
+    return kept, stacked, np.array([sk for *_, sk in rows]), samples, bounded
+
+
 def _close(a, b):
     return abs(a - b) <= REL_TOL * max(abs(a), abs(b))
 
@@ -137,7 +172,7 @@ def test_engine_matches_reference(case):
         with pytest.raises(ValueError):
             hormander_constant(kernel, grid, r, plan)
         return
-    rows, _, _, _ = _sample_tables(kernel, grid, r, plan)
+    rows = _rows(_sample_tables(kernel, grid, r, plan))
     series = reference_series(kernel, grid, r, plan)
     shells = reference_shells(kernel, grid, r, delta, plan)
     assert len(rows) == len(series) == len(shells)
@@ -163,7 +198,7 @@ def test_repeated_cube_keeps_plan_positions():
         cubes=(a, b, a),
         pairs=((np.array([2.6]), np.array([3.5])), (np.array([5.1]), np.array([4.8])), (np.array([3.3]), np.array([2.75]))),
     )
-    rows, _, _, _ = _sample_tables(kernel, grid, 2.0, plan)
+    rows = _rows(_sample_tables(kernel, grid, 2.0, plan))
     ref = reference_series(kernel, grid, 2.0, plan)
     for (cfg, table, skipped), (ref_terms, ref_sk) in zip(rows, ref):
         assert skipped == ref_sk
@@ -307,11 +342,11 @@ def test_shell_tables_are_the_row_by_row_reference_bit_for_bit(case):
     kernel, grid, r, plan = case
     assume(plan_error(plan, grid) is None)  # an offset of 1 can round a point off the half cube
     try:
-        rows, _, _, _ = _sample_tables(kernel, grid, r, plan)
+        rows = _rows(_sample_tables(kernel, grid, r, plan))
     except FloatingPointError as error:  # a plan that measures nothing is refused, as golden kr_every_tuple_singular pins
         if not str(error).startswith("every slot tuple outside the cube is singular"):
             raise
-        rows = [(cfg, None, None) for cfg in enumerate_plan(plan, grid) if not np.array_equal(cfg[2], cfg[3])]
+        rows = [(cfg, None, None) for cfg in zip(*enumerate_plan(plan, grid)) if not np.array_equal(cfg[2], cfg[3])]
     axes = quad_axes(kernel, grid)
     cubes = {}
     for pos, (cfg, _, _) in enumerate(rows):
@@ -330,7 +365,7 @@ def test_shell_tables_are_the_row_by_row_reference_bit_for_bit(case):
 
 def _distinct_points(grid, plan):
     points = {}
-    for _, _, x, z in enumerate_plan(plan, grid):
+    for _, _, x, z in zip(*enumerate_plan(plan, grid)):
         points.setdefault(x.tobytes(), x)
         points.setdefault(z.tobytes(), z)
     return list(points.values())
@@ -468,11 +503,8 @@ def plan_cases(draw):
 def test_plan_expansion_is_the_cube_by_cube_reference(case):
     grid, plan = case
     got, want = enumerate_plan(plan, grid), plan_configs(plan, grid)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert type(g[1]) is type(w[1]) is float and g[1] == w[1]
-        for a, b in zip(g[::2] + g[3:], w[::2] + w[3:]):  # center, x, z
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    for a, b in zip(got, map(np.array, zip(*want)), strict=True):  # centers, sides, xs, zs
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 # table entries: finite and nonnegative, as the engine gives them, mostly zero
@@ -553,8 +585,54 @@ def test_reports_are_the_per_sample_reference_bit_for_bit(case):
     grid, r, delta, source = case
     if isinstance(source[0][1], SamplePlan):  # the engine's tables, one run per (kernel, plan)
         sampled = [_sample_tables(kernel, grid, r, plan) for kernel, plan in source]
-    else:
-        sampled = [(source, 1, {"cubes": 1, "pairs": len(source) + 1}, True)]
-    for tables in sampled:
-        assert _report_or_error(_kr_report, tables, r, grid) == _report_or_error(kr_report, tables, r, grid)
-        assert _report_or_error(_h2_report, tables, r, delta, grid) == _report_or_error(h2_report, tables, r, delta, grid)
+        cases = [(tables, _as_rows(tables)) for tables in sampled]
+    else:  # one degenerate pair besides the drawn rows
+        samples = {"cubes": 1, "pairs": len(source) + 1}
+        cases = [(_grouped(source, samples, True), (source, 1, samples, True))]
+    for tables, rows in cases:
+        assert _report_or_error(_kr_report, tables, r, grid) == _report_or_error(kr_report, rows, r, grid)
+        assert _report_or_error(_h2_report, tables, r, delta, grid) == _report_or_error(h2_report, rows, r, delta, grid)
+
+
+def _explicit(*samples):
+    """An explicit one-dimensional plan of (center, side, x, z) samples."""
+    return SamplePlan(
+        cubes=tuple((np.array([c]), side) for c, side, _, _ in samples),
+        pairs=tuple((np.array([x]), np.array([z])) for _, _, x, z in samples),
+    )
+
+
+# cells of side 1/4 centred on the multiples of 1/4, 0.0 among them: the
+# offset table serves the points on the lattice, not -1.125 and 2.375, and
+# not -0.0, whose difference to the cell at 0.0 differs from 0.0's in sign
+FRONT_GRID = GridSpec(n=1, L=5, origin=(-4.125,), side=8.0)
+A, B, C, D = (-1.0, 2.0), (2.5, 1.0), (2.0, 4.0), (-2.5, 1.0)  # (centre, side) of dyadic cubes
+FRONT_PLANS = {
+    "cube repeated out of order": _explicit((*A, -1.5, -0.5), (*B, 2.25, 2.75), (*A, -1.125, -0.75), (*C, 1.0, 2.5), (*B, 2.375, 2.5)),
+    # -0.0 and 0.0 are one cube centre but two sample points
+    "signed zeros": _explicit((0.0, 8.0, 0.0, 1.0), (-0.0, 8.0, -0.0, 1.0), (*A, -1.5, -0.5), (0.0, 8.0, 1.0, -0.0)),
+    "degenerate cube": _explicit((*A, -1.5, -0.5), (*D, -2.5, -2.5), (*B, 2.25, 2.75), (*D, -2.75, -2.75), (*A, -0.75, -1.25)),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 64])  # 64: no pair tables, and one task per cube
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kernel", [mpt_kernel(1.0, 2.0), bilinear_odd_kernel()], ids=["mpt", "bilinear"])
+@pytest.mark.parametrize("name", sorted(FRONT_PLANS))
+def test_array_front_end_is_the_reference_bit_for_bit(monkeypatch, name, kernel, threads, chunk):
+    plan, grid, r, delta = FRONT_PLANS[name], FRONT_GRID, 2.0, 1.0
+    if chunk:
+        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+    set_thread_count(threads)
+    try:
+        sampled = _sample_tables(kernel, grid, r, plan)
+        kr, h2 = regularity(kernel, grid, r, delta, plan)
+    finally:
+        set_thread_count(1)
+    (got, *counts), (want, *want_counts) = _as_rows(sampled), reference_rows(kernel, grid, r, plan)
+    assert counts == want_counts  # degenerate pairs, sample counts, bounded support
+    for (cfg, table, skipped), (want_cfg, want_table, want_skipped) in zip(got, want, strict=True):
+        assert repr(cfg) == repr(want_cfg)
+        assert (table.shape, table.tobytes(), skipped) == (want_table.shape, want_table.tobytes(), want_skipped)
+    _identical(kr, kr_report((want, *want_counts), r, grid))
+    _identical(h2, h2_report((want, *want_counts), r, delta, grid))

@@ -19,6 +19,7 @@ from sdom.maximal import (
 )
 from sdom.operators import OperatorSpec, apply
 
+from fake_kernels import fake_kernel
 from reference_maximal import apply_truncated, family_boxes as reference_family_boxes
 
 
@@ -285,3 +286,33 @@ def test_mt_bound_reads_t_f_off_the_grand_maximal(op, scale):
     for r in (1.0, 2.0):
         with np.errstate(over="ignore", invalid="ignore"):
             assert _outcome(mt_pointwise_bound_check, op, fs, r) == _outcome(_two_pass_bound_check, op, fs, r)
+
+
+def test_local_pass_names_the_first_cell_whose_reference_is_not_finite():
+    # the L = 4 build root of cells 4-7 with both inputs 1 there but 1e200
+    # at cell 7: every row meets the product 1e400 at (7, 7), so T f is
+    # -inf on cells 4-6 (and NaN on 7, where that tuple is singular), and
+    # the first cell whose own reference is not finite is cell 4
+    grid = GridSpec(n=1, L=4, origin=(0.0,), side=16.0)
+    root = DyadicCube(2, (1,))
+    v = np.zeros(grid.num_cells)
+    v[cube_flat_indices(grid, root)] = 1.0
+    v[7] = 1e200
+    fs = (GridFunction(grid, v), GridFunction(grid, v.copy()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ArithmeticError, match="^truncation gap is not finite at cell 4$"):
+            local_grand_maximal(OperatorSpec(bilinear_odd_kernel(), grid), fs, root)
+
+
+def test_local_pass_names_the_cell_whose_own_reference_overflows(monkeypatch):
+    # only cell 7's row overflows: its reference is inf and cells 4-6 keep
+    # finite ones, while the gap of the root cube, inf - inf, is NaN on
+    # every cell of it, so the first non-finite gap would be cell 4's
+    grid = GridSpec(n=1, L=4, origin=(0.0,), side=16.0)
+    root = DyadicCube(2, (1,))
+    kernel = fake_kernel(monkeypatch, 1, lambda x, y: np.full(y.shape[:-1], 1e300 if 7 < x[0] < 8 else 1.0))
+    v = np.zeros(grid.num_cells)
+    v[cube_flat_indices(grid, root)] = 1e10
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ArithmeticError, match="^truncation gap is not finite at cell 7$"):
+            local_grand_maximal(OperatorSpec(kernel, grid), (GridFunction(grid, v),), root)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,21 @@ def test_negative_average_under_an_integral_power_does_not_raise():
     assert any(np.any(dual.box_sum(lo, hi) < 0.0) for lo, hi in family_boxes(g, DYADIC))
     got = vec_ap_characteristic(wt, DYADIC)
     assert got.hex() == reference_maximal.vec_ap_characteristic(wt, DYADIC).hex()
+
+
+def test_dual_power_overflow_names_the_weight_and_cube():
+    # one weight value of 5e-324 makes the dual weight w^(-r/(p-r)) about
+    # 5.9e107 on cell 5, and its power (p-r)/r = 3 overflows; the first
+    # family cube holding it, the single cell, is named.  The CLI's power
+    # weights at their default floor of 1e-8 cannot get here: w >= floor
+    # keeps every dual average to its power at most 1/floor = 1e8.
+    g = GridSpec(n=1, L=4, origin=(0.0,), side=1.0)
+    v = np.ones(g.num_cells)
+    v[5] = 5e-324
+    wt = WeightTuple((GridFunction(g, v),), (4.0,), 1.0)
+    want = "weight 0: dual average over cells [5] to [5] overflows under the power 3.0 (5.871356456934502e+107)"
+    with pytest.raises(OverflowError, match=f"^{re.escape(want)}$"):
+        vec_ap_characteristic(wt, ALL_GRID_CUBES)
 
 
 def test_np_power_is_within_one_ulp_of_python_power():
