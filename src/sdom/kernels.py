@@ -22,16 +22,18 @@ certified bound on the continuum constant.
 Both estimators run on one shell engine.  Around a sampled cube Q the
 dilates 2^j Q are index ranges of the sorted quadrature axes, found for
 every cube by one binary search per axis, and they lay the lattice out
-by shell: Q, then each dyadic annulus, each led by a 0.  A one-slot
-kernel of x - y (the boundary-logarithmic and synthetic ones) is
-evaluated once per call, as an ``offset_table``: the row of one point
-over the lattice padded by the spread of the points, which serves every
-point whose differences x - y are bitwise the table's.  The pairs of a
-cube of served points read |K(x, .) - K(z, .)|^{r'} in one gather from
-the pair tables, formed once per call; other pairs subtract rows
-K(p, .), gathered or evaluated, so values, errors and warnings do not
-depend on the path.  ``sdom.operators`` reads its one-slot rows from the
-same offset table.  One ``reduceat`` over the shell heads sums each
+by shell: Q, then each dyadic annulus, each led by a 0.  A kernel of
+the offsets x - y_s (the boundary-logarithmic, synthetic and odd
+bilinear ones) is evaluated once per call, as an ``offset_table``:
+K(p0, .) of one point over the lattice padded by the spread of the
+points in every slot, which serves every point whose differences
+x - y are bitwise the table's.  At one slot the pairs of a cube of
+served points read |K(x, .) - K(z, .)|^{r'} in one gather from the pair
+tables, formed once per call; other pairs subtract rows K(p, .),
+gathered (at two slots, a block of first-slot rows in one ``take``) or
+evaluated, so values, errors and warnings do not depend on the path.
+``sdom.operators`` reads its one-slot rows from the same offset table.
+One ``reduceat`` over the shell heads sums each
 shell (maxima at r = 1) into a table with one cell per shell
 multi-index.  The samples are arrays from plan to report: they are
 grouped by cube, and their points by bit pattern, with no per-sample
@@ -66,16 +68,16 @@ from .parallel import parallel_map
 
 _LN2 = math.log(2.0)
 
-# The estimators' unit of work: m = 2 row blocks, runs of cubes per task,
-# pair tables and plan expansion blocks hold about this many entries.
+# The estimators' unit of work: m = 2 row blocks and offset tables, runs of
+# cubes per task, pair tables and plan expansion blocks hold about this many entries.
 # Fixed sizes keep every sum independent of memory and thread count.
 _CHUNK = 1 << 18
 _MAX_PRODUCT_POINTS = 1 << 24
 _MAX_TABLE = 1 << 22  # entries of one offset table
 _CHECK_BLOCK = 1 << 15  # point-cell pairs of one block of its serving check
 
-# Variants that are functions of the offsets x - y alone.
-_CONVOLUTION = ("mpt", "mpt_truncated", "dini_synthetic")
+# Variants that are functions of the offsets x - y_s alone.
+_CONVOLUTION = ("mpt", "mpt_truncated", "dini_synthetic", "bilinear_odd")
 
 # Variants whose formula lives on the real line, by their name in errors.
 _ONE_DIMENSIONAL = {
@@ -566,36 +568,41 @@ def _shell_order(axes, lo, hi, J: list):
 
 def offset_table(spec: KernelSpec, grid: GridSpec, points: np.ndarray, cells: np.ndarray, every: bool = False):
     """The rows K(p, .) of the points ``points`` (P, n) over the cells
-    with integer lattice indices ``cells`` (K, n), read off one
-    ``eval_batch`` row; None when K is not a function of x - y with one
-    slot, the table would exceed ``_MAX_TABLE`` entries, ``every`` is
-    set and some point is not served, or its evaluation raises a
-    floating-point exception.  Each of these is decided before the
-    table is evaluated, but the last.
+    with integer lattice indices ``cells`` (K, n), in every slot, read
+    off one table; None when K is not a function of the offsets x - y,
+    the table would exceed ``_MAX_TABLE`` entries (``_CHUNK`` for two
+    slots), ``every`` is set and some point is not served, or its
+    evaluation raises a floating-point exception.  Each of these is
+    decided before the table is evaluated, but the last.
 
-    Returns (vals, valid, row, col): the row of the first point p0 over
-    the cells padded by the spread of the points, flat in row-major
-    order; a row offset per point, -1 where the point is not served;
-    and a column offset per cell.  For every served point k,
-    ``vals[row[k] + col[l]]`` and ``valid[row[k] + col[l]]`` are bitwise
-    ``eval_batch(spec, points[k], y_l)``.  Coordinates are spelt
-    origin + h (k + 1/2), as ``grid.cell_centers`` spells them.
+    Returns (vals, valid, row, col): the table K(p0, .) of the first
+    point p0 over the cells padded by the spread of the points, with one
+    axis of the N padded cells, in row-major order, per slot; a row
+    offset per point, -1 where the point is not served; and a column
+    offset per cell.  For every served point k, ``vals[row[k] + col[l]]``
+    and ``valid[row[k] + col[l]]`` are bitwise ``eval_batch(spec,
+    points[k], y_l)``, and at two slots so are the entries at flat index
+    (row[k] + col[l1]) * N + row[k] + col[l2] of ``eval_batch(spec,
+    points[k], y_l1, y_l2)``.  Coordinates are spelt origin + h (k + 1/2),
+    as ``grid.cell_centers`` spells them.
 
     Point p is s = rint((p - p0) / h) cells from p0, and is served when,
     along every axis, its difference p - y to every cell coordinate y is
     bitwise p0 - y', with y' = y - s h as the table spells it; the
-    kernel then sees the same numbers.  When the origin, h / 2 and the
-    points are multiples of one 2^q, no point is -0.0 and every
-    coordinate is below 2^(51 + q) in size, these differences are exact,
-    and p is served exactly when p - p0 is s h.  Else the check runs per
-    axis, against the distinct cell coordinates, ``_CHECK_BLOCK``
-    point-cell pairs at a time, never as a points x cells matrix.  The
-    table is evaluated with overflow, division by zero and invalid
-    operations raising: a table that raises may hold a value that some
-    row meets and warns about, so None leaves every row, and its
-    warnings, to ``eval_batch``.
+    kernel then sees the same numbers in every slot.  When the origin,
+    h / 2 and the points are multiples of one 2^q, no point is -0.0 and
+    every coordinate is below 2^(51 + q) in size, these differences are
+    exact, and p is served exactly when p - p0 is s h.  Else the check
+    runs per axis, against the distinct cell coordinates,
+    ``_CHECK_BLOCK`` point-cell pairs at a time, never as a points x
+    cells matrix.  A two-slot table is evaluated ``_CHECK_BLOCK``
+    entries at a time, a block of first-slot rows each.  The table is
+    evaluated with overflow, division by zero and invalid operations
+    raising: a table that raises may hold a value that some row meets
+    and warns about, so None leaves every row, and its warnings, to
+    ``eval_batch``.
     """
-    if spec.m != 1 or spec.variant not in _CONVOLUTION or len(points) == 0 or len(cells) == 0:
+    if spec.variant not in _CONVOLUTION or len(points) == 0 or len(cells) == 0:
         return None
     h, p0 = grid.h, points[0]
     with np.errstate(all="ignore"):
@@ -605,7 +612,8 @@ def offset_table(spec: KernelSpec, grid: GridSpec, points: np.ndarray, cells: np
     shifts = shifts.astype(np.intp)
     lo, hi, top = cells.min(axis=0), cells.max(axis=0), shifts.max(axis=0)
     shape = hi - lo + 1 + top - shifts.min(axis=0)
-    if math.prod(shape.tolist()) > _MAX_TABLE:
+    N = math.prod(shape.tolist())
+    if N**spec.m > (_MAX_TABLE if spec.m == 1 else _CHUNK):
         return None
     first = lo - top  # the lattice index of each axis' first table point
     axes = [grid.origin[a] + h * (np.arange(first[a], first[a] + shape[a]) + 0.5) for a in range(grid.n)]
@@ -632,14 +640,17 @@ def offset_table(spec: KernelSpec, grid: GridSpec, points: np.ndarray, cells: np
                     served[b : b + step] &= (d == window[top[a] - shifts[b : b + step, a]][:, cols]).all(axis=1)
     if every and not served.all():
         return None
+    ys, step = _lattice_points(axes), N if spec.m == 1 else max(1, _CHECK_BLOCK // N)
+    vals, valid = np.empty((N,) * spec.m), np.empty((N,) * spec.m, dtype=bool)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            vals, valid = eval_batch(spec, p0, _lattice_points(axes))
+            for i in range(0, N, step):  # at two slots, a block of first-slot rows
+                vals[i : i + step], valid[i : i + step] = eval_batch(spec, p0, *((ys[i : i + step],) if spec.m == 1 else (ys[i : i + step, None], ys)))
     except FloatingPointError:
         return None
     strides = np.array([math.prod(shape[a + 1 :].tolist()) for a in range(grid.n)])
     row = np.where(served, ((top - shifts) * strides).sum(axis=1), -1)
-    return vals.ravel(), valid.ravel(), row, ((cells - lo) * strides).sum(axis=1)
+    return vals, valid, row, ((cells - lo) * strides).sum(axis=1)
 
 
 def _two_adic(v: float) -> int:
@@ -673,12 +684,13 @@ def _cube_tables(spec: KernelSpec, order, pts: np.ndarray, r: float, center, sid
     the largest |K(x,.) - K(z,.)| at r = 1.  ``order`` is the cube's
     ``_shell_order``; ``table`` is None or an ``offset_table`` over the
     lattice ``pts``, its row offsets keyed by the bytes of the points it
-    serves, and the ``_pair_tables`` (F, B) with each pair's row offset
-    in F when they serve every point of the cube.  A pair's row over the
+    serves, and, at one slot, the ``_pair_tables`` (F, B) with each
+    pair's row offset in F when they serve every point of the cube.  A pair's row over the
     laid-out lattice is then one gather from F, a block of pairs at a
-    time; else the difference of its points' rows, each gathered or an
-    ``eval_batch`` call, at m = 2 in blocks of first-slot rows of the
-    shell-sorted lattice.  With the heads set to 0, one ``reduceat``
+    time; else the difference of its points' rows, at m = 2 in blocks of
+    first-slot rows of the shell-sorted lattice, each an ``eval_batch``
+    call or one ``take`` off the offset table, whose index is built once
+    per cube.  With the heads set to 0, one ``reduceat``
     gives each shell's np.add.reduce (the 0 is its initial value) or
     maximum.  Returns the pairs' tables stacked in the order given, and
     per pair the count of singular tuples outside Q^m."""
@@ -698,6 +710,10 @@ def _cube_tables(spec: KernelSpec, order, pts: np.ndarray, r: float, center, sid
         perm, starts = np.delete(lay, heads), np.append(heads - np.arange(J), len(lay) - J)  # shell j starts at starts[j]
         lattice, step = pts[lay], max(1, _CHUNK // len(lay))
         blocks = [(slice(None), i0, min(R, i0 + step)) for i0 in range(0, R, step)]
+        if H:  # a served point's rows are the table at this index plus its offset
+            N = len(table_vals)
+            at = col[perm, None] * N + col[lay] if m == 2 else col[lay][None]
+            offsets = [row[key] * (N + 1 if m == 2 else 1) for key in keys[:H]]
     for ks, i0, i1 in blocks:
         if pair is not None:
             idx = at + base[ks, None]
@@ -705,10 +721,9 @@ def _cube_tables(spec: KernelSpec, order, pts: np.ndarray, r: float, center, sid
         else:
             vals = np.empty((len(keys), i1 - i0, len(lay)))
             valid = np.empty(vals.shape, dtype=bool)
-            if H:  # one slot: a single block of one row per point
-                at = col[lay] + np.array([row[key] for key in keys[:H]])[:, None]
-                vals[:H, 0] = table_vals[at]
-                valid[:H, 0] = table_valid[at]
+            for k in range(H):
+                idx = at[i0:i1] + offsets[k]
+                vals[k], valid[k] = table_vals.take(idx), table_valid.take(idx)
             for k in range(H, len(keys)):
                 ys = (pts[perm[i0:i1], None], lattice) if m == 2 else (lattice,)
                 vals[k], valid[k] = eval_batch(spec, points[keys[k]], *ys)
@@ -791,7 +806,7 @@ def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan)
         deltas = np.sort(d[served])
         deltas = deltas[np.diff(deltas, prepend=deltas[:1] - 1) != 0].tolist()
         # the pair tables, F under 1 MiB, go with a cube when they serve all its points
-        whole = np.logical_and.reduceat(served, cuts[:-1]) & (len(deltas) * len(vals) <= _CHUNK // 2)
+        whole = np.logical_and.reduceat(served, cuts[:-1]) & (spec.m == 1 and len(deltas) * len(vals) <= _CHUNK // 2)
         if whole.any():
             F, B = _pair_tables(vals, valid, deltas, r)
             base = np.searchsorted(deltas, d) * len(vals) + ends[:, 0]

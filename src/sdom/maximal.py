@@ -260,9 +260,10 @@ def sub_grand_maximal(grid: GridSpec, root: DyadicCube, sums: np.ndarray, q0: Dy
     return _scattered(grid, blocks, _dyadic_scores(blocks, table.reshape(-1, len(blocks))))
 
 
-def _sub_boxes(grid: GridSpec, ranks, lo: np.ndarray, hi: np.ndarray) -> list:
+def _sub_boxes(grid: GridSpec, ranks, lo: np.ndarray, hi: np.ndarray) -> tuple:
     """Indexes of the sub-arrays of a kernel row on the slot cells inside
-    each box [lo[k], hi[k]), for (k, n) corner arrays.
+    each box [lo[k], hi[k]), for (k, n) corner arrays, and per box whether
+    it holds every slot cell, read off the sizes of its runs.
 
     ``ranks[s][c]`` counts the slot-s cells with flat index below c, so
     each row of a box along the last axis is one run of positions.  In
@@ -271,18 +272,22 @@ def _sub_boxes(grid: GridSpec, ranks, lo: np.ndarray, hi: np.ndarray) -> list:
     and joined per box into index arrays.
     """
     if grid.n == 1:
-        return [tuple(slice(r[a], r[b]) for r in ranks) for a, b in zip(lo[:, 0].tolist(), hi[:, 0].tolist())]
+        a, b = lo[:, 0], hi[:, 0]
+        full = np.logical_and.reduce([r[b] - r[a] == r[-1] for r in ranks])
+        return [tuple(slice(r[a], r[b]) for r in ranks) for a, b in zip(a.tolist(), b.tolist())], full.tolist()
     nrows = hi[:, 0] - lo[:, 0]
     first = np.cumsum(nrows) - nrows  # where each box's rows begin among all rows
     rows = np.arange(nrows.sum()) - np.repeat(first - lo[:, 0], nrows)
     heads = rows * grid.cells_per_side
-    per_slot = []
+    per_slot, full = [], True
     for r in ranks:
         start = r[heads + np.repeat(lo[:, 1], nrows)]
         lens = r[heads + np.repeat(hi[:, 1], nrows)] - start
         pos = np.arange(lens.sum()) + np.repeat(start - np.cumsum(lens) + lens, lens)
-        per_slot.append(np.split(pos, np.cumsum(np.add.reduceat(lens, first))[:-1]))
-    return [p if len(p) == 1 else np.ix_(*p) for p in zip(*per_slot)]
+        sizes = np.add.reduceat(lens, first)
+        full &= sizes == r[-1]
+        per_slot.append(np.split(pos, np.cumsum(sizes)[:-1]))
+    return [p if len(p) == 1 else np.ix_(*p) for p in zip(*per_slot)], full.tolist()
 
 
 def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | None) -> tuple:
@@ -310,7 +315,11 @@ def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | N
     grid row of ``within``, each cube and the run of rows it holds.  The
     dyadic family writes each run's sums into the table at the cube's
     level (column 0 is its first block, ``within``) and reads the gaps
-    off it; the others keep each cube's largest gap.
+    off it; the others keep each cube's largest gap.  When 3Q holds every
+    nonzero slot cell, which the sizes of its sub-box tell, T(f 1_3Q) is
+    T(f 1_R): the dyadic table copies it, and the other families skip the
+    run, whose gap is 0, or raises after the pass where T(f 1_R) is not
+    finite.
     """
     grid = op.grid
     hm = grid.cell_volume() ** op.kernel.m
@@ -324,21 +333,23 @@ def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | N
         start, xb = task
         idx, W, row_blocks = kernel_rows(op, fs, xb, rbox)
         ranks = [np.cumsum(np.bincount(i + 1, minlength=grid.num_cells + 1)) for i in idx]
-        subs = _sub_boxes(grid, ranks, lo3, hi3)
+        subs, full = _sub_boxes(grid, ranks, lo3, hi3)
         axes = tuple(range(1, W.ndim + 1))
         sums = np.empty((xb.size, len(blocks) if dyadic else 1))
-        gaps, at = np.zeros(len(lo3)), 0
+        gaps, at = [0.0] * len(lo3), 0
         for V in row_blocks:
             t_r = sums[at : at + len(V), 0] = np.sum(V * W, axis=axes) * hm
             for c, q, k0, k1 in runs(start + at, start + at + len(V)):
-                Wq = W[subs[q]]  # T(f 1_3Q)(x) for the rows k0 <= k < k1 of V, in cube q
-                t_q = t_r[k0:k1]
-                if Wq.size < W.size:
-                    t_q = np.multiply(V[k0:k1][(slice(None), *subs[q])], Wq, order="C").sum(axis=axes) * hm
+                # T(f 1_3Q)(x) for the rows k0 <= k < k1 of V, in cube q
+                if full[q] and not dyadic:
+                    continue
+                t_q = t_r[k0:k1] if full[q] else np.multiply(V[k0:k1][(slice(None), *subs[q])], W[subs[q]], order="C").sum(axis=axes) * hm
                 if dyadic:
                     sums[at + k0 : at + k1, c] = t_q
                 else:
-                    gaps[q] = np.maximum(gaps[q], np.abs(t_r[k0:k1] - t_q).max())  # NaN stays NaN
+                    g = abs(t_r[k0] - t_q[0]) if k1 - k0 == 1 else np.abs(t_r[k0:k1] - t_q).max()
+                    if g > gaps[q] or g != g:  # NaN stays NaN
+                        gaps[q] = g
             at += len(V)
         return sums, gaps
 
@@ -350,7 +361,7 @@ def _truncation_gap(op: OperatorSpec, fs, mode: CubeFamilyMode, within: Cube | N
         raise ArithmeticError("operator output is not finite" if within is None else f"truncation gap is not finite at cell {xs[np.argmin(np.isfinite(ref))]}")
     if dyadic:
         return _scattered(grid, blocks, _dyadic_scores(blocks, sums)), ref, sums
-    return _scattered(grid, blocks, functools.reduce(np.maximum, [gaps for _, gaps in parts])), ref, None
+    return _scattered(grid, blocks, functools.reduce(np.maximum, [np.array(gaps) for _, gaps in parts])), ref, None
 
 
 def _runs(blocks, skip: int, wlo, whi):

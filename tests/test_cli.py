@@ -754,6 +754,16 @@ def test_readme_example_runs(tmp_path):
     assert sorted(os.listdir(out)) == names
 
 
+def test_readme_kr_example_runs(tmp_path):
+    example = ROOT / "examples" / "kr.json"
+    assert f"```json\n{example.read_text()}```" in (ROOT / "README.md").read_text()
+    out = tmp_path / "out"
+    assert cli.main(["kr", "--config", str(example), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["kr_cases.csv", "kr_report.json"]
+    results = json.loads((out / "kr_report.json").read_text())["results"]
+    assert results["samples"] == {"cubes": 12, "pairs": 36} and results["value"] > 0.0
+
+
 def test_readme_separation_example_runs(tmp_path):
     example = ROOT / "examples" / "separation.json"
     assert f"```json\n{example.read_text()}```" in (ROOT / "README.md").read_text()
@@ -794,14 +804,32 @@ def test_module_entry_points_run_the_cli():
 
 
 # Runs the CLI on argv[2:]; with argv[1] == "rows", every kernel row is
-# evaluated on its own, as if no offset table could serve.
+# evaluated on its own, as if no offset table could serve, and else each
+# offset table call prints on stdout whether it built the table.
 _ROWS_OR_TABLE = """
 import sys
 from sdom import cli, kernels
-if sys.argv[1] == "rows":
-    kernels.offset_table = lambda *args: None
+table = kernels.offset_table
+def traced(*args):
+    out = table(*args)
+    print("table", "refused" if out is None else "built")
+    return out
+kernels.offset_table = (lambda *args: None) if sys.argv[1] == "rows" else traced
 sys.exit(cli.main(sys.argv[2:]))
 """
+
+
+def _rows_and_table(tmp_path, command, cfg):
+    """{path: (stdout, stderr, report bytes)} of the run with and without
+    offset tables."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    runs = {}
+    for path in ("table", "rows"):
+        argv = [path, command, "--config", cfg, "--out", str(tmp_path / path), "--threads", "1"]
+        proc = subprocess.run([sys.executable, "-c", _ROWS_OR_TABLE, *argv], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs[path] = (proc.stdout, proc.stderr, (tmp_path / path / f"{command}_report.json").read_bytes())
+    return runs
 
 
 def test_estimator_warnings_do_not_depend_on_the_offset_table(tmp_path):
@@ -814,12 +842,24 @@ def test_estimator_warnings_do_not_depend_on_the_offset_table(tmp_path):
         "r": 2.0, "delta": 1.5,
         "plan": {"levels": [1], "pair_depth": 1, "max_pairs": 2},
     })
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    runs = {}
-    for path in ("table", "rows"):
-        argv = [path, "h2", "--config", cfg, "--out", str(tmp_path / path), "--threads", "1"]
-        proc = subprocess.run([sys.executable, "-c", _ROWS_OR_TABLE, *argv], capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        runs[path] = (proc.stderr, (tmp_path / path / "h2_report.json").read_bytes())
-    assert "RuntimeWarning: overflow encountered" in runs["rows"][0]
-    assert runs["table"] == runs["rows"]
+    runs = _rows_and_table(tmp_path, "h2", cfg)
+    assert "RuntimeWarning: overflow encountered" in runs["rows"][1]
+    assert runs["table"][1:] == runs["rows"][1:]
+
+
+@pytest.mark.parametrize("command", ["kr", "h2"])
+@pytest.mark.parametrize("side", [8.0, 1e103], ids=["served", "overflow"])
+def test_bilinear_estimators_do_not_depend_on_the_offset_table(tmp_path, command, side):
+    # at side 8 the two-slot table is built and serves every sample point;
+    # at side 1e103 den ** 1.5 overflows, so its evaluation raises and
+    # every row, and every warning, is eval_batch's
+    cfg = {
+        "grid": {"n": 1, "L": 5, "origin": [0.0], "side": side},
+        "kernel": {"variant": "bilinear_odd", "m": 2},
+        "r": 1.5,
+        "plan": {"levels": [1, 2], "pair_depth": 2, "max_pairs": 3},
+    }
+    runs = _rows_and_table(tmp_path, command, write_cfg(tmp_path, dict(cfg, delta=1.0) if command == "h2" else cfg))
+    assert ("table built" if side == 8.0 else "table refused") in runs["table"][0].splitlines()
+    assert ("RuntimeWarning: overflow encountered" in runs["rows"][1]) == (side != 8.0)
+    assert runs["table"][1:] == runs["rows"][1:]

@@ -391,9 +391,30 @@ def test_offset_table_serves_the_lattice_class_of_its_reference():
             want_vals, want_valid = kernels.eval_batch(kernel, p, pts)
             assert vals[k + col].tobytes() == want_vals.tobytes()
             assert np.array_equal(want_valid, valid[k + col])
-    # two slots, or a kernel that is not a function of x - y, get no table
-    for other in (bilinear_odd_kernel(), x_independent_kernel(1), zero_kernel(1)):
+    # a kernel that is not a function of x - y gets no table
+    for other in (x_independent_kernel(1), zero_kernel(1), x_independent_kernel(2), zero_kernel(2)):
         assert offset_table(other, grid, points, cells) is None
+    # two slots get one: the same class is served, and its rows in both
+    # slots are the eval_batch rows over the cells
+    kernel = bilinear_odd_kernel()
+    table = offset_table(kernel, grid, points, cells)
+    assert {p.tobytes() for p, k in zip(points, table[2]) if k >= 0} == on_class
+    _assert_rows_are_eval_batch(kernel, grid, points, cells, table)
+
+
+def _assert_rows_are_eval_batch(kernel, grid, points, cells, table):
+    """Every served point's rows off the table, at flat index row + col in
+    one slot and (row + col1) * N + row + col2 in two, are bitwise its
+    ``eval_batch`` rows over the cell coordinates."""
+    vals, valid, row, col = table
+    A = grid.origin + grid.h * (cells + 0.5)
+    at = (col[:, None] * len(vals) + col if kernel.m == 2 else col).ravel()
+    for p, k in zip(points, row.tolist()):
+        if k >= 0:
+            want_vals, want_valid = kernels.eval_batch(kernel, p, *((A[:, None], A[None, :]) if kernel.m == 2 else (A,)))
+            off = k * (len(vals) + 1) if kernel.m == 2 else k
+            assert vals.take(at + off).tobytes() == want_vals.ravel().tobytes()
+            assert valid.take(at + off).tobytes() == want_valid.ravel().tobytes()
 
 
 def _served_by_brute_force(grid, points, cells):
@@ -418,7 +439,7 @@ def served_cases(draw):
     exact = draw(st.booleans())
     origins, sides = ((0.0, 0.375, -0.375), (8.0, 14.0)) if exact else ((0.1, 0.375, 0.7, 1.1), (1e-3, 8.0, 10.0))
     grid = GridSpec(n=n, L=draw(st.integers(1, 5 if n == 1 else 3)), origin=tuple(draw(st.sampled_from(origins)) for _ in range(n)), side=draw(st.sampled_from(sides)))
-    kernel = draw(st.sampled_from([dini_synthetic_kernel(DINI, 1)] + ([mpt_kernel(1.0, 2.0)] if n == 1 else [])))
+    kernel = draw(st.sampled_from([dini_synthetic_kernel(DINI, 1)] + ([mpt_kernel(1.0, 2.0), bilinear_odd_kernel()] if n == 1 else [])))
     cells = _lattice_points(_lattice_indices(kernel, grid)).astype(np.int64)
     if draw(st.booleans()):  # a subset of the lattice, as the operators ask for
         cells = cells[sorted(set(draw(st.lists(st.integers(0, len(cells) - 1), min_size=1, max_size=6))))]
@@ -459,6 +480,7 @@ def test_offset_table_serves_what_the_all_pairs_check_serves(case):
     table = offset_table(kernel, grid, points, cells)
     assume(table is not None)  # a table past the size limit, or one whose evaluation raises
     assert [k >= 0 for k in table[2].tolist()] == _served_by_brute_force(grid, points, cells)
+    _assert_rows_are_eval_batch(kernel, grid, points, cells, table)
 
 
 def test_separation_evaluates_one_table_row_per_ell(monkeypatch):
@@ -477,6 +499,24 @@ def test_separation_evaluates_one_table_row_per_ell(monkeypatch):
     for ell in (0, 1):
         regularity(mpt_truncated_kernel(1.0, 2.0, ell), grid, 2.0, 1.0, SamplePlan(levels=(ell + 2, ell + 3, ell + 4), max_pairs=6))
     assert calls == [0, 1]
+
+
+def test_bilinear_estimator_evaluates_only_the_table_blocks(monkeypatch):
+    # every sample point of the benchmark's bilinear plan is in the class
+    # of the first, so its 48 points' rows are read off one 492 x 492
+    # table, evaluated in blocks of at most _CHECK_BLOCK entries, 66
+    # first-slot rows each
+    shapes = []
+    inner = kernels.eval_batch
+
+    def counted(spec, x, *ys):
+        shapes.append(np.broadcast_shapes(*(y.shape[:-1] for y in ys)))
+        return inner(spec, x, *ys)
+
+    monkeypatch.setattr(kernels, "eval_batch", counted)
+    grid = GridSpec(n=1, L=8, origin=(0.0,), side=8.0)
+    hormander_constant(bilinear_odd_kernel(), grid, 1.9235, SamplePlan(levels=(2, 3), pair_depth=2, max_pairs=3))
+    assert shapes == [(66, 492)] * 7 + [(30, 492)]
 
 
 @st.composite
