@@ -711,7 +711,7 @@ def _cube_tables(spec: KernelSpec, order, pts: np.ndarray, r: float, center, sid
         lattice, step = pts[lay], max(1, _CHUNK // len(lay))
         blocks = [(slice(None), i0, min(R, i0 + step)) for i0 in range(0, R, step)]
         if H:  # a served point's rows are the table at this index plus its offset
-            N = len(table_vals)
+            N, holes = len(table_vals), not table_valid.all()
             at = col[perm, None] * N + col[lay] if m == 2 else col[lay][None]
             offsets = [row[key] * (N + 1 if m == 2 else 1) for key in keys[:H]]
     for ks, i0, i1 in blocks:
@@ -723,7 +723,7 @@ def _cube_tables(spec: KernelSpec, order, pts: np.ndarray, r: float, center, sid
             valid = np.empty(vals.shape, dtype=bool)
             for k in range(H):
                 idx = at[i0:i1] + offsets[k]
-                vals[k], valid[k] = table_vals.take(idx), table_valid.take(idx)
+                vals[k], valid[k] = table_vals.take(idx), table_valid.take(idx) if holes else True
             for k in range(H, len(keys)):
                 ys = (pts[perm[i0:i1], None], lattice) if m == 2 else (lattice,)
                 vals[k], valid[k] = eval_batch(spec, points[keys[k]], *ys)
