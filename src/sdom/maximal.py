@@ -272,9 +272,9 @@ def _sub_boxes(grid: GridSpec, ranks, lo: np.ndarray, hi: np.ndarray) -> tuple:
     and joined per box into index arrays.
     """
     if grid.n == 1:
-        a, b = lo[:, 0], hi[:, 0]
-        full = np.logical_and.reduce([r[b] - r[a] == r[-1] for r in ranks])
-        return [tuple(slice(r[a], r[b]) for r in ranks) for a, b in zip(a.tolist(), b.tolist())], full.tolist()
+        first, last = lo[:, 0], hi[:, 0]
+        full = np.logical_and.reduce([r[last] - r[first] == r[-1] for r in ranks])
+        return [tuple(slice(r[a], r[b]) for r in ranks) for a, b in zip(first.tolist(), last.tolist())], full.tolist()
     nrows = hi[:, 0] - lo[:, 0]
     first = np.cumsum(nrows) - nrows  # where each box's rows begin among all rows
     rows = np.arange(nrows.sum()) - np.repeat(first - lo[:, 0], nrows)
