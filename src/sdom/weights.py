@@ -176,7 +176,10 @@ def weighted_norm_ratio(
 
     Each ratio is ||T f||_{L^p(v)} over the product of ||f_i||_{L^{p_i}(w_i)};
     the report pairs them with the characteristic-power bound so callers
-    can study how ratio growth tracks characteristic growth.
+    can study how ratio growth tracks characteristic growth.  A bank input
+    whose weighted norms multiply to 0, a zero component or one whose
+    powers underflow, raises ArithmeticError naming the input, the
+    component and its exponent.
     """
     entries = list(bank)
     if not entries:
@@ -195,10 +198,10 @@ def weighted_norm_ratio(
         tf = apply(op, fs)
         num = float(np.sum(np.abs(tf.values) ** p * v) * hvol) ** (1.0 / p)
         den = 1.0
-        for f, w, pi in zip(fs, wt.weights, wt.exponents):
+        for i, (f, w, pi) in enumerate(zip(fs, wt.weights, wt.exponents)):
             den *= float(np.sum(np.abs(f.values) ** pi * w.values) * hvol) ** (1.0 / pi)
-        if den == 0.0:
-            raise ValueError(f"bank input {label!r} has an identically zero component")
+            if den == 0.0:  # a component that is zero or whose powers underflow
+                raise ArithmeticError(f"bank input {label!r}: the weighted norms multiply to 0 at component {i} (exponent {pi!r})")
         ratios.append(num / den)
     char = vec_ap_characteristic(wt, mode)
     expo = wt.bound_exponent()

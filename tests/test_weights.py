@@ -183,7 +183,7 @@ def test_weighted_ratio_validation():
     with pytest.raises(ValueError):
         weighted_norm_ratio(op, wt2, bank)
     zero = GridFunction(g, np.zeros(g.num_cells))
-    with pytest.raises(ValueError, match="identically zero component"):
+    with pytest.raises(ArithmeticError, match=r"^bank input 'z': the weighted norms multiply to 0 at component 0 \(exponent 2\.0\)$"):
         weighted_norm_ratio(op, wt, [("z", (zero,))])
 
 
