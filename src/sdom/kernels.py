@@ -27,15 +27,20 @@ the offsets x - y_s (the boundary-logarithmic, synthetic and odd
 bilinear ones) is evaluated once per call, as an ``offset_table``:
 K(p0, .) of one point over the lattice padded by the spread of the
 points in every slot, which serves every point whose differences
-x - y are bitwise the table's.  At one slot the pairs of a cube of
-served points read |K(x, .) - K(z, .)|^{r'} in one gather from the pair
-tables, formed once per call; other pairs subtract rows K(p, .),
-gathered (at two slots, a block of first-slot rows in one ``take``) or
-evaluated, so values, errors and warnings do not depend on the path.
-``sdom.operators`` reads its one-slot rows from the same offset table.
-One ``reduceat`` over the shell heads sums each
-shell (maxima at r = 1) into a table with one cell per shell
-multi-index.  The samples are arrays from plan to report: they are
+x - y are bitwise the table's.  At one slot a pair of served points
+reads |K(x, .) - K(z, .)|^{r'} off the pair tables, formed once per
+call; other pairs subtract rows K(p, .), gathered (at two slots, a
+block of first-slot rows in one ``take``) or evaluated, so values,
+errors and warnings do not depend on the path.  ``sdom.operators``
+reads its one-slot rows from the same offset table.  Each shell is
+summed (maxima at r = 1) into a table with one cell per shell
+multi-index.  In one dimension the cubes the pair tables serve take one
+pass per call: a shell is two runs of a pair table, so translated
+cubes share its four offsets, all-zero runs read 0 and each distinct
+other shell is summed once.  In two a shell is one or two runs per
+lattice row, too many slices to pay, and a cube's pairs are one gather
+over the lattice laid out by shell, with one ``reduceat`` over the
+shell heads.  The samples are arrays from plan to report: they are
 grouped by cube, and their points by bit pattern, with no per-sample
 loop, a parallel task handles a run of consecutive cubes, and each
 cube's tables join one array per cube side and table shape.
@@ -75,6 +80,7 @@ _CHUNK = 1 << 18
 _MAX_PRODUCT_POINTS = 1 << 24
 _MAX_TABLE = 1 << 22  # entries of one offset table
 _CHECK_BLOCK = 1 << 15  # point-cell pairs of one block of its serving check
+_RUN_BLOCK = 1 << 14  # entries between the starts of two blocks of ``_sum_runs``
 
 # Variants that are functions of the offsets x - y_s alone.
 _CONVOLUTION = ("mpt", "mpt_truncated", "dini_synthetic", "bilinear_odd")
@@ -534,27 +540,8 @@ def _shell_order(axes, lo, hi, J: list):
     shell 0 is B_0 = Q and shell j >= 1 is B_j minus B_{j-1}.  Returns a
     function of a list of cube indices giving per cube (lay, heads): the
     lattice indices by shell, ascending within a shell, each shell led by
-    a placeholder 0, and the J + 1 placeholders' positions.  In one
-    dimension shell j >= 1 is two runs, left then right of B_{j-1}, found
-    here for every cube: one ``np.repeat`` and one add of a per-call index
-    lay out a run of cubes.  In two it is a stable sort of shell labels."""
-    if len(axes) == 1:  # per shell: its head, then its left and right runs
-        l, h = lo[0].astype(np.int32), hi[0].astype(np.int32)  # lattices stay under 2^24 points
-        start = np.stack((np.zeros_like(l), l, np.concatenate((h[:, :1], h[:, :-1]), axis=1)), axis=2).reshape(len(l), -1)
-        size = np.stack((np.ones_like(l), np.concatenate((h[:, :1], l[:, :-1]), axis=1), h), axis=2).reshape(len(l), -1) - start
-        at = np.cumsum(size, axis=1, dtype=np.int32) - size
-        start -= at
-        heads, index = at[:, ::3].copy(), np.arange(len(axes[0]) + l.shape[1], dtype=np.int32)
-
-        def order(ks):
-            lay = np.repeat(start[ks].ravel(), size[ks].ravel()).reshape(len(ks), -1)
-            lay += index
-            return [(lay[i, : len(axes[0]) + J[k] + 1], heads[k, : J[k] + 1]) for i, k in enumerate(ks)]
-
-        return order
-
-    def order(ks):
-        return [one(k) for k in ks]
+    a placeholder 0, and the J + 1 placeholders' positions, from a stable
+    sort of shell labels."""
 
     def one(k):
         label = np.full(tuple(len(ax) for ax in axes), J[k])
@@ -563,7 +550,7 @@ def _shell_order(axes, lo, hi, J: list):
         starts = np.concatenate(([0], np.cumsum(np.bincount(label.ravel(), minlength=J[k] + 1))[:-1]))
         return np.insert(np.argsort(label.ravel(), kind="stable"), starts, 0), starts + np.arange(J[k] + 1)
 
-    return order
+    return lambda ks: [one(k) for k in ks]
 
 
 def offset_table(spec: KernelSpec, grid: GridSpec, points: np.ndarray, cells: np.ndarray, every: bool = False):
@@ -684,10 +671,11 @@ def _cube_tables(spec: KernelSpec, order, pts: np.ndarray, r: float, center, sid
     the largest |K(x,.) - K(z,.)| at r = 1.  ``order`` is the cube's
     ``_shell_order``; ``table`` is None or an ``offset_table`` over the
     lattice ``pts``, its row offsets keyed by the bytes of the points it
-    serves, and, at one slot, the ``_pair_tables`` (F, B) with each
-    pair's row offset in F when they serve every point of the cube.  A pair's row over the
-    laid-out lattice is then one gather from F, a block of pairs at a
-    time; else the difference of its points' rows, at m = 2 in blocks of
+    serves, and the ``_pair_tables`` (F, B) with each pair's row offset
+    in F when they serve every point of a two-dimensional cube at one
+    slot (in one dimension such cubes take ``_shell_pass``).  A pair's
+    row over the laid-out lattice is then one gather from F, a block of
+    pairs at a time; else the difference of its points' rows, at m = 2 in blocks of
     first-slot rows of the shell-sorted lattice, each an ``eval_batch``
     call or one ``take`` off the offset table, whose index is built once
     per cube.  With the heads set to 0, one ``reduceat``
@@ -700,7 +688,7 @@ def _cube_tables(spec: KernelSpec, order, pts: np.ndarray, r: float, center, sid
     ufunc, R = np.add if r > 1 else np.maximum, (len(lay) - J) ** (m - 1)  # R first-slot rows
     acc, skipped = np.zeros((len(pairs), R, J)), np.zeros(len(pairs), dtype=np.int64)
     if pair is not None:  # one slot; gathers under 1 MiB
-        (F, B, base), at, step = pair, lay if pts.shape[1] == 1 else col[lay], max(1, _CHUNK // 2 // len(lay))
+        (F, B, base), at, step = pair, col[lay], max(1, _CHUNK // 2 // len(lay))
         blocks = [(slice(k, k + step), 0, 1) for k in range(0, len(pairs), step)]
     else:
         points = {p.tobytes(): p for xz in pairs for p in xz}
@@ -756,6 +744,69 @@ def _cube_tables(spec: KernelSpec, order, pts: np.ndarray, r: float, center, sid
     return acc, skipped
 
 
+def _shell_pass(F, B, r: float, base, cube, lo, hi, J: list):
+    """One-dimensional shell tables and skip counts of the pairs that the
+    pair tables (F, B) serve whole, in one pass per call.  Pair k reads F
+    from flat offset base[k], and its cube c = cube[k] has the
+    ``_shell_bounds`` rows lo[c], hi[c] and J[c]: shell j >= 1 is the
+    lattice runs [lo_j, lo_{j-1}) and [hi_{j-1}, hi_j), shell 0 the run
+    [lo_0, hi_0), so its cell is 0.0 plus the sum of two runs of F (their
+    maximum at r = 1), a function of four offsets, its key.  Keys whose
+    runs hold no nonzero entry read 0.0; a key whose entries form one run
+    [a, b) is rewritten (a, b, b, b), and each distinct other key is summed
+    once by ``_sum_runs``.  Returns the (k, max J + 1) cells, zero past a
+    cube's J (whose runs are empty), and per pair the invalid entries
+    outside its cube, the two runs of B around it."""
+    flat, b = F.ravel(), base.astype(np.int32)  # tables hold under 2^17 entries
+    l, h = lo.astype(np.int32), hi.astype(np.int32)
+    w = int(np.take(J, cube).max()) + 1
+    runs = np.stack((l, np.concatenate((h[:, :1], l[:, :-1]), axis=1), np.concatenate((h[:, :1], h[:, :-1]), axis=1), h), axis=2)
+    keys = runs[:, :w][cube]
+    keys += b[:, None, None]
+    live = np.flatnonzero(_in_runs(flat != 0.0, keys.reshape(-1, 4)))  # nan and inf are nonzero
+    keys = keys.reshape(-1, 4)[live]
+    u0, u1, v0, v1 = keys.T
+    one = (u0 == u1) | (u1 == v0) | (v0 == v1)
+    keys[one, 0] = np.where(u0 == u1, v0, u0)[one]
+    keys[one, 1:] = np.where(v0 == v1, u1, v1)[one, None]
+    cells = np.zeros((len(cube), w))
+    if live.size:
+        label, firsts = _first_seen(keys)
+        cells.ravel()[live] = _sum_runs(flat, keys[firsts], np.add if r > 1 else np.maximum)[label]
+    if B is None:
+        return cells, np.zeros(len(cube), dtype=np.int64)
+    return cells, _in_runs(B.ravel(), np.stack((b, b + l[cube, 0], b + h[cube, 0], b + h[cube, -1]), axis=1)).astype(np.int64)
+
+
+def _in_runs(mask: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The True entries of ``mask`` in the runs [u0, u1) and [v0, v1) of
+    each row (u0, u1, v0, v1) of ``keys``, from one prefix count."""
+    count = np.zeros(mask.size + 1, dtype=np.int32)
+    np.cumsum(mask, out=count[1:])
+    out = count[keys[:, 1]]
+    out -= count[keys[:, 0]]
+    out += count[keys[:, 3]]
+    out -= count[keys[:, 2]]
+    return out
+
+
+def _sum_runs(flat: np.ndarray, keys: np.ndarray, ufunc) -> np.ndarray:
+    """The cell of each row (u0, u1, v0, v1) of ``keys``: ``ufunc.reduceat``
+    over 0.0, flat[u0:u1] and flat[v0:v1], the layout ``_cube_tables``
+    reduces, so each sum is bitwise its.  The rows' slices are joined into
+    blocks that start every ``_RUN_BLOCK`` entries, one ``reduceat`` each."""
+    size = keys[:, 1] - keys[:, 0] + keys[:, 3] - keys[:, 2] + 1
+    at = np.cumsum(size, dtype=np.int64) - size
+    cuts = np.flatnonzero(np.diff(at // _RUN_BLOCK, prepend=-1)).tolist() + [len(keys)]
+    out, zero = np.empty(len(keys)), np.zeros(1)
+    for s, e in zip(cuts, cuts[1:]):
+        parts = []
+        for u0, u1, v0, v1 in keys[s:e].tolist():
+            parts += (zero, flat[u0:u1], flat[v0:v1])
+        out[s:e] = ufunc.reduceat(np.concatenate(parts), at[s:e] - at[s])
+    return out
+
+
 def _first_seen(keys: np.ndarray):
     """(labels, firsts): each row's label, numbered by first appearance, and
     the first row of each label of the (k, w) array ``keys``, by one stable
@@ -772,9 +823,13 @@ def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan)
     """The front end both estimators share, on arrays of samples: the
     plan's less its x = z pairs, grouped by cube (first appearance,
     positions ascending), their points by bit pattern, for the offset
-    and pair tables, and the shell engine run on the cubes that start in
-    one ``_CHUNK`` of lattice entries of pair rows, one parallel task
-    each.  A plan whose kept samples skip every slot tuple outside their
+    and pair tables.  On a one-dimensional grid the cubes the pair
+    tables serve whole take one ``_shell_pass``; the other cubes, and
+    every cube of a two-dimensional grid, where a shell is too many runs
+    for the pass to pay, take ``_cube_tables``, the cubes that start in
+    one ``_CHUNK`` of lattice entries of pair rows one parallel task.
+    The first non-finite table, in cube order, raises FloatingPointError
+    naming its cube centre and pair.  A plan whose kept samples skip every slot tuple outside their
     cubes measures nothing, and raises FloatingPointError naming the
     first.  Returns (kept, groups, skipped, samples, covers_all): the
     kept (centers, sides, xs, zs); per side and table shape, (side, kept
@@ -797,7 +852,7 @@ def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan)
     lo, hi, J = _shell_bounds(axes, kept[0][firsts], kept[1][firsts])
     order = _shell_order(axes, lo, hi, J)
     point, distinct = _first_seen(pairs.reshape(-1, grid.n).view(np.int64))  # -0.0 is not 0.0 here
-    points, tables = pairs.reshape(-1, grid.n)[distinct], [None] * len(firsts)
+    points, tables, passed = pairs.reshape(-1, grid.n)[distinct], [None] * len(firsts), np.zeros(len(firsts), dtype=bool)
     table = offset_table(spec, grid, points, _lattice_points(_lattice_indices(spec, grid)))
     if table is not None:
         vals, valid, row, col = table
@@ -812,9 +867,23 @@ def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan)
             base = np.searchsorted(deltas, d) * len(vals) + ends[:, 0]
         rows = {} if whole.all() else {p.tobytes(): k for p, k in zip(points, row.tolist()) if k >= 0}
         tables = [(vals, valid, rows, col, (F, B, base[a:b]) if w else None) for a, b, w in zip(cuts, cuts[1:], whole.tolist())]
-    start = (np.array(cuts[:-1]) * (len(pts) ** spec.m + lo.shape[2]) // _CHUNK).tolist()  # each cube's chunk
-    tasks = [list(g) for _, g in itertools.groupby(range(len(firsts)), start.__getitem__)]
+        if grid.n == 1:
+            passed = whole
+    done, fail = [None] * len(firsts), None  # fail: the pass's first cube and error
     cube_centers, cube_sides, pairs = kept[0][firsts], kept[1][firsts].tolist(), pairs[by_cube]
+    if passed.any():
+        sel = np.flatnonzero(np.repeat(passed, np.diff(cuts)))  # the pairs of the cubes the pass fills
+        owner = np.repeat(np.flatnonzero(passed), np.diff(cuts)[passed])  # and their cubes
+        cells, sk = _shell_pass(F, B, r, base[sel], owner, lo[0], hi[0], J)
+        stops = np.cumsum(np.diff(cuts)[passed]).tolist()
+        for c, a, e in zip(np.flatnonzero(passed).tolist(), [0] + stops, stops):
+            done[c] = cells[a:e, : J[c] + 1], sk[a:e]
+        k = int(np.argmax(~np.isfinite(cells).all(axis=1)))
+        if not np.isfinite(cells[k]).all():
+            fail = int(owner[k]), _sample_failure((cube_centers[owner[k]], None, *pairs[sel[k]]), "non-finite shell table")
+    start = (np.array(cuts[:-1]) * (len(pts) ** spec.m + lo.shape[2]) // _CHUNK).tolist()  # each cube's chunk
+    todo = [c for c in range(len(firsts) if fail is None else fail[0]) if done[c] is None]  # cubes before a failure
+    tasks = [list(g) for _, g in itertools.groupby(todo, start.__getitem__)]
 
     def task(cubes):
         return [
@@ -822,7 +891,10 @@ def _sample_tables(spec: KernelSpec, grid: GridSpec, r: float, plan: SamplePlan)
             for c, o in zip(cubes, order(cubes))
         ]
 
-    done = list(itertools.chain(*parallel_map(task, tasks)))  # (tables, skipped) per cube
+    for c, out in zip(todo, itertools.chain(*parallel_map(task, tasks))):
+        done[c] = out  # (tables, skipped)
+    if fail is not None:
+        raise fail[1]
     skipped = np.empty(len(cube), dtype=np.int64)
     skipped[by_cube] = np.concatenate([sk for _, sk in done])
     inside = np.prod(hi[:, :, 0] - lo[:, :, 0], axis=0) ** spec.m  # the slot tuples in Q^m

@@ -341,26 +341,66 @@ def test_separation_outputs(tmp_path):
 
 
 def test_separation_builds_each_shell_table_once(tmp_path, monkeypatch):
-    # one _cube_tables call per distinct cube per ell serves both kr and
-    # h2, and nothing carries over from one command to the next
-    calls = []
-    inner = kernels._cube_tables
+    # per ell, each distinct cube's tables come from one _cube_tables call
+    # or from the ell's one _shell_pass, and serve both kr and h2; a
+    # one-dimensional _cube_tables call never carries pair tables, and
+    # nothing carries over from one command to the next
+    calls, passes = [], []
+    inner, inner_pass = kernels._cube_tables, kernels._shell_pass
 
-    def counted(spec, axes, pts, r, center, side, pairs, offsets):
+    def counted(spec, order, pts, r, center, side, pairs, table):
         calls.append((spec.ell, tuple(center), side))
-        return inner(spec, axes, pts, r, center, side, pairs, offsets)
+        assert table is None or table[4] is None
+        return inner(spec, order, pts, r, center, side, pairs, table)
+
+    def counted_pass(F, B, r, base, cube, lo, hi, J):
+        passes.append(len(set(cube.tolist())))
+        return inner_pass(F, B, r, base, cube, lo, hi, J)
 
     monkeypatch.setattr(kernels, "_cube_tables", counted)
+    monkeypatch.setattr(kernels, "_shell_pass", counted_pass)
     cfg = {"grid": {"n": 1, "L": 6, "origin": [0.0], "side": 8.0}, "beta": 1.0, "r": 2.0, "delta": 1.0, "ells": [0, 1]}
     cubes = sum(1 << lam for ell in (0, 1) for lam in (ell + 2, ell + 3, ell + 4))  # levels ell+2 .. ell+4
     reports = []
     for threads in ("1", "2"):
         calls.clear()
+        passes.clear()
         code, out = run(tmp_path, "separation", cfg, ["--threads", threads])
         assert code == 0
-        assert len(calls) == len(set(calls)) == cubes
+        assert len(calls) == len(set(calls)) and len(passes) == 2 and calls  # both routes run here
+        assert len(calls) + sum(passes) == cubes
         reports.append((out / "separation_report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_separation_sums_each_distinct_live_shell_once(tmp_path, monkeypatch):
+    # on the golden separation config, of the (pair, shell) keys of the
+    # cubes that take the shell pass, those whose runs are all zero are
+    # never summed, and the others are summed once per distinct key
+    seen = {"keys": 0, "live": 0, "summed": 0}
+    inner_pass, inner_seen, inner_sum = kernels._shell_pass, kernels._first_seen, kernels._sum_runs
+
+    def counted_pass(F, B, r, base, cube, lo, hi, J):
+        seen["keys"] += int(sum(J[c] + 1 for c in cube.tolist()))
+        return inner_pass(F, B, r, base, cube, lo, hi, J)
+
+    def counted_seen(keys):
+        if keys.shape[1] == 4:  # the live shell keys
+            seen["live"] += len(keys)
+        return inner_seen(keys)
+
+    def counted_sum(flat, keys, ufunc):
+        seen["summed"] += len(keys)
+        return inner_sum(flat, keys, ufunc)
+
+    monkeypatch.setattr(kernels, "_shell_pass", counted_pass)
+    monkeypatch.setattr(kernels, "_first_seen", counted_seen)
+    monkeypatch.setattr(kernels, "_sum_runs", counted_sum)
+    case = next(c for c in CASES if c["name"] == "separation")
+    code, _ = run(tmp_path, case["command"], case["config"])
+    assert code == 0
+    # 1,920 keys in the pass, 1,296 read as zero, and 324 distinct of the 624 others
+    assert (seen["keys"], seen["keys"] - seen["live"], seen["summed"]) == (1920, 1296, 324)
 
 
 def test_maximal_multilinear(tmp_path):

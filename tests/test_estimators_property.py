@@ -338,6 +338,22 @@ def row_cases(draw):
         SamplePlan(cubes=((np.array([4.0]), 8.0),), pairs=((np.array([2.0]), np.array([3.0])),)),
     )
 )
+# the one-dimensional shell pass: a comb with no live lattice point, so every
+# shell it serves reads 0; the separation family at r = 1 (maxima); and an
+# explicit plan whose cubes are served whole, not at all, and in part
+@example(case=(mpt_truncated_kernel(1.0, 2.0, 0), GridSpec(n=1, L=2, origin=(0.0,), side=8.0), 2.0, SamplePlan(levels=(0,), pair_depth=1)))
+@example(case=(mpt_truncated_kernel(1.5, 2.0, 2), GridSpec(n=1, L=8, origin=(0.0,), side=8.0), 1.0, SamplePlan(levels=(4, 5, 6), max_pairs=6)))
+@example(
+    case=(
+        mpt_kernel(1.0, 2.0),
+        GridSpec(n=1, L=6, origin=(0.0,), side=8.0),
+        2.0,
+        SamplePlan(
+            cubes=((np.array([1.0]), 2.0), (np.array([2.5]), 1.0), (np.array([5.0]), 2.0)),
+            pairs=((np.array([0.625]), np.array([1.375])), (np.array([2.3125]), np.array([2.6875])), (np.array([4.625]), np.array([5.0625]))),
+        ),
+    )
+)
 def test_shell_tables_are_the_row_by_row_reference_bit_for_bit(case):
     kernel, grid, r, plan = case
     assume(plan_error(plan, grid) is None)  # an offset of 1 can round a point off the half cube
