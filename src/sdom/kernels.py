@@ -769,10 +769,8 @@ def _shell_pass(F, B, r: float, base, cube, lo, hi, J: list):
     one = (u0 == u1) | (u1 == v0) | (v0 == v1)
     keys[one, 0] = np.where(u0 == u1, v0, u0)[one]
     keys[one, 1:] = np.where(v0 == v1, u1, v1)[one, None]
-    cells = np.zeros((len(cube), w))
-    if live.size:
-        label, firsts = _first_seen(keys)
-        cells.ravel()[live] = _sum_runs(flat, keys[firsts], np.add if r > 1 else np.maximum)[label]
+    cells, (label, firsts) = np.zeros((len(cube), w)), _first_seen(keys)
+    cells.ravel()[live] = _sum_runs(flat, keys[firsts], np.add if r > 1 else np.maximum)[label]
     if B is None:
         return cells, np.zeros(len(cube), dtype=np.int64)
     return cells, _in_runs(B.ravel(), np.stack((b, b + l[cube, 0], b + h[cube, 0], b + h[cube, -1]), axis=1)).astype(np.int64)
@@ -812,7 +810,8 @@ def _first_seen(keys: np.ndarray):
     the first row of each label of the (k, w) array ``keys``, by one stable
     lexsort (np.unique would import numpy.ma, 0.2 to 0.9 MiB more resident)."""
     order = np.lexsort(keys.T)
-    new = np.append(True, (keys[order[1:]] != keys[order[:-1]]).any(axis=1))
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
     firsts = order[new]  # each run's first row: the sort is stable
     labels = np.empty(len(keys), dtype=np.intp)
     labels[order] = np.argsort(np.argsort(firsts))[np.cumsum(new) - 1]
